@@ -276,13 +276,9 @@ def lipschitz_probe(landscape: Landscape, n_pairs: int = 100_000, seed: int = 0)
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    regs = landscape.regions
-    idx = rng.integers(0, len(regs), size=n_pairs)
-    lo = np.array([(r.bounds[0], r.bounds[2]) for r in regs])[idx]
-    tau = landscape.params.tau
-    a = lo + tau * rng.random((n_pairs, 2))
-    b = lo + tau * rng.random((n_pairs, 2))
-    orders = np.array([r.rid.order for r in regs])[idx]
+    orders = rng.integers(0, len(landscape.regions), size=n_pairs)
+    a = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
+    b = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
     ga = landscape.gradient_many(a, orders)
     gb = landscape.gradient_many(b, orders)
     dist = np.linalg.norm(a - b, axis=1)

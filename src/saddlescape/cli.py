@@ -52,7 +52,11 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"known keys: {', '.join(_CONFIG_TYPES)}")
+        values[key] = val.strip()
     return values
 
 
@@ -71,7 +75,7 @@ def _resolve(args: argparse.Namespace, key: str, default):
         return val
     cfg = getattr(args, "_config_values", {})
     if key in cfg:
-        return _CONFIG_TYPES.get(key, str)(cfg[key])
+        return _CONFIG_TYPES[key](cfg[key])
     return default
 
 

@@ -42,8 +42,8 @@ class GdConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.record_every < 1:
@@ -57,8 +57,8 @@ class NoiseConfig:
     scale_by_eta: bool = False  # alternative reading: kick scaled by the step size
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
 
 
 @dataclass(frozen=True)

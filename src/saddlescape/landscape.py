@@ -12,12 +12,15 @@ are exact up to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 Point = tuple[float, float]
+
+CHUNK = 1 << 16  # points per pass of the vectorized path; bounds its temporaries
 
 
 class OutsideDomainError(ValueError):
@@ -78,12 +81,13 @@ class LandscapeParams:
     n_saddles: int = 9
 
     def __post_init__(self):
-        if not (self.L > 0 and self.gamma > 0 and self.tau > 0):
-            raise ValueError(f"L, gamma, tau must be positive, got {self}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.L, self.gamma, self.tau)):
+            raise ValueError(f"L, gamma, tau must be finite and positive, got {self}")
         if self.L < self.gamma:
             raise ValueError(f"construction requires L >= gamma, got L={self.L} gamma={self.gamma}")
-        if int(self.n_saddles) != self.n_saddles or self.n_saddles < 1:
-            raise ValueError(f"n_saddles must be an integer >= 1, got {self.n_saddles}")
+        n = self.n_saddles
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_saddles must be an integer >= 1, got {n!r}")
 
     @property
     def n_blocks(self) -> int:
@@ -219,35 +223,41 @@ class _Region:
         return a <= x1 <= b and c <= x2 <= d
 
 
+def _cell(o):
+    """Grid cell (a, b) of the square holding chain order o (int or int array).
+
+    The square spans [a*tau, (a+1)*tau] x [b*tau, (b+1)*tau], with a + b = o
+    and a - b = 0, 1, 2, 1 for o mod 4 = 0, 1, 2, 3.
+    """
+    skew = (o & 1) + 2 * ((o & 3) == 2)
+    a = (o + skew) >> 1
+    return a, a - skew
+
+
+def _mid(c, tau):
+    """Midpoint of [c*tau, (c+1)*tau], rounded as the region bounds are."""
+    return 0.5 * (c * tau + (c + 1) * tau)
+
+
+_KIND_BY_ORDER_MOD_4 = (RegionKind.ODD_BLOCK, RegionKind.ODD_EVEN_BUFFER,
+                        RegionKind.EVEN_BLOCK, RegionKind.EVEN_ODD_BUFFER)
+
+
 def _build_regions(params: LandscapeParams) -> tuple[_Region, ...]:
-    tau, n = params.tau, params.n_blocks
+    tau, last = params.tau, 2 * params.n_saddles
     out = []
-    for i in range(1, n + 1):
-        if i % 2 == 1:
-            k = (i - 1) // 2
-            bounds = (2 * k * tau, (2 * k + 1) * tau, 2 * k * tau, (2 * k + 1) * tau)
-            kind = RegionKind.ODD_BLOCK
-        else:
-            k = i // 2
-            bounds = (2 * k * tau, (2 * k + 1) * tau, (2 * k - 2) * tau, (2 * k - 1) * tau)
-            kind = RegionKind.EVEN_BLOCK
-        if i == n:
-            kind = RegionKind.FINAL_BLOCK
+    for o in range(last + 1):
+        a, b = _cell(o)
+        bounds = (a * tau, (a + 1) * tau, b * tau, (b + 1) * tau)
         center = (0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3]))
-        out.append(_Region(RegionId(kind, i, 2 * (i - 1)), bounds, center))
-        if i == n:
-            break
-        if i % 2 == 1:
-            k = (i - 1) // 2
-            bbounds = ((2 * k + 1) * tau, (2 * k + 2) * tau, 2 * k * tau, (2 * k + 1) * tau)
-            bkind, axis, u_base = RegionKind.ODD_EVEN_BUFFER, 0, 2 * k * tau
+        kind = RegionKind.FINAL_BLOCK if o == last else _KIND_BY_ORDER_MOD_4[o & 3]
+        rid = RegionId(kind, o // 2 + 1, o)
+        if o & 1:   # a buffer, travelling along x1 (o mod 4 = 1) or x2 (o mod 4 = 3)
+            axis = (o & 3) >> 1
+            out.append(_Region(rid, bounds, center, axis, ((b if axis else a) - 1) * tau,
+                               o == last - 1))
         else:
-            k = i // 2
-            bbounds = (2 * k * tau, (2 * k + 1) * tau, (2 * k - 1) * tau, 2 * k * tau)
-            bkind, axis, u_base = RegionKind.EVEN_ODD_BUFFER, 1, (2 * k - 2) * tau
-        bcenter = (0.5 * (bbounds[0] + bbounds[1]), 0.5 * (bbounds[2] + bbounds[3]))
-        out.append(_Region(RegionId(bkind, i, 2 * (i - 1) + 1), bbounds, bcenter,
-                           travel_axis=axis, u_base=u_base, into_final=(i == n - 1)))
+            out.append(_Region(rid, bounds, center))
     return tuple(out)
 
 
@@ -385,15 +395,34 @@ class Landscape:
     # -- vectorized evaluation (verification workloads) ----------------------
 
     def classify_many(self, xy: np.ndarray) -> np.ndarray:
-        """Chain orders for an (N, 2) array of points; -1 for outside."""
-        x1, x2 = xy[:, 0], xy[:, 1]
+        """Chain orders for an (N, 2) array of points; -1 for outside.
+
+        The cell (floor(x1/tau), floor(x2/tau)) has chain order a + b, and
+        rounding moves each floor by at most one cell, so only the orders
+        o-2 .. o+2 can hold the point.  They are tried in ascending order
+        against the exact closed bounds, so a shared edge still belongs to
+        the earlier region, as in ``locate``.
+        """
+        tau, last = self.params.tau, len(self.regions) - 1
         orders = np.full(len(xy), -1, dtype=np.int64)
-        unassigned = np.ones(len(xy), dtype=bool)
-        for reg in self.regions:
-            a, b, c, d = reg.bounds
-            m = unassigned & (x1 >= a) & (x1 <= b) & (x2 >= c) & (x2 <= d)
-            orders[m] = reg.rid.order
-            unassigned &= ~m
+        for s in range(0, len(xy), CHUNK):
+            x1, x2 = xy[s:s + CHUNK, 0], xy[s:s + CHUNK, 1]
+            with np.errstate(invalid="ignore", over="ignore"):
+                guess = np.floor(x1 / tau) + np.floor(x2 / tau)
+            # non-finite points keep -1: none of their candidates is in range
+            guess = np.clip(np.nan_to_num(guess, nan=-3.0), -3, last + 3).astype(np.int64)
+            idx = np.arange(s, s + len(x1))
+            for k in range(-2, 3):
+                if not len(idx):
+                    break
+                o = guess + k
+                a, b = _cell(o)
+                hit = ((o >= 0) & (o <= last)
+                       & (x1 >= a * tau) & (x1 <= (a + 1) * tau)
+                       & (x2 >= b * tau) & (x2 <= (b + 1) * tau))
+                orders[idx[hit]] = o[hit]
+                miss = ~hit   # a point leaves the candidate set at its first hit
+                idx, x1, x2, guess = idx[miss], x1[miss], x2[miss], guess[miss]
         return orders
 
     def value_many(self, xy: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
@@ -405,32 +434,54 @@ class Landscape:
         return gr
 
     def _eval_many(self, xy, orders, want_grad):
-        if orders is None:
-            orders = self.classify_many(xy)
-        if np.any(orders < 0):
-            bad = int(np.argmax(orders < 0))
-            raise OutsideDomainError(f"point {tuple(xy[bad])} is outside D")
+        """Group each chunk of points by region kind; per-point region data
+        (center, index, u_base, into_final) follows from the chain order."""
+        tau, last = self.params.tau, len(self.regions) - 1
         values = np.empty(len(xy))
         grads = np.empty_like(xy) if want_grad else None
-        for reg in self.regions:
-            m = orders == reg.rid.order
-            if not m.any():
-                continue
-            v, gr = self.eval_region_many(reg, xy[m], want_grad=want_grad)
-            values[m] = v
-            if want_grad:
-                grads[m] = gr
+        for s in range(0, len(xy), CHUNK):
+            p = xy[s:s + CHUNK]
+            o = self.classify_many(p) if orders is None else orders[s:s + CHUNK]
+            outside = (o < 0) | (o > last)
+            if outside.any():
+                bad = s + int(np.argmax(outside))
+                raise OutsideDomainError(f"point {tuple(xy[bad])} is outside D")
+            kinds = np.where(o == last, 4, o & 3)
+            for code, kind in enumerate(_KIND_BY_ORDER_MOD_4 + (RegionKind.FINAL_BLOCK,)):
+                idx = np.flatnonzero(kinds == code)
+                if not len(idx):
+                    continue
+                om = o[idx]
+                a, b = _cell(om)
+                u_base = ((a if kind is RegionKind.ODD_EVEN_BUFFER else b) - 1) * tau
+                v, gr = self._eval_kernel(kind, p[idx], (_mid(a, tau), _mid(b, tau)),
+                                          om // 2 + 1, u_base, om == last - 1,
+                                          want_grad=want_grad)
+                idx += s
+                values[idx] = v
+                if want_grad:
+                    grads[idx] = gr
         return values, grads
 
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
         """Vectorized closed form of one region, with optional forced branch."""
+        return self._eval_kernel(reg.rid.kind, xy, reg.center, reg.rid.index, reg.u_base,
+                                 reg.into_final, branch, want_grad)
+
+    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+                     want_grad=True):
+        """Closed form of one region kind at the points xy.
+
+        center, index, u_base and into_final describe the region holding
+        each point: scalars for one region or per-point arrays.  A scalar
+        broadcasts to the same bits as an array of copies.
+        """
         L, g, tau = self.params.L, self.params.gamma, self.params.tau
-        L2, nu = self.derived.L2, self.nu
+        L2 = self.derived.L2
         x1, x2 = xy[:, 0], xy[:, 1]
-        s1, s2 = reg.center
-        base = -reg.rid.index * nu
-        kind = reg.rid.kind
+        s1, s2 = center
+        base = -index * self.nu
         grads = np.empty_like(xy) if want_grad else None
         if kind.is_block:
             d1, d2 = x1 - s1, x2 - s2
@@ -450,21 +501,21 @@ class Landscape:
                 grads[:, 0] = 2.0 * k1 * d1
                 grads[:, 1] = 2.0 * k2 * d2
             return values, grads
-        if reg.travel_axis == 0:
-            u, w = x1 - reg.u_base, x2 - s2
+        along_x1 = kind is RegionKind.ODD_EVEN_BUFFER
+        if along_x1:
+            u, w = x1 - u_base, x2 - s2
         else:
-            u, w = x2 - reg.u_base, x1 - s1
-        if reg.into_final:
-            c2 = np.full(u.shape, L)
-        elif branch:
+            u, w = x2 - u_base, x1 - s1
+        if branch:
             c2 = np.full(u.shape, -g if branch > 0 else L2)
         else:
             c2 = np.where(w > 0, -g, L2)
+        np.copyto(c2, L, where=into_final)
         values = base + _ramp_value(u, self.params) + _blend_value(u, L, c2, tau) * w * w
         if want_grad:
             du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
             dw = 2.0 * _blend_value(u, L, c2, tau) * w
-            if reg.travel_axis == 0:
+            if along_x1:
                 grads[:, 0], grads[:, 1] = du, dw
             else:
                 grads[:, 0], grads[:, 1] = dw, du
@@ -474,10 +525,20 @@ class Landscape:
 
     def sample_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n points uniform over D (all regions are equal-area squares)."""
-        idx = rng.integers(0, len(self.regions), size=n)
-        lo = np.array([(r.bounds[0], r.bounds[2]) for r in self.regions])
-        side = self.params.tau
-        return lo[idx] + side * rng.random((n, 2))
+        orders = rng.integers(0, len(self.regions), size=n)
+        return self.place_in_regions(orders, rng.random((n, 2)))
+
+    def place_in_regions(self, orders: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Map offsets r in the unit square, in place, into the squares of
+        the given chain orders: corner + tau * r.  Returns r."""
+        tau = self.params.tau
+        for s in range(0, len(r), CHUNK):
+            a, b = _cell(orders[s:s + CHUNK])
+            rc = r[s:s + CHUNK]
+            rc *= tau
+            rc[:, 0] += a * tau
+            rc[:, 1] += b * tau
+        return r
 
     def gradient_lipschitz_bound(self) -> float:
         """Documented bound on the gradient's Lipschitz constant.

@@ -59,10 +59,12 @@ def test_gradient_check_zero_samples_vacuous(lc8):
 class _CorruptedGradient(Landscape):
     """Negates the analytic gradient on the escape half of odd blocks."""
 
-    def eval_region_many(self, reg, xy, branch=0, want_grad=True):
-        vals, grads = super().eval_region_many(reg, xy, branch, want_grad)
-        if want_grad and reg.rid.kind is RegionKind.ODD_BLOCK:
-            esc = xy[:, 0] - reg.center[0] > 0
+    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+                     want_grad=True):
+        vals, grads = super()._eval_kernel(kind, xy, center, index, u_base, into_final,
+                                           branch, want_grad)
+        if want_grad and kind is RegionKind.ODD_BLOCK:
+            esc = xy[:, 0] - center[0] > 0
             grads[esc] = -grads[esc]
         return vals, grads
 

@@ -161,3 +161,24 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["run", "--bogus"])
     assert err.value.code == 2
+
+
+def test_config_file_unknown_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n-saddles = 2\ngama = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'gama'" in err and ":2:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--tau", "inf"],
+    ["check", "--L", "nan"],
+    ["run", "--eta", "nan"],
+    ["run", "--algo", "sgd", "--noise-var", "nan"],
+])
+def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
+    assert main(argv + ["--n-saddles", "2", "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -153,6 +153,18 @@ def test_noise_config_validation():
         NoiseConfig(variance=-0.1)
 
 
+@pytest.mark.parametrize("variance", [math.nan, math.inf])
+def test_noise_config_rejects_non_finite_variance(variance):
+    with pytest.raises(ValueError):
+        NoiseConfig(variance=variance)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_config_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError):
+        GdConfig(eta=eta)
+
+
 # --- full runs ------------------------------------------------------------------------------
 
 def test_run_from_saddle_center_stalls_immediately(lc):

@@ -39,10 +39,16 @@ def test_nu_matches_exact_rational_evaluation(L, gamma, tau):
     {"L": 1.0, "gamma": 1.5},          # L < gamma
     {"L": -1.0}, {"gamma": 0.0}, {"tau": 0.0},
     {"n_saddles": 0}, {"n_saddles": -3},
+    {"L": math.inf}, {"L": math.inf, "gamma": math.inf}, {"gamma": math.nan},
+    {"tau": math.inf}, {"tau": math.nan}, {"n_saddles": 2.0}, {"n_saddles": True},
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ValueError):
         LandscapeParams(**kwargs)
+
+
+def test_numpy_integer_n_saddles_accepted():
+    assert Landscape(LandscapeParams(n_saddles=np.int64(3))).regions[-1].rid.order == 6
 
 
 # --- geometry --------------------------------------------------------------------
@@ -358,3 +364,62 @@ def test_scalar_and_vectorized_paths_bitwise_equal(landscape, rng):
                           np.array([landscape.value(tuple(p)) for p in pts]))
     assert np.array_equal(landscape.gradient_many(pts),
                           np.array([landscape.gradient(tuple(p)) for p in pts]))
+
+
+def _scan_order(lc, p):
+    """The oracle: first region in chain order whose closed square holds p."""
+    reg = lc.locate(p)
+    return -1 if reg is None else reg.rid.order
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_classify_many_matches_scan_on_edges_and_corners(params):
+    lc = Landscape(params)
+    lines = [set(), set()]
+    for reg in lc.regions:
+        a, b, c, d = reg.bounds
+        lines[0].update((a, b, reg.center[0]))
+        lines[1].update((c, d, reg.center[1]))
+    # every grid line, edge midpoint and center line, and both float neighbours
+    near = [np.array(sorted(v)) for v in lines]
+    near = [np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]) for v in near]
+    x1, x2 = np.meshgrid(*near)
+    pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
+    orders = lc.classify_many(pts)
+    assert np.array_equal(orders, [_scan_order(lc, tuple(p)) for p in pts.tolist()])
+    assert (orders >= 0).any() and (orders < 0).any()
+    assert set(orders.tolist()) == set(range(-1, len(lc.regions)))
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_non_finite_points_are_outside(params):
+    lc = Landscape(params)
+    inside = lc.regions[0].center
+    bad = [(x, inside[1]) for x in (math.nan, math.inf, -math.inf)]
+    bad += [(inside[0], x) for x in (math.nan, math.inf, -math.inf)]
+    bad += [(math.inf, -math.inf), (math.nan, math.nan), (1e308, 1e308), (-1e308, 0.5)]
+    for p in bad:
+        xy = np.array([inside, p])
+        assert lc.classify_many(xy).tolist() == [0, -1]
+        with pytest.raises(ss.OutsideDomainError):
+            lc.value_many(xy)
+        with pytest.raises(ss.OutsideDomainError):
+            lc.gradient_many(xy)
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_scalar_and_vectorized_paths_bitwise_equal_on_grid(params):
+    lc = Landscape(params)
+    n = ss.landscape.CHUNK + 17
+    pts = lc.sample_points(n, np.random.default_rng(11))
+    orders = lc.classify_many(pts)
+    values = lc.value_many(pts)
+    grads = lc.gradient_many(pts)
+    assert np.array_equal(lc.value_many(pts, orders), values)
+    assert np.array_equal(lc.gradient_many(pts, orders), grads)
+    # the scalar oracle on a stride of points and on every point around the chunk seam
+    idx = np.unique(np.r_[0:n:97, ss.landscape.CHUNK - 500:n])
+    sub = [tuple(p) for p in pts[idx].tolist()]
+    assert np.array_equal(orders[idx], [_scan_order(lc, p) for p in sub])
+    assert np.array_equal(values[idx], [lc.value(p) for p in sub])
+    assert np.array_equal(grads[idx], [lc.gradient(p) for p in sub])
