@@ -278,10 +278,9 @@ def _cross_distance(landscape: Landscape, it: Iterate) -> float | None:
 
 def detect_stall(trajectory: Trajectory) -> StallInfo | None:
     """First iterate where descent is numerically doomed: the cross
-    coordinate sits exactly on a non-final block's center line, or the
-    position no longer moves."""
+    coordinate sits exactly on a non-final block's center line, or ``run``
+    stopped the run as stalled (zero gradient or a noise-free fixed point)."""
     landscape = Landscape(trajectory.params)
-    prev = None
     for it in trajectory.iterates:
         if not it.region.is_outside:
             d = _cross_distance(landscape, it)
@@ -290,9 +289,6 @@ def detect_stall(trajectory: Trajectory) -> StallInfo | None:
         if it.event is Event.STALLED:
             reason = "zero_gradient" if it.grad_norm == 0.0 else "fixed_point"
             return StallInfo(it.t, it.position, it.region.order, reason)
-        if prev is not None and it.t == prev.t + 1 and it.position == prev.position:
-            return StallInfo(prev.t, prev.position, prev.region.order, "fixed_point")
-        prev = it
     return None
 
 
@@ -377,7 +373,7 @@ class StreamObserver:
         self.first_final: int | None = None
         self.revisit_at: int | None = None
         self.stall: StallInfo | None = None
-        self._prev: Iterate | None = None
+        self._prev_order: int | None = None
 
     def __call__(self, it: Iterate) -> None:
         order = it.region.order
@@ -386,8 +382,8 @@ class StreamObserver:
             self.projected_at = it.t
         if self.first_final is None and it.region.kind is RegionKind.FINAL_BLOCK:
             self.first_final = it.t
-        prev = self._prev
-        if prev is not None and order < prev.region.order and self.revisit_at is None:
+        prev = self._prev_order
+        if prev is not None and order < prev and self.revisit_at is None:
             self.revisit_at = it.t
         if self.stall is None:
             d = _cross_distance(self.landscape, it)
@@ -396,10 +392,7 @@ class StreamObserver:
             elif it.event is Event.STALLED:
                 reason = "zero_gradient" if it.grad_norm == 0.0 else "fixed_point"
                 self.stall = StallInfo(it.t, it.position, order, reason)
-            elif prev is not None and it.position == prev.position:
-                self.stall = StallInfo(prev.t, prev.position, prev.region.order,
-                                       "fixed_point")
-        self._prev = it
+        self._prev_order = order
 
     def records(self, params: LandscapeParams, noisy: bool) -> list[EscapeRecord]:
         if not noisy and self.revisit_at is not None:

@@ -3,7 +3,11 @@
 Everything here treats the landscape as a black box and probes it with
 finite differences, seam comparisons, circle probes, and random pair
 sampling.  All checks are deterministic given a seed and fan out over
-numpy arrays, so the full parameter grid stays fast.
+numpy arrays, so the full parameter grid stays fast: the seam scan draws
+all its samples from one stream and evaluates the seams in passes of about
+``CHUNK`` points, and the stationary check probes every block center and
+ring in one pass, so the number of numpy calls does not grow with the
+length of the chain.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import Landscape, Point, RegionKind, _Region
+from .landscape import CHUNK, Landscape, Point, RegionKind
 
 
 @dataclass
@@ -104,49 +108,40 @@ def gradient_check(landscape: Landscape, n_samples: int = 10_000, h: float | Non
 
 
 def _enumerate_seams(landscape: Landscape):
-    """All interior seams as (label, axis, level, lo, hi, side_a, side_b).
+    """All interior seams as (label, axis, level, lo, hi, order_a, order_b),
+    in two families: the edges between chain neighbours, then the branch
+    line inside every region but the final block.
 
     axis is the seam-normal coordinate (0: vertical line x1=level, 1:
     horizontal line x2=level); [lo, hi] is the seam extent along the other
-    coordinate.  Each side is (region, forced_branch) for branch-exact
-    evaluation at the seam itself.
+    coordinate; order_a and order_b are the regions whose closed forms
+    meet there.  An edge is evaluated in both regions with branch 0, a
+    branch line in its region with branches +1 and -1.
     """
-    seams = []
+    edges, lines = [], []
     regs = landscape.regions
     for a, b in zip(regs, regs[1:]):
+        o = (a.rid.order, b.rid.order)
         if b.bounds[0] == a.bounds[1]:          # b to the right of a
             lo = max(a.bounds[2], b.bounds[2])
             hi = min(a.bounds[3], b.bounds[3])
-            seams.append((f"edge[{a.rid.order}|{b.rid.order}]", 0, a.bounds[1],
-                          lo, hi, (a, 0), (b, 0)))
+            edges.append((f"edge[{o[0]}|{o[1]}]", 0, a.bounds[1], lo, hi, *o))
         elif b.bounds[2] == a.bounds[3]:        # b above a
             lo = max(a.bounds[0], b.bounds[0])
             hi = min(a.bounds[1], b.bounds[1])
-            seams.append((f"edge[{a.rid.order}|{b.rid.order}]", 1, a.bounds[3],
-                          lo, hi, (a, 0), (b, 0)))
+            edges.append((f"edge[{o[0]}|{o[1]}]", 1, a.bounds[3], lo, hi, *o))
         else:
             raise AssertionError("chain neighbours must share an edge")
     for reg in regs:
-        kind = reg.rid.kind
-        if kind is RegionKind.ODD_BLOCK:
-            seams.append((f"branch[{reg.rid.order}]", 0, reg.center[0],
-                          reg.bounds[2], reg.bounds[3], (reg, +1), (reg, -1)))
-        elif kind is RegionKind.EVEN_BLOCK:
-            seams.append((f"branch[{reg.rid.order}]", 1, reg.center[1],
-                          reg.bounds[0], reg.bounds[1], (reg, +1), (reg, -1)))
-        elif kind.is_buffer:
-            if reg.travel_axis == 0:
-                seams.append((f"branch[{reg.rid.order}]", 1, reg.center[1],
-                              reg.bounds[0], reg.bounds[1], (reg, +1), (reg, -1)))
-            else:
-                seams.append((f"branch[{reg.rid.order}]", 0, reg.center[0],
-                              reg.bounds[2], reg.bounds[3], (reg, +1), (reg, -1)))
-    return seams
-
-
-def _eval_side(landscape: Landscape, side: tuple[_Region, int], xy: np.ndarray):
-    reg, branch = side
-    return landscape.eval_region_many(reg, xy, branch=branch)
+        kind, o = reg.rid.kind, reg.rid.order
+        if kind is RegionKind.FINAL_BLOCK:
+            continue
+        # odd blocks and x2-travelling buffers branch on x1 = center,
+        # even blocks and x1-travelling buffers on x2 = center
+        axis = 0 if kind is RegionKind.ODD_BLOCK or reg.travel_axis == 1 else 1
+        lo, hi = reg.bounds[2 * (1 - axis):2 * (1 - axis) + 2]
+        lines.append((f"branch[{o}]", axis, reg.center[axis], lo, hi, o, o))
+    return edges, lines
 
 
 def seam_scan(landscape: Landscape, samples_per_seam: int = 1000,
@@ -159,52 +154,62 @@ def seam_scan(landscape: Landscape, samples_per_seam: int = 1000,
     across the seam (offsets 1e-7*tau) is compared against both analytic
     normal derivatives.  worst_error is the largest error normalized by its
     tolerance, so the report threshold is 1.
+
+    The seam parameters come from one stream, samples_per_seam draws per
+    seam in seam order.  Seams are evaluated in passes of about ``CHUNK``
+    points, max(1, CHUNK // samples_per_seam) seams at a time.
     """
     if samples_per_seam == 0:
         return _report("seam_scan", 0, 0.0, 1.0)
     rng = np.random.default_rng(seed)
-    tau = landscape.params.tau
-    off = 1e-7 * tau
-    worst_v = 0.0
-    worst_g = 0.0
-    worst_fd = 0.0
+    m = samples_per_seam
+    per_pass = max(1, CHUNK // m)
+    off = 1e-7 * landscape.params.tau
+    worst = {"value": 0.0, "gradient": 0.0, "fd": 0.0}
+    tols = {"value": tol_value, "gradient": tol_grad, "fd": tol_grad}
     witnesses = []
-    n_total = 0
-    for label, axis, level, lo, hi, side_a, side_b in _enumerate_seams(landscape):
-        t = lo + (hi - lo) * rng.random(samples_per_seam)
-        xy = np.empty((samples_per_seam, 2))
-        xy[:, axis] = level
-        xy[:, 1 - axis] = t
-        va, ga = _eval_side(landscape, side_a, xy)
-        vb, gb = _eval_side(landscape, side_b, xy)
-        n_total += samples_per_seam
-
-        v_err = np.abs(va - vb) / np.maximum(1.0, np.abs(va))
-        g_err = np.abs(ga - gb).max(axis=1) / np.maximum(1.0, np.abs(ga).max(axis=1))
-
-        step = np.zeros(2)
-        step[axis] = off
-        fd = (landscape.value_many(xy + step) - landscape.value_many(xy - step)) / (2 * off)
-        gn = ga[:, axis]
-        fd_err = np.abs(fd - gn) / np.maximum(1.0, np.abs(gn))
-
-        for err, tol, tag in ((v_err, tol_value, "value"),
-                              (g_err, tol_grad, "gradient"),
-                              (fd_err, tol_grad, "fd")):
-            w = float(err.max())
-            if tag == "value":
-                worst_v = max(worst_v, w)
-            elif tag == "gradient":
-                worst_g = max(worst_g, w)
-            else:
-                worst_fd = max(worst_fd, w)
-            if w > tol:
-                i = int(np.argmax(err))
-                witnesses.append({"seam": label, "kind": tag,
-                                  "point": [float(xy[i, 0]), float(xy[i, 1])],
-                                  "error": w})
-    worst = max(worst_v / tol_value, worst_g / tol_grad, worst_fd / tol_grad)
-    return _report("seam_scan", n_total, worst, 1.0, witnesses,
+    edges, lines = _enumerate_seams(landscape)
+    for branch, family in ((0, edges), (1, lines)):
+        for s in range(0, len(family), per_pass):
+            labels, axis, level, lo, hi, order_a, order_b = zip(*family[s:s + per_pass])
+            k = len(labels)
+            axis, level, lo, hi, order_a, order_b = (
+                np.repeat(v, m) for v in (axis, level, lo, hi, order_a, order_b))
+            t = lo + (hi - lo) * rng.random(k * m)
+            on_x1 = axis == 0
+            xy = np.stack([np.where(on_x1, level, t), np.where(on_x1, t, level)], axis=1)
+            va, ga = landscape.eval_many(xy, order_a, branch)
+            vb, gb = landscape.eval_many(xy, order_b, -branch)
+            step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
+            vp, vm = landscape.value_many(np.concatenate([xy + step, xy - step])).reshape(2, -1)
+            fd = (vp - vm) / (2 * off)
+            gn = np.where(on_x1, ga[:, 0], ga[:, 1])
+            dg = np.abs(ga - gb)
+            ag = np.abs(ga)
+            errs = {
+                "value": np.abs(va - vb) / np.maximum(1.0, np.abs(va)),
+                "gradient": (np.maximum(dg[:, 0], dg[:, 1])
+                             / np.maximum(1.0, np.maximum(ag[:, 0], ag[:, 1]))),
+                "fd": np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)),
+            }
+            w, at, bad = {}, {}, np.zeros(k, dtype=bool)
+            for tag, err in errs.items():   # per-seam maxima, first argmax
+                err = err.reshape(k, m)
+                wmax = err.max(axis=1)
+                bad |= wmax > tols[tag]
+                w[tag] = wmax.tolist()
+                at[tag] = err.argmax(axis=1) + m * np.arange(k)
+                worst[tag] = max(worst[tag], *w[tag])
+            for j in np.flatnonzero(bad):
+                for tag in errs:
+                    if w[tag][j] > tols[tag]:
+                        i = at[tag][j]
+                        witnesses.append({"seam": labels[j], "kind": tag,
+                                          "point": [float(xy[i, 0]), float(xy[i, 1])],
+                                          "error": w[tag][j]})
+    worst_v, worst_g, worst_fd = worst.values()
+    score = max(worst_v / tol_value, worst_g / tol_grad, worst_fd / tol_grad)
+    return _report("seam_scan", m * (len(edges) + len(lines)), score, 1.0, witnesses,
                    {"worst_value_jump": worst_v, "worst_gradient_jump": worst_g,
                     "worst_fd_mismatch": worst_fd, "tol_value": tol_value,
                     "tol_grad": tol_grad, "offset": off, "seed": seed})
@@ -221,39 +226,37 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
     r = 1e-3 * tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
+    orders = np.array([reg.rid.order for reg in blocks])
+    centers = np.array([reg.center for reg in blocks])
+    g = landscape.gradient_many(centers, orders)
+    fc = landscape.value_many(centers, orders)[:, None]
+    vals = landscape.value_many((centers[:, None, :] + ring).reshape(-1, 2))
+    vals = vals.reshape(len(blocks), n_angles)
+    higher = (vals > fc).all(axis=1)
+    mixed = (vals > fc).any(axis=1) & (vals < fc).any(axis=1)
     violations = []
-    n_saddles = 0
-    n_minima = 0
-    samples = 0
-    for reg in landscape.regions:
-        if not reg.rid.kind.is_block:
-            continue
-        center = reg.center
-        g = landscape.gradient(center)
-        samples += 1
-        if not (g[0] == 0.0 and g[1] == 0.0):
-            violations.append({"region": reg.rid.order, "kind": "nonzero_gradient",
-                               "gradient": [g[0], g[1]]})
-        fc = landscape.value(center)
-        pts = np.asarray(center) + ring
-        vals = landscape.value_many(pts)
-        samples += n_angles
+    for j, reg in enumerate(blocks):
+        o = reg.rid.order
+        if not (g[j, 0] == 0.0 and g[j, 1] == 0.0):
+            violations.append({"region": o, "kind": "nonzero_gradient",
+                               "gradient": [float(g[j, 0]), float(g[j, 1])]})
         if reg.rid.kind is RegionKind.FINAL_BLOCK:
-            n_minima += 1
-            if not np.all(vals > fc):
-                violations.append({"region": reg.rid.order, "kind": "not_local_minimum"})
-        else:
-            n_saddles += 1
-            if not (np.any(vals > fc) and np.any(vals < fc)):
-                violations.append({"region": reg.rid.order, "kind": "not_saddle"})
-    return _report("stationary_check", samples, float(len(violations)), 0.0,
-                   violations, {"saddles": n_saddles, "minima": n_minima,
-                                "probe_radius": r})
+            if not higher[j]:
+                violations.append({"region": o, "kind": "not_local_minimum"})
+        elif not mixed[j]:
+            violations.append({"region": o, "kind": "not_saddle"})
+    n_minima = sum(reg.rid.kind is RegionKind.FINAL_BLOCK for reg in blocks)
+    return _report("stationary_check", len(blocks) * (1 + n_angles), float(len(violations)),
+                   0.0, violations, {"saddles": len(blocks) - n_minima, "minima": n_minima,
+                                     "probe_radius": r})
 
 
 def global_minimum_check(landscape: Landscape, n_points: int = 1_000_000,
                          seed: int = 0) -> CheckReport:
     """The final-block center is the sampled global minimum over D."""
+    if n_points == 0:
+        return _report("global_minimum", 0, 0.0, 0.0)
     rng = np.random.default_rng(seed)
     pts = landscape.sample_points(n_points, rng)
     vals = landscape.value_many(pts)

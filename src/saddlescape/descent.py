@@ -149,7 +149,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
       - inside the final block with grad norm <= stop_grad_norm (converged);
       - exact zero gradient outside the final block (stalled);
       - the iteration budget is exhausted;
-      - the computed step leaves the position bitwise unchanged (stalled).
+      - a noise-free step leaves the position bitwise unchanged (stalled).
+    Under noise a repeated position is no fixed point: two kicks can project
+    onto the same corner of D, and the next kick moves on.
     The observer sees every iterate; the stored trajectory keeps every
     record_every-th iterate plus all event-tagged ones and the last one.
     """
@@ -158,6 +160,7 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
         raise OutsideDomainError(f"start {start} is outside D")
     eta = config.eta if config.eta is not None else landscape.derived.eta_default
     rng = np.random.default_rng(noise.seed) if noise is not None else None
+    noisy = noise is not None and noise.variance > 0
 
     x = (float(start[0]), float(start[1]))
     kept: list[Iterate] = []
@@ -194,7 +197,7 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
                 next_projected = nxt != raw
             else:
                 nxt = raw
-            if nxt == x:
+            if nxt == x and not noisy:
                 event, terminal = Event.STALLED, Outcome.STALLED
 
         it = Iterate(t, x, val, gnorm, reg.rid, event)

@@ -11,6 +11,7 @@ are exact up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -234,11 +235,6 @@ def _cell(o):
     return a, a - skew
 
 
-def _mid(c, tau):
-    """Midpoint of [c*tau, (c+1)*tau], rounded as the region bounds are."""
-    return 0.5 * (c * tau + (c + 1) * tau)
-
-
 _KIND_BY_ORDER_MOD_4 = (RegionKind.ODD_BLOCK, RegionKind.ODD_EVEN_BUFFER,
                         RegionKind.EVEN_BLOCK, RegionKind.EVEN_ODD_BUFFER)
 
@@ -399,9 +395,11 @@ class Landscape:
 
         The cell (floor(x1/tau), floor(x2/tau)) has chain order a + b, and
         rounding moves each floor by at most one cell, so only the orders
-        o-2 .. o+2 can hold the point.  They are tried in ascending order
-        against the exact closed bounds, so a shared edge still belongs to
-        the earlier region, as in ``locate``.
+        o-2 .. o+2 can hold the point.  A point strictly inside the square
+        of order o lies in no other closed square and is accepted at once.
+        The rest try the candidates in ascending order against the exact
+        closed bounds, so a shared edge still belongs to the earlier
+        region, as in ``locate``.
         """
         tau, last = self.params.tau, len(self.regions) - 1
         orders = np.full(len(xy), -1, dtype=np.int64)
@@ -411,7 +409,14 @@ class Landscape:
                 guess = np.floor(x1 / tau) + np.floor(x2 / tau)
             # non-finite points keep -1: none of their candidates is in range
             guess = np.clip(np.nan_to_num(guess, nan=-3.0), -3, last + 3).astype(np.int64)
-            idx = np.arange(s, s + len(x1))
+            a, b = _cell(guess)
+            inner = ((guess >= 0) & (guess <= last)
+                     & (x1 > a * tau) & (x1 < (a + 1) * tau)
+                     & (x2 > b * tau) & (x2 < (b + 1) * tau))
+            orders[s:s + CHUNK][inner] = guess[inner]
+            idx = np.flatnonzero(~inner)
+            x1, x2, guess = x1[idx], x2[idx], guess[idx]
+            idx += s
             for k in range(-2, 3):
                 if not len(idx):
                     break
@@ -426,17 +431,24 @@ class Landscape:
         return orders
 
     def value_many(self, xy: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
-        v, _ = self._eval_many(xy, orders, want_grad=False)
+        v, _ = self.eval_many(xy, orders, want_grad=False)
         return v
 
     def gradient_many(self, xy: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
-        _, gr = self._eval_many(xy, orders, want_grad=True)
+        _, gr = self.eval_many(xy, orders)
         return gr
 
-    def _eval_many(self, xy, orders, want_grad):
-        """Group each chunk of points by region kind; per-point region data
-        (center, index, u_base, into_final) follows from the chain order."""
-        tau, last = self.params.tau, len(self.regions) - 1
+    def eval_many(self, xy: np.ndarray, orders: np.ndarray | None = None, branch: int = 0,
+                  want_grad: bool = True):
+        """Values and gradients (None unless want_grad) at an (N, 2) array.
+
+        ``orders`` names the region whose closed form each point is
+        evaluated in (default: the region holding it); ``branch`` forces a
+        branch as in ``value_in``.  Each chunk of points is grouped by region
+        kind; per-point region data (center, index, u_base, into_final)
+        follows from the chain order."""
+        last = len(self.regions) - 1
+        cx, cy, u_bases = self._region_table
         values = np.empty(len(xy))
         grads = np.empty_like(xy) if want_grad else None
         for s in range(0, len(xy), CHUNK):
@@ -452,16 +464,25 @@ class Landscape:
                 if not len(idx):
                     continue
                 om = o[idx]
-                a, b = _cell(om)
-                u_base = ((a if kind is RegionKind.ODD_EVEN_BUFFER else b) - 1) * tau
-                v, gr = self._eval_kernel(kind, p[idx], (_mid(a, tau), _mid(b, tau)),
-                                          om // 2 + 1, u_base, om == last - 1,
-                                          want_grad=want_grad)
+                # np.take: row gathers by fancy indexing are several times slower
+                v, gr = self._eval_kernel(kind, np.take(p, idx, axis=0),
+                                          (np.take(cx, om), np.take(cy, om)), om // 2 + 1,
+                                          np.take(u_bases, om), om == last - 1,
+                                          branch, want_grad)
                 idx += s
                 values[idx] = v
-                if want_grad:
-                    grads[idx] = gr
+                if want_grad:   # column by column: a row scatter is slower
+                    grads[idx, 0] = gr[:, 0]
+                    grads[idx, 1] = gr[:, 1]
         return values, grads
+
+    @functools.cached_property
+    def _region_table(self):
+        """Per-order region centers (x1 and x2) and buffer u_base (NaN for blocks)."""
+        cx, cy = np.array([reg.center for reg in self.regions]).T.copy()
+        u_base = np.array([np.nan if reg.u_base is None else reg.u_base
+                           for reg in self.regions])
+        return cx, cy, u_base
 
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
@@ -511,10 +532,11 @@ class Landscape:
         else:
             c2 = np.where(w > 0, -g, L2)
         np.copyto(c2, L, where=into_final)
-        values = base + _ramp_value(u, self.params) + _blend_value(u, L, c2, tau) * w * w
+        blend = _blend_value(u, L, c2, tau)
+        values = base + _ramp_value(u, self.params) + blend * w * w
         if want_grad:
             du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
-            dw = 2.0 * _blend_value(u, L, c2, tau) * w
+            dw = 2.0 * blend * w
             if along_x1:
                 grads[:, 0], grads[:, 1] = du, dw
             else:

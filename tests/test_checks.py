@@ -3,6 +3,7 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
+from test_landscape import GRID
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +164,180 @@ def test_run_all_checks_deterministic(lc8):
     b = ss.run_all_checks(lc8, n_grad_samples=500, samples_per_seam=20,
                           n_min_points=5000, n_pairs=1000, seed=9)
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+
+# --- batched checks against the per-seam and per-block loops ------------------------
+
+def _seam_scan_loop(landscape, samples_per_seam, tol_value=1e-9, tol_grad=1e-5, seed=0):
+    """seam_scan as one pass per seam, each side through eval_region_many."""
+    rng = np.random.default_rng(seed)
+    off = 1e-7 * landscape.params.tau
+    regs = landscape.regions
+    seams = []
+    for a, b in zip(regs, regs[1:]):
+        label = f"edge[{a.rid.order}|{b.rid.order}]"
+        if b.bounds[0] == a.bounds[1]:
+            seams.append((label, 0, a.bounds[1], max(a.bounds[2], b.bounds[2]),
+                          min(a.bounds[3], b.bounds[3]), (a, 0), (b, 0)))
+        else:
+            seams.append((label, 1, a.bounds[3], max(a.bounds[0], b.bounds[0]),
+                          min(a.bounds[1], b.bounds[1]), (a, 0), (b, 0)))
+    for reg in regs:
+        kind = reg.rid.kind
+        if kind is RegionKind.FINAL_BLOCK:
+            continue
+        on_x1 = kind is RegionKind.ODD_BLOCK or (kind.is_buffer and reg.travel_axis == 1)
+        axis = 0 if on_x1 else 1
+        lo, hi = (reg.bounds[2], reg.bounds[3]) if on_x1 else (reg.bounds[0], reg.bounds[1])
+        seams.append((f"branch[{reg.rid.order}]", axis, reg.center[axis], lo, hi,
+                      (reg, +1), (reg, -1)))
+    worst = {"value": 0.0, "gradient": 0.0, "fd": 0.0}
+    tols = {"value": tol_value, "gradient": tol_grad, "fd": tol_grad}
+    witnesses = []
+    for label, axis, level, lo, hi, (ra, ba), (rb, bb) in seams:
+        t = lo + (hi - lo) * rng.random(samples_per_seam)
+        xy = np.empty((samples_per_seam, 2))
+        xy[:, axis] = level
+        xy[:, 1 - axis] = t
+        va, ga = landscape.eval_region_many(ra, xy, branch=ba)
+        vb, gb = landscape.eval_region_many(rb, xy, branch=bb)
+        step = np.zeros(2)
+        step[axis] = off
+        fd = (landscape.value_many(xy + step) - landscape.value_many(xy - step)) / (2 * off)
+        gn = ga[:, axis]
+        errs = {"value": np.abs(va - vb) / np.maximum(1.0, np.abs(va)),
+                "gradient": (np.abs(ga - gb).max(axis=1)
+                             / np.maximum(1.0, np.abs(ga).max(axis=1))),
+                "fd": np.abs(fd - gn) / np.maximum(1.0, np.abs(gn))}
+        for tag, err in errs.items():
+            w = float(err.max())
+            worst[tag] = max(worst[tag], w)
+            if w > tols[tag]:
+                i = int(np.argmax(err))
+                witnesses.append({"seam": label, "kind": tag,
+                                  "point": [float(xy[i, 0]), float(xy[i, 1])], "error": w})
+    return len(seams) * samples_per_seam, worst, witnesses
+
+
+def _assert_seam_scan_matches_loop(landscape, samples_per_seam, seed=0):
+    rep = ss.seam_scan(landscape, samples_per_seam, seed=seed)
+    samples, worst, witnesses = _seam_scan_loop(landscape, samples_per_seam, seed=seed)
+    assert rep.samples == samples
+    assert rep.details["worst_value_jump"] == worst["value"]
+    assert rep.details["worst_gradient_jump"] == worst["gradient"]
+    assert rep.details["worst_fd_mismatch"] == worst["fd"]
+    assert rep.witnesses == witnesses
+    return rep
+
+
+def _stationary_loop(landscape, n_angles=256):
+    """stationary_check as one scalar probe and one ring per block."""
+    r = 1e-3 * landscape.params.tau
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    violations, samples = [], 0
+    for reg in landscape.regions:
+        if not reg.rid.kind.is_block:
+            continue
+        g = landscape.gradient(reg.center)
+        if not (g[0] == 0.0 and g[1] == 0.0):
+            violations.append({"region": reg.rid.order, "kind": "nonzero_gradient",
+                               "gradient": [g[0], g[1]]})
+        fc = landscape.value(reg.center)
+        vals = landscape.value_many(np.asarray(reg.center) + ring)
+        samples += 1 + n_angles
+        if reg.rid.kind is RegionKind.FINAL_BLOCK:
+            if not np.all(vals > fc):
+                violations.append({"region": reg.rid.order, "kind": "not_local_minimum"})
+        elif not (np.any(vals > fc) and np.any(vals < fc)):
+            violations.append({"region": reg.rid.order, "kind": "not_saddle"})
+    return samples, violations
+
+
+def _assert_stationary_matches_loop(landscape, n_angles=256):
+    rep = ss.stationary_check(landscape, n_angles)
+    samples, violations = _stationary_loop(landscape, n_angles)
+    assert rep.samples == samples
+    assert rep.witnesses == violations
+    assert rep.worst_error == float(len(violations))
+    return rep
+
+
+# 1 and 13 leave every seam in one pass; 7000 makes passes of 9 seams with a
+# shorter last one at n_saddles = 5
+@pytest.mark.parametrize("params", GRID)
+def test_seam_scan_matches_per_seam_loop(params):
+    lc = Landscape(params)
+    for samples_per_seam in (1, 13, 7000):
+        rep = _assert_seam_scan_matches_loop(lc, samples_per_seam, seed=3)
+        assert rep.passed
+
+
+def test_seam_scan_matches_per_seam_loop_above_chunk():
+    lc = Landscape(LandscapeParams(n_saddles=1))
+    _assert_seam_scan_matches_loop(lc, ss.landscape.CHUNK + 5, seed=1)
+
+
+def test_seam_scan_matches_per_seam_loop_on_corrupted_landscapes():
+    lc = Landscape(LandscapeParams(n_saddles=5))
+    lc.nu = 0.0
+    bad = _CorruptedGradient(LandscapeParams(n_saddles=5, tau=0.7))
+    for landscape in (lc, bad):
+        for samples_per_seam in (13, 7000):
+            rep = _assert_seam_scan_matches_loop(landscape, samples_per_seam, seed=2)
+            assert not rep.passed and rep.witnesses
+    assert {w["kind"] for w in rep.witnesses} == {"gradient", "fd"}
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_stationary_check_matches_per_block_loop(params):
+    lc = Landscape(params)
+    for n_angles in (0, 3, 256):
+        _assert_stationary_matches_loop(lc, n_angles)
+    assert _assert_stationary_matches_loop(lc).passed
+
+
+class _BrokenStationary(Landscape):
+    """Tilts odd blocks along x1, turns even blocks into bowls and the final
+    bowl into a saddle, in the scalar and the vectorized closed forms alike."""
+
+    def _bump(self, kind, d1, d2):
+        g, L = self.params.gamma, self.params.L
+        if kind is RegionKind.ODD_BLOCK:
+            return 0.1 * d1, (0.1, 0.0)
+        if kind is RegionKind.EVEN_BLOCK:
+            return 2.0 * g * d2 * d2, (0.0, 4.0 * g * d2)
+        if kind is RegionKind.FINAL_BLOCK:
+            return -2.0 * L * d1 * d1, (-4.0 * L * d1, 0.0)
+        return 0.0, (0.0, 0.0)
+
+    def value_in(self, reg, p, branch=0):
+        dv, _ = self._bump(reg.rid.kind, p[0] - reg.center[0], p[1] - reg.center[1])
+        return super().value_in(reg, p, branch) + dv
+
+    def gradient_in(self, reg, p, branch=0):
+        _, (d1, d2) = self._bump(reg.rid.kind, p[0] - reg.center[0], p[1] - reg.center[1])
+        g1, g2 = super().gradient_in(reg, p, branch)
+        return (g1 + d1, g2 + d2)
+
+    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+                     want_grad=True):
+        vals, grads = super()._eval_kernel(kind, xy, center, index, u_base, into_final,
+                                           branch, want_grad)
+        dv, (d1, d2) = self._bump(kind, xy[:, 0] - center[0], xy[:, 1] - center[1])
+        if want_grad:
+            grads[:, 0] += d1
+            grads[:, 1] += d2
+        return vals + dv, grads
+
+
+def test_stationary_check_matches_per_block_loop_on_corrupted_landscapes():
+    lc = Landscape(LandscapeParams(n_saddles=5))
+    lc.nu = 0.0
+    assert _assert_stationary_matches_loop(lc).passed
+    bad = _BrokenStationary(LandscapeParams(n_saddles=5, tau=0.7))
+    for n_angles in (3, 256):
+        rep = _assert_stationary_matches_loop(bad, n_angles)
+    assert not rep.passed
+    assert {w["kind"] for w in rep.witnesses} == {"nonzero_gradient", "not_saddle",
+                                                  "not_local_minimum"}

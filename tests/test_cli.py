@@ -182,3 +182,34 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
 def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
     assert main(argv + ["--n-saddles", "2", "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_noisy_run_with_zero_stop_norm_ends_on_budget(tmp_path):
+    assert main(["run", "--algo", "sgd", "--n-saddles", "9", "--stop-grad-norm", "0",
+                 "--max-iter", "3500", "--seed", "0", "--out", str(tmp_path)]) == 0
+    run = json.loads(read(tmp_path / "summary.json"))["runs"][0]
+    assert run["outcome"] == "budget"
+    assert run["theory"]["stall"] is None
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--grad-samples", "-3", 0),
+    ("--seam-samples", "-2", 0),
+    ("--min-points", "-1", 0),
+    ("--pairs", "0", 1),
+    ("--pairs", "-4", 1),
+])
+def test_check_rejects_bad_sample_counts(tmp_path, capsys, flag, value, least):
+    out = tmp_path / "out"
+    assert main(["check", "--n-saddles", "2", flag, value, "--out", str(out)]) == 2
+    assert f"{flag} must be >= {least}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_zero_sample_counts_are_vacuous(tmp_path):
+    assert main(["check", "--n-saddles", "2", "--grad-samples", "0", "--seam-samples", "0",
+                 "--min-points", "0", "--pairs", "100", "--out", str(tmp_path)]) == 0
+    report = json.loads(read(tmp_path / "check_report.json"))
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("gradient_check", "seam_scan", "global_minimum"):
+        assert by_name[name]["samples"] == 0 and by_name[name]["passed"]

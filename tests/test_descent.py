@@ -236,8 +236,9 @@ def test_observer_sees_everything_thinning_keeps_events(lc):
 
 def test_run_deterministic(lc):
     start = ss.init_sample(lc, np.random.default_rng(3))
-    a = ss.run(lc, GdConfig(), start, noise=NoiseConfig(variance=0.1, seed=4))
-    b = ss.run(lc, GdConfig(), start, noise=NoiseConfig(variance=0.1, seed=4))
+    # noise keeps the gradient above the default stop norm, so bound the budget
+    a = ss.run(lc, GdConfig(max_iter=5000), start, noise=NoiseConfig(variance=0.1, seed=4))
+    b = ss.run(lc, GdConfig(max_iter=5000), start, noise=NoiseConfig(variance=0.1, seed=4))
     assert a.iterates == b.iterates and a.outcome == b.outcome
 
 
@@ -274,3 +275,18 @@ def test_config_validation():
         GdConfig(max_iter=0)
     with pytest.raises(ValueError):
         GdConfig(record_every=0)
+
+
+def test_noisy_repeat_at_a_corner_is_not_a_stall():
+    # two kicks in a row project onto the corner (11, 9) at t = 3416; the
+    # next kick moves on, so the run must go on to its budget
+    lc9 = Landscape(LandscapeParams(n_saddles=9))
+    start = ss.init_sample(lc9, np.random.default_rng([0, 0]))
+    obs = ss.StreamObserver(lc9)
+    traj = ss.run(lc9, GdConfig(stop_grad_norm=0.0, max_iter=3500), start,
+                  noise=NoiseConfig(variance=0.1, seed=0), observer=obs)
+    positions = [it.position for it in traj.iterates]
+    assert any(p == q for p, q in zip(positions, positions[1:]))
+    assert traj.outcome is Outcome.BUDGET
+    assert ss.detect_stall(traj) is None
+    assert obs.stall is None
