@@ -203,9 +203,9 @@ def cmd_check(args) -> int:
     params = _params_from(args)
     for flag, least in (("grad_samples", 0), ("seam_samples", 0), ("min_points", 0),
                         ("pairs", 1)):
-        if getattr(args, flag) < least:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, "
-                             f"got {getattr(args, flag)}")
+        value = getattr(args, flag)
+        if value < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
     out = _outdir(args)
     seed = _resolve(args, "seed", 0)
     landscape = Landscape(params)
