@@ -197,15 +197,19 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _require_at_least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+    return value
+
+
 # -- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
     params = _params_from(args)
     for flag, least in (("grad_samples", 0), ("seam_samples", 0), ("min_points", 0),
                         ("pairs", 1)):
-        value = getattr(args, flag)
-        if value < least:
-            raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+        _require_at_least(flag, getattr(args, flag), least)
     out = _outdir(args)
     seed = _resolve(args, "seed", 0)
     landscape = Landscape(params)
@@ -235,15 +239,8 @@ def cmd_check(args) -> int:
 
 # -- run -----------------------------------------------------------------------
 
-def _run_one(params: LandscapeParams, algo: str, seed: int, eta, max_iter,
-             stop_grad_norm, record_every, noise_var):
+def _run_one(params: LandscapeParams, algo: str, seed: int, config: GdConfig, noise_var):
     landscape = Landscape(params)
-    if stop_grad_norm is None:
-        # persistent noise keeps the gradient above any tiny threshold, so
-        # noisy runs stop on solid entry into the bowl instead
-        stop_grad_norm = 1e-10 if algo == "gd" else params.L * params.tau / 2.0
-    config = GdConfig(eta=eta, max_iter=max_iter,
-                      stop_grad_norm=stop_grad_norm, record_every=record_every)
     noise = None
     if algo == "sgd":
         noise = NoiseConfig(variance=noise_var, seed=seed)
@@ -254,7 +251,7 @@ def _run_one(params: LandscapeParams, algo: str, seed: int, eta, max_iter,
     noisy = noise is not None and noise.variance > 0
     records = observer.records(params, noisy)
     report = observer.report(params, eta_used, noisy)
-    return trajectory, records, report, observer, start, config
+    return trajectory, records, report, observer, start
 
 
 def _summarize_run(seed, algo, trajectory, records, report, observer, start):
@@ -289,21 +286,23 @@ def _write_trajectory_csv(path: Path, trajectory):
 
 def cmd_run(args) -> int:
     params = _params_from(args)
-    out = _outdir(args)
-    algo = _resolve(args, "algo", "gd")
-    seed0 = _resolve(args, "seed", 0)
-    n_seeds = _resolve(args, "seeds", 1)
+    n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
     eta = _resolve(args, "eta", None)
     max_iter = _resolve(args, "max_iter", 1_000_000)
     stop = _resolve(args, "stop_grad_norm", None)
     record_every = _resolve(args, "record_every", 1)
+    config = GdConfig(eta=eta, max_iter=max_iter, stop_grad_norm=stop,
+                      record_every=record_every)
+    out = _outdir(args)
+    algo = _resolve(args, "algo", "gd")
+    seed0 = _resolve(args, "seed", 0)
     noise_var = _resolve(args, "noise_var", 0.1)
 
     summaries = []
     for seed in range(seed0, seed0 + n_seeds):
         t0 = time.perf_counter()
-        trajectory, records, report, obs, start, config = _run_one(
-            params, algo, seed, eta, max_iter, stop, record_every, noise_var)
+        trajectory, records, report, obs, start = _run_one(params, algo, seed, config,
+                                                           noise_var)
         elapsed = time.perf_counter() - t0
         _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
         summaries.append(_summarize_run(seed, algo, trajectory, records,
@@ -328,10 +327,9 @@ def cmd_run(args) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 def _sweep_task(task):
-    params_fields, algo, seed, eta, max_iter, stop, noise_var = task
+    params_fields, algo, seed, config, noise_var = task
     params = LandscapeParams(*params_fields)
-    trajectory, records, report, obs, start, config = _run_one(
-        params, algo, seed, eta, max_iter, stop, 1, noise_var)
+    trajectory, records, report, obs, start = _run_one(params, algo, seed, config, noise_var)
     growth = report.growth
     return {
         "L": params.L, "gamma": params.gamma, "tau": params.tau,
@@ -346,24 +344,24 @@ def cmd_sweep(args) -> int:
     grid = _params_from(args, grid=True)
     if not grid:
         raise ValueError("empty parameter grid")
+    n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
+    jobs = _require_at_least("jobs", _resolve(args, "jobs", 1), 1)
+    config = GdConfig(eta=_resolve(args, "eta", None),
+                      max_iter=_resolve(args, "max_iter", 1_000_000),
+                      stop_grad_norm=_resolve(args, "stop_grad_norm", None))
     out = _outdir(args)
     algos = _resolve(args, "algo", None) or ["gd", "sgd"]
     if isinstance(algos, str):
         algos = [algos]
     seed0 = _resolve(args, "seed", 0)
-    n_seeds = _resolve(args, "seeds", 1)
-    eta = _resolve(args, "eta", None)
-    max_iter = _resolve(args, "max_iter", 1_000_000)
-    stop = _resolve(args, "stop_grad_norm", None)
     noise_var = _resolve(args, "noise_var", 0.1)
-    jobs = _resolve(args, "jobs", 1)
 
     tasks = []
     for params in grid:
         for algo in algos:
             for seed in range(seed0, seed0 + n_seeds):
                 fields = (params.L, params.gamma, params.tau, params.n_saddles)
-                tasks.append((fields, algo, seed, eta, max_iter, stop, noise_var))
+                tasks.append((fields, algo, seed, config, noise_var))
     t0 = time.perf_counter()
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -38,7 +38,7 @@ class Outcome(Enum):
 class GdConfig:
     eta: float | None = None          # None: use the landscape default 1/(4L)
     max_iter: int = 1_000_000
-    stop_grad_norm: float = 1e-10
+    stop_grad_norm: float | None = None   # None: 1e-10, or L*tau/2 under noise (see run)
     record_every: int = 1
 
     def __post_init__(self):
@@ -46,6 +46,8 @@ class GdConfig:
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.stop_grad_norm is not None and not self.stop_grad_norm >= 0:
+            raise ValueError(f"stop_grad_norm must be >= 0, got {self.stop_grad_norm}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -104,8 +106,7 @@ def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
 
 
 def gd_step(landscape: Landscape, p: Point, eta: float) -> Point:
-    g1, g2 = landscape.gradient(p)
-    return (p[0] - eta * g1, p[1] - eta * g2)
+    return _step(landscape, p, landscape.gradient(p), eta, None, None)[0]
 
 
 def project_to_domain(landscape: Landscape, p: Point) -> Point:
@@ -128,16 +129,37 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
 
 def sgd_step(landscape: Landscape, p: Point, eta: float, noise: NoiseConfig,
              rng: np.random.Generator) -> Point:
-    g1, g2 = landscape.gradient(p)
-    q = _perturb((p[0] - eta * g1, p[1] - eta * g2), noise, eta, rng)
-    return project_to_domain(landscape, q)
+    return _step(landscape, p, landscape.gradient(p), eta, noise, rng)[0]
+
+
+def _step(landscape: Landscape, p: Point, g: Point, eta: float, noise: NoiseConfig | None,
+          rng: np.random.Generator | None) -> tuple[Point, bool]:
+    """The iterate after p, whose gradient is g, and whether projection moved it.
+
+    A gradient step; under noise also a kick and the projection back onto D.
+    """
+    q = (p[0] - eta * g[0], p[1] - eta * g[1])
+    if noise is None:
+        return q, False
+    q = _perturb(q, noise, eta, rng)
+    nxt = project_to_domain(landscape, q)
+    return nxt, nxt != q
 
 
 def _perturb(q: Point, noise: NoiseConfig, eta: float, rng: np.random.Generator) -> Point:
-    z = math.sqrt(noise.variance) * rng.standard_normal(2)
+    """q plus a Gaussian kick of per-coordinate variance noise.variance,
+    scaled by eta if noise.scale_by_eta.
+
+    One ``standard_normal(2)`` draw, then the scale and the add in Python
+    floats: the same bits as the float64 array arithmetic, but the iterate
+    stays a tuple of floats, which keeps every later operation on it fast.
+    """
+    z1, z2 = rng.standard_normal(2).tolist()
+    s = math.sqrt(noise.variance)
+    z1, z2 = s * z1, s * z2
     if noise.scale_by_eta:
-        z = eta * z
-    return (q[0] + z[0], q[1] + z[1])
+        z1, z2 = eta * z1, eta * z2
+    return (q[0] + z1, q[1] + z2)
 
 
 def run(landscape: Landscape, config: GdConfig, start: Point,
@@ -147,6 +169,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
     Terminal conditions, checked in order at each iterate:
       - inside the final block with grad norm <= stop_grad_norm (converged);
+        by default 1e-10, or L*tau/2 when ``noise`` is given, since
+        persistent noise keeps the gradient above any tiny threshold and a
+        noisy run stops on solid entry into the bowl instead;
       - exact zero gradient outside the final block (stalled);
       - the iteration budget is exhausted;
       - a noise-free step leaves the position bitwise unchanged (stalled).
@@ -154,6 +179,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     onto the same corner of D, and the next kick moves on.
     The observer sees every iterate; the stored trajectory keeps every
     record_every-th iterate plus all event-tagged ones and the last one.
+    Each iterate costs one ``locate``, one closed-form evaluation and one
+    step, none of which grows with the chain length; only the projection
+    of a noisy step scans the regions.
     """
     reg = landscape.locate(start)
     if reg is None:
@@ -161,6 +189,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     eta = config.eta if config.eta is not None else landscape.derived.eta_default
     rng = np.random.default_rng(noise.seed) if noise is not None else None
     noisy = noise is not None and noise.variance > 0
+    stop = config.stop_grad_norm
+    if stop is None:
+        stop = 1e-10 if noise is None else landscape.params.L * landscape.params.tau / 2.0
 
     x = (float(start[0]), float(start[1]))
     kept: list[Iterate] = []
@@ -168,8 +199,7 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     arrived_by_projection = False
     t = 0
     while True:
-        val = landscape.value_in(reg, x)
-        g = landscape.gradient_in(reg, x)
+        val, g = landscape.value_and_gradient_in(reg, x)
         gnorm = math.hypot(g[0], g[1])
         in_final = reg.rid.kind is RegionKind.FINAL_BLOCK
 
@@ -180,23 +210,15 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             event = Event.PROJECTED
 
         terminal = None
-        if in_final and gnorm <= config.stop_grad_norm:
+        if in_final and gnorm <= stop:
             event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
         elif gnorm == 0.0 and not in_final:
             event, terminal = Event.STALLED, Outcome.STALLED
         elif t >= config.max_iter:
             terminal = Outcome.BUDGET
 
-        nxt = None
-        next_projected = False
         if terminal is None:
-            raw = (x[0] - eta * g[0], x[1] - eta * g[1])
-            if noise is not None:
-                raw = _perturb(raw, noise, eta, rng)
-                nxt = project_to_domain(landscape, raw)
-                next_projected = nxt != raw
-            else:
-                nxt = raw
+            nxt, next_projected = _step(landscape, x, g, eta, noise, rng)
             if nxt == x and not noisy:
                 event, terminal = Event.STALLED, Outcome.STALLED
 

@@ -219,10 +219,6 @@ class _Region:
     u_base: float | None = None      # u = coord - u_base, in [tau, 2*tau]
     into_final: bool = False         # buffer leading into the final block
 
-    def contains(self, x1: float, x2: float) -> bool:
-        a, b, c, d = self.bounds
-        return a <= x1 <= b and c <= x2 <= d
-
 
 def _cell(o):
     """Grid cell (a, b) of the square holding chain order o (int or int array).
@@ -275,11 +271,23 @@ class Landscape:
         """First region in chain order whose closed square contains p.
 
         Shared edges therefore belong to the earlier region, which makes
-        classification total and deterministic without any epsilon.
+        classification total and deterministic without any epsilon.  The
+        rule and the O(1) chain arithmetic are those of ``classify_many``;
+        non-finite points give None.
         """
         x1, x2 = p
-        for reg in self.regions:
-            if reg.contains(x1, x2):
+        regions = self.regions
+        try:
+            o = math.floor(x1 / self.params.tau) + math.floor(x2 / self.params.tau)
+        except (ValueError, OverflowError):   # NaN, or inf from the point or the division
+            return None
+        if 0 <= o < len(regions):
+            a, b, c, d = regions[o].bounds
+            if a < x1 < b and c < x2 < d:
+                return regions[o]
+        for reg in regions[max(o - 2, 0):max(o + 3, 0)]:
+            a, b, c, d = reg.bounds
+            if a <= x1 <= b and c <= x2 <= d:
                 return reg
         return None
 
@@ -297,96 +305,65 @@ class Landscape:
 
     # -- scalar evaluation ---------------------------------------------------
 
-    def value(self, p: Point) -> float:
+    def _region_of(self, p: Point) -> _Region:
         reg = self.locate(p)
         if reg is None:
             raise OutsideDomainError(f"point {p} is outside D")
-        return self.value_in(reg, p)
+        return reg
+
+    def value(self, p: Point) -> float:
+        return self.value_in(self._region_of(p), p)
 
     def gradient(self, p: Point) -> Point:
-        reg = self.locate(p)
-        if reg is None:
-            raise OutsideDomainError(f"point {p} is outside D")
-        return self.gradient_in(reg, p)
+        return self.gradient_in(self._region_of(p), p)
 
     def value_and_gradient(self, p: Point) -> tuple[float, Point]:
-        reg = self.locate(p)
-        if reg is None:
-            raise OutsideDomainError(f"point {p} is outside D")
-        return self.value_in(reg, p), self.gradient_in(reg, p)
+        return self.value_and_gradient_in(self._region_of(p), p)
 
     def value_in(self, reg: _Region, p: Point, branch: int = 0) -> float:
-        """Evaluate the closed form of a specific region at p.
+        return self.value_and_gradient_in(reg, p, branch)[0]
+
+    def gradient_in(self, reg: _Region, p: Point, branch: int = 0) -> Point:
+        return self.value_and_gradient_in(reg, p, branch)[1]
+
+    def value_and_gradient_in(self, reg: _Region, p: Point,
+                              branch: int = 0) -> tuple[float, Point]:
+        """Value and gradient of a specific region's closed form at p.
 
         ``branch`` forces a branch on the region's internal branch line:
         +1 the escape-side branch, -1 the wrong-side branch, 0 pick by sign.
         Used by seam scans to compare adjacent closed forms at the same point.
         """
         L, g = self.params.L, self.params.gamma
-        L2, nu = self.derived.L2, self.nu
-        x1, x2 = p
-        s1, s2 = reg.center
-        base = -reg.rid.index * nu
-        kind = reg.rid.kind
-        if kind is RegionKind.FINAL_BLOCK:
-            d1, d2 = x1 - s1, x2 - s2
-            return base + L * d1 * d1 + L * d2 * d2
-        if kind is RegionKind.ODD_BLOCK:
-            d1, d2 = x1 - s1, x2 - s2
-            if branch > 0 or (branch == 0 and d1 > 0):
-                return base - g * d1 * d1 + L * d2 * d2
-            return base + L2 * d1 * d1 + L * d2 * d2
-        if kind is RegionKind.EVEN_BLOCK:
-            d1, d2 = x1 - s1, x2 - s2
-            if branch > 0 or (branch == 0 and d2 > 0):
-                return base + L * d1 * d1 - g * d2 * d2
-            return base + L * d1 * d1 + L2 * d2 * d2
-        u, w = self._buffer_coords(reg, x1, x2)
-        c2 = self._buffer_c2(reg, w, branch)
-        return base + _ramp_value(u, self.params) + _blend_value(u, L, c2, self.params.tau) * w * w
-
-    def gradient_in(self, reg: _Region, p: Point, branch: int = 0) -> Point:
-        L, g = self.params.L, self.params.gamma
         L2 = self.derived.L2
         x1, x2 = p
         s1, s2 = reg.center
-        kind = reg.rid.kind
-        if kind is RegionKind.FINAL_BLOCK:
-            return (2.0 * L * (x1 - s1), 2.0 * L * (x2 - s2))
-        if kind is RegionKind.ODD_BLOCK:
+        base = -reg.rid.index * self.nu
+        if reg.travel_axis is None:   # a block: base + k1*d1^2 + k2*d2^2
+            kind = reg.rid.kind
             d1, d2 = x1 - s1, x2 - s2
-            if branch > 0 or (branch == 0 and d1 > 0):
-                return (-2.0 * g * d1, 2.0 * L * d2)
-            return (2.0 * L2 * d1, 2.0 * L * d2)
-        if kind is RegionKind.EVEN_BLOCK:
-            d1, d2 = x1 - s1, x2 - s2
-            if branch > 0 or (branch == 0 and d2 > 0):
-                return (2.0 * L * d1, -2.0 * g * d2)
-            return (2.0 * L * d1, 2.0 * L2 * d2)
-        u, w = self._buffer_coords(reg, x1, x2)
-        c2 = self._buffer_c2(reg, w, branch)
+            k1 = k2 = L
+            if kind is RegionKind.ODD_BLOCK:
+                k1 = -g if branch > 0 or (branch == 0 and d1 > 0) else L2
+            elif kind is RegionKind.EVEN_BLOCK:
+                k2 = -g if branch > 0 or (branch == 0 and d2 > 0) else L2
+            return base + k1 * d1 * d1 + k2 * d2 * d2, (2.0 * k1 * d1, 2.0 * k2 * d2)
         tau = self.params.tau
-        du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
-        dw = 2.0 * _blend_value(u, L, c2, tau) * w
-        if reg.travel_axis == 0:
-            return (du, dw)
-        return (dw, du)
-
-    def _buffer_coords(self, reg: _Region, x1: float, x2: float) -> tuple[float, float]:
-        """(u, w): along-travel coordinate in [tau, 2*tau] and centered cross."""
-        if reg.travel_axis == 0:
-            return x1 - reg.u_base, x2 - reg.center[1]
-        return x2 - reg.u_base, x1 - reg.center[0]
-
-    def _buffer_c2(self, reg: _Region, w: float, branch: int) -> float:
+        if reg.travel_axis == 0:   # u along travel in [tau, 2*tau], w centered across
+            u, w = x1 - reg.u_base, x2 - s2
+        else:
+            u, w = x2 - reg.u_base, x1 - s1
         if reg.into_final:
-            return self.params.L
-        if branch > 0 or (branch == 0 and w > 0):
-            return -self.params.gamma
-        return self.derived.L2
-
-    def buffer_branch(self, reg: _Region, w: float, branch: int = 0) -> BufferBranch:
-        return BufferBranch(c1=self.params.L, c2=self._buffer_c2(reg, w, branch))
+            c2 = L
+        elif branch > 0 or (branch == 0 and w > 0):
+            c2 = -g
+        else:
+            c2 = L2
+        blend = _blend_value(u, L, c2, tau)
+        value = base + _ramp_value(u, self.params) + blend * w * w
+        du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
+        dw = 2.0 * blend * w
+        return value, ((du, dw) if reg.travel_axis == 0 else (dw, du))
 
     # -- vectorized evaluation (verification workloads) ----------------------
 

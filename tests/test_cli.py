@@ -213,3 +213,35 @@ def test_check_zero_sample_counts_are_vacuous(tmp_path):
     by_name = {c["name"]: c for c in report["checks"]}
     for name in ("gradient_check", "seam_scan", "global_minimum"):
         assert by_name[name]["samples"] == 0 and by_name[name]["passed"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_stop_grad_norm_exits_two(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    assert main([command, "--n-saddles", "2", "--stop-grad-norm", value,
+                 "--out", str(out)]) == 2
+    assert "stop_grad_norm must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--seeds", "0"], "--seeds"),
+    (["run", "--seeds", "-3"], "--seeds"),
+    (["sweep", "--seeds", "0"], "--seeds"),
+    (["sweep", "--seeds", "-1"], "--seeds"),
+    (["sweep", "--jobs", "0"], "--jobs"),
+    (["sweep", "--jobs", "-4"], "--jobs"),
+])
+def test_run_and_sweep_reject_bad_counts(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--n-saddles", "2", "--out", str(out)]) == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text("seeds = 0\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "--seeds must be >= 1" in capsys.readouterr().err

@@ -148,6 +148,23 @@ def test_noise_scale_by_eta_flag():
     assert b == (0.25 * a[0], 0.25 * a[1])
 
 
+@pytest.mark.parametrize("scale_by_eta", [False, True])
+@pytest.mark.parametrize("variance", [0.1, 0.37, 2.0])
+def test_perturb_returns_floats_with_numpy_bits(scale_by_eta, variance):
+    # the kick in Python floats against the same arithmetic on float64 arrays
+    from saddlescape.descent import _perturb
+    noise = NoiseConfig(variance=variance, scale_by_eta=scale_by_eta)
+    eta = 0.3
+    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for q in np.random.default_rng(6).uniform(-20.0, 20.0, size=(500, 2)).tolist():
+        got = _perturb(tuple(q), noise, eta, ours)
+        z = math.sqrt(variance) * ref.standard_normal(2)
+        if scale_by_eta:
+            z = eta * z
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == (np.array(q) + z).tobytes()
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(variance=-0.1)
@@ -163,6 +180,29 @@ def test_noise_config_rejects_non_finite_variance(variance):
 def test_config_rejects_non_finite_eta(eta):
     with pytest.raises(ValueError):
         GdConfig(eta=eta)
+
+
+@pytest.mark.parametrize("stop", [math.nan, -1.0, -1e-300, -math.inf])
+def test_config_rejects_bad_stop_grad_norm(stop):
+    with pytest.raises(ValueError, match="stop_grad_norm"):
+        GdConfig(stop_grad_norm=stop)
+
+
+def test_default_stop_grad_norm_by_noise(lc):
+    # None resolves to 1e-10 for plain descent and to L*tau/2 under noise
+    lc1 = Landscape(LandscapeParams(n_saddles=1))
+    start = ss.init_sample(lc1, np.random.default_rng(0))
+    plain = ss.run(lc1, GdConfig(), start)
+    assert plain.outcome is Outcome.REACHED_MINIMUM
+    assert plain.iterates == ss.run(lc1, GdConfig(stop_grad_norm=1e-10), start).iterates
+    start = ss.init_sample(lc, np.random.default_rng([0, 0]))
+    noise = NoiseConfig(0.1, seed=0)
+    stop = lc.params.L * lc.params.tau / 2.0
+    explicit = ss.run(lc, GdConfig(stop_grad_norm=stop), start, noise=noise)
+    traj = ss.run(lc, GdConfig(), start, noise=noise)
+    assert traj.iterates == explicit.iterates and traj.outcome == explicit.outcome
+    assert traj.outcome is Outcome.REACHED_MINIMUM
+    assert traj.total_steps <= 10_000
 
 
 # --- full runs ------------------------------------------------------------------------------
@@ -236,7 +276,7 @@ def test_observer_sees_everything_thinning_keeps_events(lc):
 
 def test_run_deterministic(lc):
     start = ss.init_sample(lc, np.random.default_rng(3))
-    # noise keeps the gradient above the default stop norm, so bound the budget
+    # a short budget bounds the run whatever the stop norm
     a = ss.run(lc, GdConfig(max_iter=5000), start, noise=NoiseConfig(variance=0.1, seed=4))
     b = ss.run(lc, GdConfig(max_iter=5000), start, noise=NoiseConfig(variance=0.1, seed=4))
     assert a.iterates == b.iterates and a.outcome == b.outcome

@@ -366,25 +366,48 @@ def test_scalar_and_vectorized_paths_bitwise_equal(landscape, rng):
                           np.array([landscape.gradient(tuple(p)) for p in pts]))
 
 
+def _scan_locate(lc, p):
+    """The oracle: a linear scan for the first region in chain order whose
+    closed square holds p."""
+    x1, x2 = p
+    for reg in lc.regions:
+        a, b, c, d = reg.bounds
+        if a <= x1 <= b and c <= x2 <= d:
+            return reg
+    return None
+
+
 def _scan_order(lc, p):
-    """The oracle: first region in chain order whose closed square holds p."""
-    reg = lc.locate(p)
+    reg = _scan_locate(lc, p)
     return -1 if reg is None else reg.rid.order
 
 
-@pytest.mark.parametrize("params", GRID)
-def test_classify_many_matches_scan_on_edges_and_corners(params):
-    lc = Landscape(params)
+def _edge_and_corner_points(lc):
+    """Every grid line, edge midpoint and center line of the chain, crossed
+    with each other, each also with both float neighbours: an (N, 2) array."""
     lines = [set(), set()]
     for reg in lc.regions:
         a, b, c, d = reg.bounds
         lines[0].update((a, b, reg.center[0]))
         lines[1].update((c, d, reg.center[1]))
-    # every grid line, edge midpoint and center line, and both float neighbours
     near = [np.array(sorted(v)) for v in lines]
     near = [np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]) for v in near]
     x1, x2 = np.meshgrid(*near)
-    pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
+    return np.stack([x1.ravel(), x2.ravel()], axis=1)
+
+
+def _non_finite_points(inside):
+    """NaN and infinite coordinates next to a point inside D, and finite
+    points whose quotient by tau can overflow."""
+    bad = [(x, inside[1]) for x in (math.nan, math.inf, -math.inf)]
+    bad += [(inside[0], x) for x in (math.nan, math.inf, -math.inf)]
+    return bad + [(math.inf, -math.inf), (math.nan, math.nan), (1e308, 1e308), (-1e308, 0.5)]
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_classify_many_matches_scan_on_edges_and_corners(params):
+    lc = Landscape(params)
+    pts = _edge_and_corner_points(lc)
     orders = lc.classify_many(pts)
     assert np.array_equal(orders, [_scan_order(lc, tuple(p)) for p in pts.tolist()])
     assert (orders >= 0).any() and (orders < 0).any()
@@ -392,13 +415,27 @@ def test_classify_many_matches_scan_on_edges_and_corners(params):
 
 
 @pytest.mark.parametrize("params", GRID)
+def test_locate_matches_scan_on_edges_corners_and_non_finite_points(params):
+    lc = Landscape(params)
+    top = max(reg.bounds[3] for reg in lc.regions) + params.tau
+    box = np.random.default_rng(3).uniform(-params.tau, top, size=(2000, 2))
+    bad = _non_finite_points(lc.regions[0].center)
+    pts = _edge_and_corner_points(lc).tolist() + box.tolist() + bad
+    found = [lc.locate(tuple(p)) for p in pts]
+    assert all(reg is _scan_locate(lc, p) for reg, p in zip(found, pts))
+    assert {reg.rid.order for reg in found if reg is not None} == set(range(len(lc.regions)))
+    for p in bad:
+        assert lc.locate(p) is None
+        assert lc.classify(p) is ss.OUTSIDE
+        with pytest.raises(ss.OutsideDomainError):
+            lc.value_and_gradient(p)
+
+
+@pytest.mark.parametrize("params", GRID)
 def test_non_finite_points_are_outside(params):
     lc = Landscape(params)
     inside = lc.regions[0].center
-    bad = [(x, inside[1]) for x in (math.nan, math.inf, -math.inf)]
-    bad += [(inside[0], x) for x in (math.nan, math.inf, -math.inf)]
-    bad += [(math.inf, -math.inf), (math.nan, math.nan), (1e308, 1e308), (-1e308, 0.5)]
-    for p in bad:
+    for p in _non_finite_points(inside):
         xy = np.array([inside, p])
         assert lc.classify_many(xy).tolist() == [0, -1]
         with pytest.raises(ss.OutsideDomainError):
