@@ -11,11 +11,7 @@ from .landscape import (
     RegionId,
     RegionKind,
     OUTSIDE,
-    block_geometry,
-    classify,
     derive_constants,
-    floor_to_multiple,
-    hermite_cubic,
     quintic_blend,
     ramp_profile,
 )
@@ -48,7 +44,6 @@ from .analysis import (
     first_final_entry,
     growth_summary,
     segment,
-    segment_from_orders,
     theory_report,
 )
 from .checks import (

@@ -5,6 +5,10 @@ first entry into its neighborhood until the first entry into anything later
 in the chain.  For plain descent this coincides with direct label counts
 (the chain order never decreases); for noisy descent, which can move
 backward, it yields first-passage residence times.
+
+Every analysis is a pass of ``StreamObserver`` over the iterates: ``run``
+feeds it while descending, and the functions taking a ``Trajectory`` replay
+the stored iterates through one.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .landscape import Landscape, LandscapeParams, Point, RegionKind, derive_constants
+from .landscape import Landscape, LandscapeParams, Point, RegionKind
 from .descent import Event, Iterate, Trajectory
 
 
@@ -47,40 +51,20 @@ class EscapeRecord:
                 "T": self.T, "complete": self.complete}
 
 
-def segment_from_orders(orders: list[int], params: LandscapeParams) -> list[EscapeRecord]:
-    """EscapeRecords from a dense sequence of chain orders (one per iterate)."""
-    if not orders:
-        raise SegmentationError("empty trajectory")
-    total = len(orders)
-    first_exceed: dict[int, int] = {}
-    hi = -1
-    for t, o in enumerate(orders):
-        if o > hi:
-            for oo in range(hi, o):
-                first_exceed[oo] = t
-            hi = o
-    n = params.n_blocks
-    records = []
-    for i in range(1, n + 1):
-        block_order = 2 * (i - 1)
-        start = 0 if i == 1 else first_exceed.get(block_order - 1)
-        if start is None:
-            break
-        mid = first_exceed.get(block_order)
-        end = first_exceed.get(block_order + 1) if i < n else None
-        t_block = (mid if mid is not None else total) - start
-        if i == n:
-            t_buf = 0
-            T = total
-            complete = False
-        else:
-            t_buf = (end if end is not None else total) - (mid if mid is not None else total)
-            T = end if end is not None else total
-            complete = end is not None
-        records.append(EscapeRecord(i, t_block, t_buf, T, complete))
-        if not complete:
-            break
-    return records
+def _replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
+    """A fresh observer fed every stored iterate; ``dense`` first requires
+    that none were thinned away, as exact residences need them all."""
+    its = trajectory.iterates
+    if dense:
+        for a, b in zip(its, its[1:]):
+            if b.t != a.t + 1:
+                raise SegmentationError(
+                    f"trajectory is thinned (gap {a.t} -> {b.t}); segmentation needs "
+                    "record_every == 1 or a streaming observer", b)
+    observer = StreamObserver(Landscape(trajectory.params))
+    for it in its:
+        observer(it)
+    return observer
 
 
 def segment(trajectory: Trajectory) -> list[EscapeRecord]:
@@ -89,25 +73,7 @@ def segment(trajectory: Trajectory) -> list[EscapeRecord]:
     Plain-descent trajectories must never revisit an earlier region; noisy
     ones may, and are counted on a first-passage basis.
     """
-    its = trajectory.iterates
-    if not its:
-        raise SegmentationError("empty trajectory")
-    for a, b in zip(its, its[1:]):
-        if b.t != a.t + 1:
-            raise SegmentationError(
-                f"trajectory is thinned (gap {a.t} -> {b.t}); segmentation needs "
-                "record_every == 1 or a streaming observer", b)
-    orders = []
-    for it in its:
-        if it.region.is_outside:
-            raise SegmentationError(f"iterate {it.t} is outside D", it)
-        orders.append(it.region.order)
-    if not trajectory.is_noisy:
-        for prev, cur in zip(its, its[1:]):
-            if cur.region.order < prev.region.order:
-                raise SegmentationError(
-                    f"plain descent revisited region order {cur.region.order} at t={cur.t}", cur)
-    return segment_from_orders(orders, trajectory.params)
+    return _replay(trajectory, dense=True).records(trajectory.is_noisy)
 
 
 @dataclass
@@ -147,18 +113,8 @@ def check_buffer_bound(records: list[EscapeRecord], params: LandscapeParams,
 
 
 def check_containment(trajectory: Trajectory) -> TheoryCheck:
-    """Plain descent from the valid start band never leaves D and is never
-    projected.  Skipped for noisy descent, where no such claim holds."""
-    if trajectory.is_noisy:
-        return TheoryCheck("containment", passed=True, skipped=True,
-                           details={"reason": "no containment claim for noisy descent"})
-    witnesses = []
-    for it in trajectory.iterates:
-        if it.region.is_outside:
-            witnesses.append({"t": it.t, "kind": "outside", "position": list(it.position)})
-        elif it.event is Event.PROJECTED:
-            witnesses.append({"t": it.t, "kind": "projected", "position": list(it.position)})
-    return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
+    """``StreamObserver.containment`` over the stored iterates."""
+    return _replay(trajectory).containment(trajectory.is_noisy)
 
 
 def check_escape_recurrence(records: list[EscapeRecord], params: LandscapeParams,
@@ -262,34 +218,10 @@ class StallInfo:
                 "region_order": self.region_order, "reason": self.reason}
 
 
-def _cross_distance(landscape: Landscape, it: Iterate) -> float | None:
-    """Distance of the converging (cross) coordinate to the block center;
-    None outside non-final blocks."""
-    kind = it.region.kind
-    if kind is RegionKind.ODD_BLOCK:
-        axis = 1
-    elif kind is RegionKind.EVEN_BLOCK:
-        axis = 0
-    else:
-        return None
-    center = landscape.regions[it.region.order].center
-    return it.position[axis] - center[axis]
-
-
 def detect_stall(trajectory: Trajectory) -> StallInfo | None:
-    """First iterate where descent is numerically doomed: the cross
-    coordinate sits exactly on a non-final block's center line, or ``run``
-    stopped the run as stalled (zero gradient or a noise-free fixed point)."""
-    landscape = Landscape(trajectory.params)
-    for it in trajectory.iterates:
-        if not it.region.is_outside:
-            d = _cross_distance(landscape, it)
-            if d is not None and d == 0.0:
-                return StallInfo(it.t, it.position, it.region.order, "cross_pinned")
-        if it.event is Event.STALLED:
-            reason = "zero_gradient" if it.grad_norm == 0.0 else "fixed_point"
-            return StallInfo(it.t, it.position, it.region.order, reason)
-    return None
+    """First stored iterate where descent is numerically doomed (see
+    ``StreamObserver.__call__``), or None."""
+    return _replay(trajectory).stall
 
 
 def first_final_entry(trajectory: Trajectory) -> int | None:
@@ -298,14 +230,12 @@ def first_final_entry(trajectory: Trajectory) -> int | None:
     Region-entry iterates always carry an event and survive thinning, so
     this is exact for any record_every.
     """
-    for it in trajectory.iterates:
-        if it.region.kind is RegionKind.FINAL_BLOCK:
-            return it.t
-    return None
+    return _replay(trajectory).first_final
 
 
 @dataclass
 class TheoryReport:
+    records: list[EscapeRecord]     # the segmentation the checks ran on
     buffer_bound: TheoryCheck
     containment: TheoryCheck
     recurrence: TheoryCheck
@@ -328,88 +258,136 @@ class TheoryReport:
         }
 
 
-def _assemble_theory(records, params, eta, noisy, containment, stall) -> TheoryReport:
-    if noisy:
-        buffer_bound = TheoryCheck("buffer_residence_bound", passed=True, skipped=True,
-                                   details={"reason": "bound claimed for plain descent only"})
-    else:
-        buffer_bound = check_buffer_bound(records, params, eta)
-    if noisy or params.L < 2.0 * params.gamma:
-        reason = ("claimed for plain descent only" if noisy
-                  else "requires L >= 2*gamma")
-        recurrence = TheoryCheck("escape_recurrence", passed=True, skipped=True,
-                                 details={"reason": reason})
-    else:
-        recurrence = check_escape_recurrence(records, params, eta)
-    try:
-        growth = growth_summary(records, params)
-    except InsufficientDataError:
-        growth = None
-    return TheoryReport(buffer_bound=buffer_bound, containment=containment,
-                        recurrence=recurrence, growth=growth, stall=stall)
-
-
 def theory_report(trajectory: Trajectory, eta: float | None = None) -> TheoryReport:
-    """Run every theory check that applies to this trajectory."""
-    params = trajectory.params
-    if eta is None:
-        eta = (trajectory.config.eta if trajectory.config.eta is not None
-               else derive_constants(params).eta_default)
-    return _assemble_theory(segment(trajectory), params, eta, trajectory.is_noisy,
-                            check_containment(trajectory), detect_stall(trajectory))
+    """Run every theory check that applies to this dense trajectory."""
+    return _replay(trajectory, dense=True).report(
+        trajectory.eta if eta is None else eta, trajectory.is_noisy)
+
+
+_CROSS_AXIS = {RegionKind.ODD_BLOCK: 1, RegionKind.EVEN_BLOCK: 0}
 
 
 class StreamObserver:
-    """Per-iterate collector giving exact segmentation for any record_every.
+    """The one pass from iterates to residences, stall, containment and the
+    first entry into the final block; exact for any record_every.
 
-    Feed it to ``run`` as the observer; it keeps only chain orders and a few
-    first-occurrence markers, never whole iterates.
+    Feed it to ``run`` as the observer; it keeps the first step past each
+    chain order and a few first-occurrence markers, never every iterate.
     """
 
     def __init__(self, landscape: Landscape):
         self.landscape = landscape
-        self.orders: list[int] = []
-        self.projected_at: int | None = None
+        self.first_exceed: dict[int, int] = {}   # chain order -> first t beyond it
+        self.end = 0                    # one past the last t seen
         self.first_final: int | None = None
-        self.revisit_at: int | None = None
+        self.projected: Iterate | None = None
+        self.outside: Iterate | None = None
+        self.revisit: Iterate | None = None  # first step back to an earlier order
         self.stall: StallInfo | None = None
-        self._prev_order: int | None = None
+        self._hi = -1                   # highest chain order seen
+        # (axis, center) of the converging coordinate of each non-final
+        # block; the key None is the order of an outside iterate
+        self._cross: dict[int | None, tuple[int, float] | None] = {None: None}
+        for reg in landscape.regions:
+            axis = _CROSS_AXIS.get(reg.rid.kind)
+            self._cross[reg.rid.order] = None if axis is None else (axis, reg.center[axis])
 
     def __call__(self, it: Iterate) -> None:
         order = it.region.order
-        self.orders.append(order)
-        if it.event is Event.PROJECTED and self.projected_at is None:
-            self.projected_at = it.t
-        if self.first_final is None and it.region.kind is RegionKind.FINAL_BLOCK:
-            self.first_final = it.t
-        prev = self._prev_order
-        if prev is not None and order < prev and self.revisit_at is None:
-            self.revisit_at = it.t
+        t = it.t
+        self.end = t + 1
+        if order is None:
+            if self.outside is None:
+                self.outside = it
+        elif order > self._hi:
+            for o in range(self._hi, order):
+                self.first_exceed[o] = t
+            self._hi = order
+            if it.region.kind is RegionKind.FINAL_BLOCK:
+                self.first_final = t
+        elif order < self._hi and self.revisit is None:
+            self.revisit = it
+        event = it.event
         if self.stall is None:
-            d = _cross_distance(self.landscape, it)
-            if d is not None and d == 0.0:
-                self.stall = StallInfo(it.t, it.position, order, "cross_pinned")
-            elif it.event is Event.STALLED:
+            # numerically doomed: the cross coordinate sits exactly on a
+            # non-final block's center line, or run stopped as stalled
+            # (zero gradient or a noise-free fixed point)
+            cross = self._cross[order]
+            if cross is not None and it.position[cross[0]] == cross[1]:
+                self.stall = StallInfo(t, it.position, order, "cross_pinned")
+            elif event is Event.STALLED:
                 reason = "zero_gradient" if it.grad_norm == 0.0 else "fixed_point"
-                self.stall = StallInfo(it.t, it.position, order, reason)
-        self._prev_order = order
+                self.stall = StallInfo(t, it.position, order, reason)
+        if event is Event.PROJECTED and self.projected is None:
+            self.projected = it
 
-    def records(self, params: LandscapeParams, noisy: bool) -> list[EscapeRecord]:
-        if not noisy and self.revisit_at is not None:
+    def records(self, noisy: bool) -> list[EscapeRecord]:
+        """Escape records of every block reached; raises SegmentationError,
+        carrying the iterate, on an outside iterate or a plain-descent revisit."""
+        if not self.end:
+            raise SegmentationError("empty trajectory")
+        if self.outside is not None:
+            raise SegmentationError(f"iterate {self.outside.t} is outside D", self.outside)
+        if not noisy and self.revisit is not None:
+            it = self.revisit
             raise SegmentationError(
-                f"plain descent revisited an earlier region at t={self.revisit_at}")
-        return segment_from_orders(self.orders, params)
+                f"plain descent revisited region order {it.region.order} at t={it.t}", it)
+        total, first_exceed = self.end, self.first_exceed
+        n = self.landscape.params.n_blocks
+        records = []
+        for i in range(1, n + 1):
+            block_order = 2 * (i - 1)
+            start = 0 if i == 1 else first_exceed.get(block_order - 1)
+            if start is None:
+                break
+            mid = first_exceed.get(block_order)
+            end = first_exceed.get(block_order + 1) if i < n else None
+            t_block = (mid if mid is not None else total) - start
+            if i == n:
+                t_buf = 0
+                T = total
+                complete = False
+            else:
+                t_buf = (end if end is not None else total) - (mid if mid is not None else total)
+                T = end if end is not None else total
+                complete = end is not None
+            records.append(EscapeRecord(i, t_block, t_buf, T, complete))
+            if not complete:
+                break
+        return records
 
-    def report(self, params: LandscapeParams, eta: float, noisy: bool) -> TheoryReport:
-        records = self.records(params, noisy)
+    def containment(self, noisy: bool) -> TheoryCheck:
+        """Plain descent from the valid start band never leaves D and is never
+        projected; witnesses are the first projected and the first outside
+        iterate.  Skipped for noisy descent, where no such claim holds."""
         if noisy:
-            containment = TheoryCheck("containment", passed=True, skipped=True,
-                                      details={"reason":
-                                               "no containment claim for noisy descent"})
+            return TheoryCheck("containment", passed=True, skipped=True,
+                               details={"reason": "no containment claim for noisy descent"})
+        witnesses = [{"t": it.t, "kind": kind, "position": list(it.position)}
+                     for kind, it in (("projected", self.projected), ("outside", self.outside))
+                     if it is not None]
+        return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
+
+    def report(self, eta: float, noisy: bool) -> TheoryReport:
+        """Every theory check that applies, on one segmentation."""
+        params = self.landscape.params
+        records = self.records(noisy)
+        if noisy:
+            buffer_bound = TheoryCheck("buffer_residence_bound", passed=True, skipped=True,
+                                       details={"reason": "bound claimed for plain descent only"})
         else:
-            witnesses = []
-            if self.projected_at is not None:
-                witnesses.append({"t": self.projected_at, "kind": "projected"})
-            containment = TheoryCheck("containment", passed=not witnesses,
-                                      witnesses=witnesses)
-        return _assemble_theory(records, params, eta, noisy, containment, self.stall)
+            buffer_bound = check_buffer_bound(records, params, eta)
+        if noisy or params.L < 2.0 * params.gamma:
+            reason = ("claimed for plain descent only" if noisy
+                      else "requires L >= 2*gamma")
+            recurrence = TheoryCheck("escape_recurrence", passed=True, skipped=True,
+                                     details={"reason": reason})
+        else:
+            recurrence = check_escape_recurrence(records, params, eta)
+        try:
+            growth = growth_summary(records, params)
+        except InsufficientDataError:
+            growth = None
+        return TheoryReport(records=records, buffer_bound=buffer_bound,
+                            containment=self.containment(noisy), recurrence=recurrence,
+                            growth=growth, stall=self.stall)

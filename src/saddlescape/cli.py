@@ -102,8 +102,6 @@ def _add_run_options(parser: argparse.ArgumentParser):
     parser.add_argument("--stop-grad-norm", type=float, default=None,
                         help="stop threshold inside the final block "
                              "(default 1e-10 for gd, L*tau/2 for sgd)")
-    parser.add_argument("--record-every", type=int, default=None,
-                        help="trajectory thinning stride (default 1)")
     parser.add_argument("--seed", type=int, default=None, help="first seed (default 0)")
     parser.add_argument("--seeds", type=int, default=None,
                         help="number of consecutive seeds (default 1)")
@@ -128,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="seeded descent runs")
     _add_common(p_run)
     _add_run_options(p_run)
+    p_run.add_argument("--record-every", type=int, default=None,
+                       help="trajectory thinning stride (default 1)")
     p_run.add_argument("--algo", choices=["gd", "sgd"], default=None,
                        help="plain or noisy descent (default gd)")
 
@@ -197,6 +197,15 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _noise_var(args, algos) -> float:
+    """--noise-var, validated when an sgd run will use it, so that bad
+    noise fails before any output directory is made."""
+    noise_var = _resolve(args, "noise_var", 0.1)
+    if "sgd" in algos:
+        NoiseConfig(variance=noise_var)
+    return noise_var
+
+
 def _require_at_least(flag: str, value: int, least: int) -> int:
     if value < least:
         raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
@@ -247,14 +256,11 @@ def _run_one(params: LandscapeParams, algo: str, seed: int, config: GdConfig, no
     start = init_sample(landscape, np.random.default_rng([seed, 0]))
     observer = analysis.StreamObserver(landscape)
     trajectory = run(landscape, config, start, noise=noise, observer=observer)
-    eta_used = config.eta if config.eta is not None else landscape.derived.eta_default
-    noisy = noise is not None and noise.variance > 0
-    records = observer.records(params, noisy)
-    report = observer.report(params, eta_used, noisy)
-    return trajectory, records, report, observer, start
+    report = observer.report(trajectory.eta, trajectory.is_noisy)
+    return trajectory, report, observer, start
 
 
-def _summarize_run(seed, algo, trajectory, records, report, observer, start):
+def _summarize_run(seed, algo, trajectory, report, observer, start):
     final = trajectory.iterates[-1]
     growth = report.growth
     return {
@@ -267,7 +273,7 @@ def _summarize_run(seed, algo, trajectory, records, report, observer, start):
         "final": {"position": list(final.position), "f": final.f_value,
                   "grad_norm": final.grad_norm,
                   "region_order": final.region.order},
-        "escape_records": [r.to_dict() for r in records],
+        "escape_records": [r.to_dict() for r in report.records],
         "theory": report.to_dict(),
         "growth_ratio": growth.ratio if growth else None,
     }
@@ -293,20 +299,18 @@ def cmd_run(args) -> int:
     record_every = _resolve(args, "record_every", 1)
     config = GdConfig(eta=eta, max_iter=max_iter, stop_grad_norm=stop,
                       record_every=record_every)
-    out = _outdir(args)
     algo = _resolve(args, "algo", "gd")
+    noise_var = _noise_var(args, [algo])
+    out = _outdir(args)
     seed0 = _resolve(args, "seed", 0)
-    noise_var = _resolve(args, "noise_var", 0.1)
 
     summaries = []
     for seed in range(seed0, seed0 + n_seeds):
         t0 = time.perf_counter()
-        trajectory, records, report, obs, start = _run_one(params, algo, seed, config,
-                                                           noise_var)
+        trajectory, report, obs, start = _run_one(params, algo, seed, config, noise_var)
         elapsed = time.perf_counter() - t0
         _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
-        summaries.append(_summarize_run(seed, algo, trajectory, records,
-                                        report, obs, start))
+        summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
         print(f"seed {seed}: {trajectory.outcome.value} after "
               f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
     payload = {
@@ -329,7 +333,7 @@ def cmd_run(args) -> int:
 def _sweep_task(task):
     params_fields, algo, seed, config, noise_var = task
     params = LandscapeParams(*params_fields)
-    trajectory, records, report, obs, start = _run_one(params, algo, seed, config, noise_var)
+    trajectory, report, _, _ = _run_one(params, algo, seed, config, noise_var)
     growth = report.growth
     return {
         "L": params.L, "gamma": params.gamma, "tau": params.tau,
@@ -349,12 +353,12 @@ def cmd_sweep(args) -> int:
     config = GdConfig(eta=_resolve(args, "eta", None),
                       max_iter=_resolve(args, "max_iter", 1_000_000),
                       stop_grad_norm=_resolve(args, "stop_grad_norm", None))
-    out = _outdir(args)
     algos = _resolve(args, "algo", None) or ["gd", "sgd"]
     if isinstance(algos, str):
         algos = [algos]
+    noise_var = _noise_var(args, algos)
+    out = _outdir(args)
     seed0 = _resolve(args, "seed", 0)
-    noise_var = _resolve(args, "noise_var", 0.1)
 
     tasks = []
     for params in grid:

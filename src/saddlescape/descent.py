@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .landscape import Landscape, OutsideDomainError, Point, RegionId, RegionKind
+from .landscape import (Landscape, LandscapeParams, OutsideDomainError, Point, RegionId,
+                        RegionKind, derive_constants)
 
 INIT_BAND = 1.0 / (2.0 * math.e**2)   # max |x1 - s1| at the start, in units of tau
 
@@ -56,11 +57,18 @@ class GdConfig:
 class NoiseConfig:
     variance: float = 0.1     # per-coordinate Gaussian variance of each kick
     seed: int = 0
-    scale_by_eta: bool = False  # alternative reading: kick scaled by the step size
 
     def __post_init__(self):
         if not (math.isfinite(self.variance) and self.variance >= 0):
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+
+
+def step_settings(params: LandscapeParams, config: GdConfig,
+                  noise: NoiseConfig | None) -> tuple[float, bool]:
+    """The step size a run takes, config.eta or the default 1/(4L), and
+    whether it is noisy: given noise of positive variance."""
+    eta = config.eta if config.eta is not None else derive_constants(params).eta_default
+    return eta, noise is not None and noise.variance > 0
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,7 @@ class Iterate:
 
 @dataclass(frozen=True)
 class Trajectory:
-    params: object
+    params: LandscapeParams
     config: GdConfig
     noise: NoiseConfig | None
     iterates: tuple[Iterate, ...]
@@ -86,8 +94,12 @@ class Trajectory:
         return self.iterates[-1].t
 
     @property
+    def eta(self) -> float:
+        return step_settings(self.params, self.config, self.noise)[0]
+
+    @property
     def is_noisy(self) -> bool:
-        return self.noise is not None and self.noise.variance > 0
+        return step_settings(self.params, self.config, self.noise)[1]
 
 
 def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
@@ -141,14 +153,13 @@ def _step(landscape: Landscape, p: Point, g: Point, eta: float, noise: NoiseConf
     q = (p[0] - eta * g[0], p[1] - eta * g[1])
     if noise is None:
         return q, False
-    q = _perturb(q, noise, eta, rng)
+    q = _perturb(q, noise, rng)
     nxt = project_to_domain(landscape, q)
     return nxt, nxt != q
 
 
-def _perturb(q: Point, noise: NoiseConfig, eta: float, rng: np.random.Generator) -> Point:
-    """q plus a Gaussian kick of per-coordinate variance noise.variance,
-    scaled by eta if noise.scale_by_eta.
+def _perturb(q: Point, noise: NoiseConfig, rng: np.random.Generator) -> Point:
+    """q plus a Gaussian kick of per-coordinate variance noise.variance.
 
     One ``standard_normal(2)`` draw, then the scale and the add in Python
     floats: the same bits as the float64 array arithmetic, but the iterate
@@ -156,10 +167,7 @@ def _perturb(q: Point, noise: NoiseConfig, eta: float, rng: np.random.Generator)
     """
     z1, z2 = rng.standard_normal(2).tolist()
     s = math.sqrt(noise.variance)
-    z1, z2 = s * z1, s * z2
-    if noise.scale_by_eta:
-        z1, z2 = eta * z1, eta * z2
-    return (q[0] + z1, q[1] + z2)
+    return (q[0] + s * z1, q[1] + s * z2)
 
 
 def run(landscape: Landscape, config: GdConfig, start: Point,
@@ -186,9 +194,8 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     reg = landscape.locate(start)
     if reg is None:
         raise OutsideDomainError(f"start {start} is outside D")
-    eta = config.eta if config.eta is not None else landscape.derived.eta_default
+    eta, noisy = step_settings(landscape.params, config, noise)
     rng = np.random.default_rng(noise.seed) if noise is not None else None
-    noisy = noise is not None and noise.variance > 0
     stop = config.stop_grad_norm
     if stop is None:
         stop = 1e-10 if noise is None else landscape.params.L * landscape.params.tau / 2.0

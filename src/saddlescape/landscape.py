@@ -133,26 +133,6 @@ def derive_constants(params: LandscapeParams) -> DerivedConstants:
     return DerivedConstants(L2=L2, nu=nu, eta_default=1.0 / L2, lower_bound_base=L / g)
 
 
-def floor_to_multiple(x: float, period: float) -> float:
-    """Largest multiple of ``period`` that does not exceed ``x``."""
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    return math.floor(x / period) * period
-
-
-def hermite_cubic(f0: float, f1: float, df0: float, df1: float,
-                  y0: float, y1: float) -> tuple[float, float, float, float]:
-    """Coefficients (c0, c1, c2, c3) of the cubic matching endpoint values
-    and slopes on [y0, y1], as a polynomial in (y - y0)."""
-    if y1 == y0:
-        raise ValueError("degenerate interval: y0 == y1")
-    h = y1 - y0
-    s = (f1 - f0) / h
-    c2 = (3.0 * s - df1 - 2.0 * df0) / h
-    c3 = -(2.0 * s - df1 - df0) / (h * h)
-    return (f0, df0, c2, c3)
-
-
 def ramp_profile(u: float, params: LandscapeParams) -> tuple[float, float]:
     """Along-travel buffer profile and its derivative on u in [tau, 2*tau].
 
@@ -549,11 +529,3 @@ class Landscape:
         L2, g, tau = self.derived.L2, self.params.gamma, self.params.tau
         return 2.0 * L2 + 30.0 * (L2 + g) * (tau / 2.0) ** 2 / tau
 
-
-def block_geometry(params: LandscapeParams, region: RegionId) -> BlockGeometry:
-    """Bounds and center of one region of the chain."""
-    return Landscape(params).geometry(region)
-
-
-def classify(params: LandscapeParams, p: Point) -> RegionId:
-    return Landscape(params).classify(p)

@@ -103,13 +103,33 @@ def test_segment_outside_iterate_raises(lc5):
         ss.segment(traj)
 
 
-def test_stream_observer_matches_segment(lc5):
-    start = ss.init_sample(lc5, np.random.default_rng(7))
-    obs = ss.StreamObserver(lc5)
-    traj = ss.run(lc5, GdConfig(), start, observer=obs)
-    assert ([r.to_dict() for r in obs.records(lc5.params, False)]
-            == [r.to_dict() for r in ss.segment(traj)])
-    assert obs.report(lc5.params, 0.25, False).to_dict() == ss.theory_report(traj).to_dict()
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n", [1, 5, 12])
+@pytest.mark.parametrize("algo", ["gd", "sgd"])
+def test_stream_observer_matches_segment(algo, n, seed, record_every):
+    # what run streams through the observer equals a replay of the dense trajectory
+    lc = Landscape(LandscapeParams(n_saddles=n))
+    start = ss.init_sample(lc, np.random.default_rng(seed))
+    noise = NoiseConfig(variance=0.1, seed=seed) if algo == "sgd" else None
+    obs = ss.StreamObserver(lc)
+    traj = ss.run(lc, GdConfig(record_every=record_every), start, noise=noise, observer=obs)
+    dense = traj
+    if record_every > 1:
+        dense = ss.run(lc, GdConfig(), start, noise=noise)
+        assert len(traj.iterates) < len(dense.iterates)
+        with pytest.raises(ss.SegmentationError):
+            ss.segment(traj)
+        with pytest.raises(ss.SegmentationError):
+            ss.theory_report(traj)
+    assert ([r.to_dict() for r in obs.records(traj.is_noisy)]
+            == [r.to_dict() for r in ss.segment(dense)])
+    report = obs.report(traj.eta, traj.is_noisy)
+    assert report.to_dict() == ss.theory_report(dense).to_dict()
+    assert report.records == ss.segment(dense)
+    assert obs.stall == ss.detect_stall(dense)
+    assert obs.first_final == ss.first_final_entry(dense) == ss.first_final_entry(traj)
+    assert len(obs.first_exceed) <= 2 * n + 2
 
 
 # --- buffer residence bound ---------------------------------------------------------
@@ -152,17 +172,23 @@ def test_containment_skipped_for_sgd(lc5):
 
 
 def test_containment_fails_on_outside_iterate(lc5):
-    traj = make_trajectory(lc5, [0, None])
+    # the first outside iterate is both the witness and the segmentation error
+    traj = make_trajectory(lc5, [0, 0, None, 1, None, 2])
     res = ss.check_containment(traj)
     assert not res.passed
-    assert res.witnesses[0]["t"] == 1
+    assert res.witnesses == [{"t": 2, "kind": "outside", "position": [-1.0, -1.0]}]
+    with pytest.raises(ss.SegmentationError) as err:
+        ss.segment(traj)
+    assert err.value.iterate is traj.iterates[2]
 
 
 def test_containment_fails_on_projection(lc5):
-    traj = make_trajectory(lc5, [0, 1],
-                           events=[None, ss.Event.PROJECTED])
+    traj = make_trajectory(lc5, [0, 1, 1],
+                           events=[None, ss.Event.PROJECTED, ss.Event.PROJECTED])
     res = ss.check_containment(traj)
     assert not res.passed
+    assert res.witnesses == [{"t": 1, "kind": "projected",
+                              "position": list(traj.iterates[1].position)}]
 
 
 # --- escape recurrence ------------------------------------------------------------------

@@ -245,3 +245,22 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
     cfg.write_text("seeds = 0\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "--seeds must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value):
+    out = tmp_path / "D"
+    assert main([command, "--algo", "sgd", "--n-saddles", "2", "--seeds", "1",
+                 "--noise-var", value, "--out", str(out)]) == 2
+    assert "variance must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_has_no_record_every_flag(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--n-saddles", "2", "--seeds", "1", "--record-every", "0",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()

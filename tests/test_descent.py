@@ -121,7 +121,7 @@ def test_sgd_noise_statistics():
     rng = np.random.default_rng(11)
     noise = NoiseConfig(variance=0.1)
     n = 10_000
-    kicks = np.array([_perturb((0.0, 0.0), noise, 0.25, rng) for _ in range(n)])
+    kicks = np.array([_perturb((0.0, 0.0), noise, rng) for _ in range(n)])
     sigma = math.sqrt(0.1)
     assert np.all(np.abs(kicks.mean(axis=0)) <= 3 * sigma / math.sqrt(n))
     assert np.all(np.abs(kicks.var(axis=0) - 0.1) <= 0.05 * 0.1)
@@ -135,32 +135,19 @@ def test_sgd_step_is_projected_perturbed_gd(lc):
     base = ss.gd_step(lc, p, 0.25)
     for seed in range(50):
         q = ss.sgd_step(lc, p, 0.25, noise, np.random.default_rng(seed))
-        raw = _perturb(base, noise, 0.25, np.random.default_rng(seed))
+        raw = _perturb(base, noise, np.random.default_rng(seed))
         assert q == ss.project_to_domain(lc, raw)
 
 
-def test_noise_scale_by_eta_flag():
-    from saddlescape.descent import _perturb
-    a = _perturb((0.0, 0.0), NoiseConfig(variance=0.1), 0.25,
-                 np.random.default_rng(1))
-    b = _perturb((0.0, 0.0), NoiseConfig(variance=0.1, scale_by_eta=True), 0.25,
-                 np.random.default_rng(1))
-    assert b == (0.25 * a[0], 0.25 * a[1])
-
-
-@pytest.mark.parametrize("scale_by_eta", [False, True])
 @pytest.mark.parametrize("variance", [0.1, 0.37, 2.0])
-def test_perturb_returns_floats_with_numpy_bits(scale_by_eta, variance):
+def test_perturb_returns_floats_with_numpy_bits(variance):
     # the kick in Python floats against the same arithmetic on float64 arrays
     from saddlescape.descent import _perturb
-    noise = NoiseConfig(variance=variance, scale_by_eta=scale_by_eta)
-    eta = 0.3
+    noise = NoiseConfig(variance=variance)
     ours, ref = np.random.default_rng(5), np.random.default_rng(5)
     for q in np.random.default_rng(6).uniform(-20.0, 20.0, size=(500, 2)).tolist():
-        got = _perturb(tuple(q), noise, eta, ours)
+        got = _perturb(tuple(q), noise, ours)
         z = math.sqrt(variance) * ref.standard_normal(2)
-        if scale_by_eta:
-            z = eta * z
         assert type(got) is tuple and all(type(v) is float for v in got)
         assert np.array(got).tobytes() == (np.array(q) + z).tobytes()
 

@@ -245,64 +245,6 @@ def test_quintic_blend_derivative_matches_fd(rng):
         assert s == pytest.approx((vp - vm) / (2 * h), rel=1e-5, abs=1e-6)
 
 
-# --- cubic interpolant utility ------------------------------------------------------
-
-def test_hermite_cubic_linear_reproduction():
-    assert ss.hermite_cubic(0.0, 1.0, 1.0, 1.0, 0.0, 1.0) == (0.0, 1.0, 0.0, 0.0)
-
-
-def test_hermite_cubic_smoothstep_coefficients():
-    assert ss.hermite_cubic(0.0, 1.0, 0.0, 0.0, 0.0, 1.0) == (0.0, 0.0, 3.0, -2.0)
-
-
-def test_hermite_cubic_endpoint_conditions(rng):
-    for _ in range(100):
-        f0, f1, df0, df1 = rng.normal(size=4)
-        y0 = rng.uniform(-3, 3)
-        y1 = y0 + rng.uniform(0.1, 2.0)
-        c0, c1, c2, c3 = ss.hermite_cubic(f0, f1, df0, df1, y0, y1)
-
-        def p(y):
-            d = y - y0
-            return c0 + c1 * d + c2 * d * d + c3 * d * d * d
-
-        def dp(y):
-            d = y - y0
-            return c1 + 2 * c2 * d + 3 * c3 * d * d
-
-        assert p(y0) == pytest.approx(f0, rel=1e-12, abs=1e-12)
-        assert p(y1) == pytest.approx(f1, rel=1e-9, abs=1e-9)
-        assert dp(y0) == pytest.approx(df0, rel=1e-12, abs=1e-12)
-        assert dp(y1) == pytest.approx(df1, rel=1e-9, abs=1e-9)
-
-
-def test_hermite_cubic_degenerate_interval():
-    with pytest.raises(ValueError):
-        ss.hermite_cubic(0.0, 1.0, 0.0, 0.0, 2.0, 2.0)
-
-
-# --- local offset -------------------------------------------------------------------
-
-def test_floor_to_multiple():
-    assert ss.floor_to_multiple(3.7, 2.0) == 2.0
-    assert ss.floor_to_multiple(4.0, 2.0) == 4.0
-    assert ss.floor_to_multiple(-0.5, 2.0) == -2.0
-
-
-def test_floor_to_multiple_property(rng):
-    for _ in range(200):
-        x = rng.uniform(-20, 20)
-        period = rng.uniform(0.1, 5.0)
-        m = ss.floor_to_multiple(x, period)
-        assert m <= x < m + period
-        assert math.isclose(m / period, round(m / period), abs_tol=1e-9)
-
-
-def test_floor_to_multiple_bad_period():
-    with pytest.raises(ValueError):
-        ss.floor_to_multiple(1.0, 0.0)
-
-
 # --- structural invariants ------------------------------------------------------------
 
 GRID = [LandscapeParams(L=L, gamma=L / div, tau=tau, n_saddles=n)
