@@ -219,9 +219,12 @@ class StallInfo:
 
 
 def detect_stall(trajectory: Trajectory) -> StallInfo | None:
-    """First stored iterate where descent is numerically doomed (see
-    ``StreamObserver.__call__``), or None."""
-    return _replay(trajectory).stall
+    """First iterate where descent is numerically doomed (see
+    ``StreamObserver.__call__``), or None; for a noisy run, the first pin,
+    which a later kick may free (its report then has no stall).  Raises
+    SegmentationError on a thinned trajectory, whose first kept pinned
+    iterate need not be the first pinned one."""
+    return _replay(trajectory, dense=True).stall
 
 
 def first_final_entry(trajectory: Trajectory) -> int | None:
@@ -369,7 +372,8 @@ class StreamObserver:
         return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
 
     def report(self, eta: float, noisy: bool) -> TheoryReport:
-        """Every theory check that applies, on one segmentation."""
+        """Every theory check that applies, on one segmentation.  A noisy
+        run reports no stall: a later kick frees any pin it met."""
         params = self.landscape.params
         records = self.records(noisy)
         if noisy:
@@ -390,4 +394,4 @@ class StreamObserver:
             growth = None
         return TheoryReport(records=records, buffer_bound=buffer_bound,
                             containment=self.containment(noisy), recurrence=recurrence,
-                            growth=growth, stall=self.stall)
+                            growth=growth, stall=None if noisy else self.stall)

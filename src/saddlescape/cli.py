@@ -248,8 +248,7 @@ def cmd_check(args) -> int:
 
 # -- run -----------------------------------------------------------------------
 
-def _run_one(params: LandscapeParams, algo: str, seed: int, config: GdConfig, noise_var):
-    landscape = Landscape(params)
+def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise_var):
     noise = None
     if algo == "sgd":
         noise = NoiseConfig(variance=noise_var, seed=seed)
@@ -303,11 +302,12 @@ def cmd_run(args) -> int:
     noise_var = _noise_var(args, [algo])
     out = _outdir(args)
     seed0 = _resolve(args, "seed", 0)
+    landscape = Landscape(params)
 
     summaries = []
     for seed in range(seed0, seed0 + n_seeds):
         t0 = time.perf_counter()
-        trajectory, report, obs, start = _run_one(params, algo, seed, config, noise_var)
+        trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise_var)
         elapsed = time.perf_counter() - t0
         _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
         summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
@@ -330,10 +330,28 @@ def cmd_run(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-def _sweep_task(task):
-    params_fields, algo, seed, config, noise_var = task
-    params = LandscapeParams(*params_fields)
-    trajectory, report, _, _ = _run_one(params, algo, seed, config, noise_var)
+# A sweep worker process's Landscape per grid point, made by _init_sweep_worker;
+# the parent process of a sweep never sets it.
+_worker_landscapes: dict[LandscapeParams, Landscape] | None = None
+
+
+def _init_sweep_worker():
+    global _worker_landscapes
+    _worker_landscapes = {}
+
+
+def _sweep_worker_task(task):
+    return _sweep_task(_worker_landscapes, task)
+
+
+def _sweep_task(landscapes: dict[LandscapeParams, Landscape], task):
+    """One row of sweep.csv; ``landscapes`` holds the Landscape of each grid
+    point built so far, and gains the task's own if it is missing."""
+    params, algo, seed, config, noise_var = task
+    landscape = landscapes.get(params)
+    if landscape is None:
+        landscape = landscapes[params] = Landscape(params)
+    trajectory, report, _, _ = _run_one(landscape, algo, seed, config, noise_var)
     growth = report.growth
     return {
         "L": params.L, "gamma": params.gamma, "tau": params.tau,
@@ -352,7 +370,8 @@ def cmd_sweep(args) -> int:
     jobs = _require_at_least("jobs", _resolve(args, "jobs", 1), 1)
     config = GdConfig(eta=_resolve(args, "eta", None),
                       max_iter=_resolve(args, "max_iter", 1_000_000),
-                      stop_grad_norm=_resolve(args, "stop_grad_norm", None))
+                      stop_grad_norm=_resolve(args, "stop_grad_norm", None),
+                      record_every=_resolve(args, "record_every", 1))
     algos = _resolve(args, "algo", None) or ["gd", "sgd"]
     if isinstance(algos, str):
         algos = [algos]
@@ -360,18 +379,16 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     seed0 = _resolve(args, "seed", 0)
 
-    tasks = []
-    for params in grid:
-        for algo in algos:
-            for seed in range(seed0, seed0 + n_seeds):
-                fields = (params.L, params.gamma, params.tau, params.n_saddles)
-                tasks.append((fields, algo, seed, config, noise_var))
+    tasks = [(params, algo, seed, config, noise_var)
+             for params in grid for algo in algos for seed in range(seed0, seed0 + n_seeds)]
     t0 = time.perf_counter()
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+                                                    initializer=_init_sweep_worker) as pool:
+            rows = list(pool.map(_sweep_worker_task, tasks))
     else:
-        rows = [_sweep_task(t) for t in tasks]
+        landscapes: dict[LandscapeParams, Landscape] = {}
+        rows = [_sweep_task(landscapes, t) for t in tasks]
     elapsed = time.perf_counter() - t0
 
     lines = ["L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"]

@@ -11,14 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .landscape import (Landscape, LandscapeParams, OutsideDomainError, Point, RegionId,
-                        RegionKind, derive_constants)
+from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
+                        RegionId, derive_constants)
 
 INIT_BAND = 1.0 / (2.0 * math.e**2)   # max |x1 - s1| at the start, in units of tau
+KICK_BLOCK = 128   # kicks a noisy run draws per call of its generator
 
 
 class Event(Enum):
@@ -71,8 +72,7 @@ def step_settings(params: LandscapeParams, config: GdConfig,
     return eta, noise is not None and noise.variance > 0
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(NamedTuple):
     t: int
     position: Point
     f_value: float
@@ -118,7 +118,7 @@ def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
 
 
 def gd_step(landscape: Landscape, p: Point, eta: float) -> Point:
-    return _step(landscape, p, landscape.gradient(p), eta, None, None)[0]
+    return _step(landscape, p, landscape.gradient(p), eta, None)[0]
 
 
 def project_to_domain(landscape: Landscape, p: Point) -> Point:
@@ -141,33 +141,38 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
 
 def sgd_step(landscape: Landscape, p: Point, eta: float, noise: NoiseConfig,
              rng: np.random.Generator) -> Point:
-    return _step(landscape, p, landscape.gradient(p), eta, noise, rng)[0]
+    return _step(landscape, p, landscape.gradient(p), eta, _kicks(noise, rng, 1))[0]
 
 
-def _step(landscape: Landscape, p: Point, g: Point, eta: float, noise: NoiseConfig | None,
-          rng: np.random.Generator | None) -> tuple[Point, bool]:
+def _step(landscape: Landscape, p: Point, g: Point, eta: float,
+          kicks: Iterator[Point] | None) -> tuple[Point, bool]:
     """The iterate after p, whose gradient is g, and whether projection moved it.
 
-    A gradient step; under noise also a kick and the projection back onto D.
+    A gradient step; under noise also the next kick and the projection back
+    onto D.
     """
     q = (p[0] - eta * g[0], p[1] - eta * g[1])
-    if noise is None:
+    if kicks is None:
         return q, False
-    q = _perturb(q, noise, rng)
+    k1, k2 = next(kicks)
+    q = (q[0] + k1, q[1] + k2)
     nxt = project_to_domain(landscape, q)
     return nxt, nxt != q
 
 
-def _perturb(q: Point, noise: NoiseConfig, rng: np.random.Generator) -> Point:
-    """q plus a Gaussian kick of per-coordinate variance noise.variance.
+def _kicks(noise: NoiseConfig, rng: np.random.Generator, block: int) -> Iterator[Point]:
+    """Endless Gaussian kicks of per-coordinate variance noise.variance.
 
-    One ``standard_normal(2)`` draw, then the scale and the add in Python
-    floats: the same bits as the float64 array arithmetic, but the iterate
-    stays a tuple of floats, which keeps every later operation on it fast.
+    Each ``block`` kicks are one ``standard_normal(2 * block)`` draw, taken
+    in pairs: the same values as ``block`` draws of ``standard_normal(2)``.
+    The scale is applied to the float64 array, which gives the same bits as
+    in Python floats, and the kicks come out as Python floats, which keeps
+    every later operation on the iterate fast.
     """
-    z1, z2 = rng.standard_normal(2).tolist()
     s = math.sqrt(noise.variance)
-    return (q[0] + s * z1, q[1] + s * z2)
+    while True:
+        z = (s * rng.standard_normal(2 * block)).tolist()
+        yield from zip(z[0::2], z[1::2])
 
 
 def run(landscape: Landscape, config: GdConfig, start: Point,
@@ -180,64 +185,70 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
         by default 1e-10, or L*tau/2 when ``noise`` is given, since
         persistent noise keeps the gradient above any tiny threshold and a
         noisy run stops on solid entry into the bowl instead;
-      - exact zero gradient outside the final block (stalled);
+      - a noise-free run at an exact zero gradient outside the final block
+        (stalled);
       - the iteration budget is exhausted;
       - a noise-free step leaves the position bitwise unchanged (stalled).
-    Under noise a repeated position is no fixed point: two kicks can project
-    onto the same corner of D, and the next kick moves on.
+    A noisy run never stalls: a kick can still move a point of zero
+    gradient, and two kicks can project onto the same corner of D before
+    the next kick moves on.
     The observer sees every iterate; the stored trajectory keeps every
     record_every-th iterate plus all event-tagged ones and the last one.
     Each iterate costs one ``locate``, one closed-form evaluation and one
     step, none of which grows with the chain length; only the projection
-    of a noisy step scans the regions.
+    of a noisy step scans the regions.  The kicks come from a generator
+    private to the run, ``KICK_BLOCK`` of them per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
         raise OutsideDomainError(f"start {start} is outside D")
     eta, noisy = step_settings(landscape.params, config, noise)
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    kicks = None
+    if noise is not None:
+        kicks = _kicks(noise, np.random.default_rng(noise.seed), KICK_BLOCK)
     stop = config.stop_grad_norm
     if stop is None:
         stop = 1e-10 if noise is None else landscape.params.L * landscape.params.tau / 2.0
+    max_iter, record_every = config.max_iter, config.record_every
 
     x = (float(start[0]), float(start[1]))
     kept: list[Iterate] = []
-    prev_order = None
+    prev = None   # the region of the previous iterate
     arrived_by_projection = False
     t = 0
     while True:
         val, g = landscape.value_and_gradient_in(reg, x)
         gnorm = math.hypot(g[0], g[1])
-        in_final = reg.rid.kind is RegionKind.FINAL_BLOCK
+        in_final = reg.code == FINAL_CODE
 
         event = None
-        if prev_order is not None and reg.rid.order != prev_order:
-            event = Event.BLOCK_ENTRY if reg.rid.kind.is_block else Event.BUFFER_ENTRY
+        if reg is not prev and prev is not None:
+            event = Event.BUFFER_ENTRY if reg.code & 1 else Event.BLOCK_ENTRY
         if arrived_by_projection:
             event = Event.PROJECTED
 
         terminal = None
         if in_final and gnorm <= stop:
             event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
-        elif gnorm == 0.0 and not in_final:
+        elif gnorm == 0.0 and not (in_final or noisy):
             event, terminal = Event.STALLED, Outcome.STALLED
-        elif t >= config.max_iter:
+        elif t >= max_iter:
             terminal = Outcome.BUDGET
 
         if terminal is None:
-            nxt, next_projected = _step(landscape, x, g, eta, noise, rng)
+            nxt, next_projected = _step(landscape, x, g, eta, kicks)
             if nxt == x and not noisy:
                 event, terminal = Event.STALLED, Outcome.STALLED
 
         it = Iterate(t, x, val, gnorm, reg.rid, event)
         if observer is not None:
             observer(it)
-        if event is not None or terminal is not None or t % config.record_every == 0:
+        if event is not None or terminal is not None or t % record_every == 0:
             kept.append(it)
         if terminal is not None:
             return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
 
-        prev_order = reg.rid.order
+        prev = reg
         arrived_by_projection = next_projected
         x = nxt
         reg = landscape.locate(x)

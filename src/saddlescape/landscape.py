@@ -194,6 +194,8 @@ class _Region:
     rid: RegionId
     bounds: tuple[float, float, float, float]
     center: Point
+    code: int                        # index of rid.kind in _KIND_BY_CODE
+    base: float                      # value offset -index*nu
     # buffers only:
     travel_axis: int | None = None   # 0: u along x1 (odd->even), 1: u along x2
     u_base: float | None = None      # u = coord - u_base, in [tau, 2*tau]
@@ -211,25 +213,29 @@ def _cell(o):
     return a, a - skew
 
 
-_KIND_BY_ORDER_MOD_4 = (RegionKind.ODD_BLOCK, RegionKind.ODD_EVEN_BUFFER,
-                        RegionKind.EVEN_BLOCK, RegionKind.EVEN_ODD_BUFFER)
+# Region kind by code: chain order mod 4, or FINAL_CODE for the last order.
+# Blocks have even codes, buffers odd ones.
+_KIND_BY_CODE = (RegionKind.ODD_BLOCK, RegionKind.ODD_EVEN_BUFFER,
+                 RegionKind.EVEN_BLOCK, RegionKind.EVEN_ODD_BUFFER, RegionKind.FINAL_BLOCK)
+FINAL_CODE = 4
 
 
-def _build_regions(params: LandscapeParams) -> tuple[_Region, ...]:
+def _build_regions(params: LandscapeParams, nu: float) -> tuple[_Region, ...]:
     tau, last = params.tau, 2 * params.n_saddles
     out = []
     for o in range(last + 1):
         a, b = _cell(o)
         bounds = (a * tau, (a + 1) * tau, b * tau, (b + 1) * tau)
         center = (0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3]))
-        kind = RegionKind.FINAL_BLOCK if o == last else _KIND_BY_ORDER_MOD_4[o & 3]
-        rid = RegionId(kind, o // 2 + 1, o)
+        code = FINAL_CODE if o == last else o & 3
+        index = o // 2 + 1
+        rid = RegionId(_KIND_BY_CODE[code], index, o)
         if o & 1:   # a buffer, travelling along x1 (o mod 4 = 1) or x2 (o mod 4 = 3)
             axis = (o & 3) >> 1
-            out.append(_Region(rid, bounds, center, axis, ((b if axis else a) - 1) * tau,
-                               o == last - 1))
+            out.append(_Region(rid, bounds, center, code, -index * nu, axis,
+                               ((b if axis else a) - 1) * tau, o == last - 1))
         else:
-            out.append(_Region(rid, bounds, center))
+            out.append(_Region(rid, bounds, center, code, -index * nu))
     return tuple(out)
 
 
@@ -242,8 +248,7 @@ class Landscape:
     def __init__(self, params: LandscapeParams):
         self.params = params
         self.derived = derive_constants(params)
-        self.regions = _build_regions(params)
-        self.nu = self.derived.nu
+        self.regions = _build_regions(params, self.derived.nu)
 
     # -- region queries ----------------------------------------------------
 
@@ -318,14 +323,14 @@ class Landscape:
         L2 = self.derived.L2
         x1, x2 = p
         s1, s2 = reg.center
-        base = -reg.rid.index * self.nu
+        base = reg.base
         if reg.travel_axis is None:   # a block: base + k1*d1^2 + k2*d2^2
-            kind = reg.rid.kind
+            code = reg.code
             d1, d2 = x1 - s1, x2 - s2
             k1 = k2 = L
-            if kind is RegionKind.ODD_BLOCK:
+            if code == 0:     # odd block
                 k1 = -g if branch > 0 or (branch == 0 and d1 > 0) else L2
-            elif kind is RegionKind.EVEN_BLOCK:
+            elif code == 2:   # even block
                 k2 = -g if branch > 0 or (branch == 0 and d2 > 0) else L2
             return base + k1 * d1 * d1 + k2 * d2 * d2, (2.0 * k1 * d1, 2.0 * k2 * d2)
         tau = self.params.tau
@@ -402,10 +407,10 @@ class Landscape:
         ``orders`` names the region whose closed form each point is
         evaluated in (default: the region holding it); ``branch`` forces a
         branch as in ``value_in``.  Each chunk of points is grouped by region
-        kind; per-point region data (center, index, u_base, into_final)
+        kind; per-point region data (center, base, u_base, into_final)
         follows from the chain order."""
         last = len(self.regions) - 1
-        cx, cy, u_bases = self._region_table
+        cx, cy, bases, u_bases = self._region_table
         values = np.empty(len(xy))
         grads = np.empty_like(xy) if want_grad else None
         for s in range(0, len(xy), CHUNK):
@@ -415,16 +420,17 @@ class Landscape:
             if outside.any():
                 bad = s + int(np.argmax(outside))
                 raise OutsideDomainError(f"point {tuple(xy[bad])} is outside D")
-            kinds = np.where(o == last, 4, o & 3)
-            for code, kind in enumerate(_KIND_BY_ORDER_MOD_4 + (RegionKind.FINAL_BLOCK,)):
+            kinds = np.where(o == last, FINAL_CODE, o & 3)
+            for code, kind in enumerate(_KIND_BY_CODE):
                 idx = np.flatnonzero(kinds == code)
                 if not len(idx):
                     continue
                 om = o[idx]
                 # np.take: row gathers by fancy indexing are several times slower
                 v, gr = self._eval_kernel(kind, np.take(p, idx, axis=0),
-                                          (np.take(cx, om), np.take(cy, om)), om // 2 + 1,
-                                          np.take(u_bases, om), om == last - 1,
+                                          (np.take(cx, om), np.take(cy, om)),
+                                          np.take(bases, om), np.take(u_bases, om),
+                                          om == last - 1,
                                           branch, want_grad)
                 idx += s
                 values[idx] = v
@@ -435,23 +441,25 @@ class Landscape:
 
     @functools.cached_property
     def _region_table(self):
-        """Per-order region centers (x1 and x2) and buffer u_base (NaN for blocks)."""
+        """Per-order region centers (x1 and x2), value offsets and buffer
+        u_base (NaN for blocks)."""
         cx, cy = np.array([reg.center for reg in self.regions]).T.copy()
+        base = np.array([reg.base for reg in self.regions])
         u_base = np.array([np.nan if reg.u_base is None else reg.u_base
                            for reg in self.regions])
-        return cx, cy, u_base
+        return cx, cy, base, u_base
 
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
         """Vectorized closed form of one region, with optional forced branch."""
-        return self._eval_kernel(reg.rid.kind, xy, reg.center, reg.rid.index, reg.u_base,
+        return self._eval_kernel(reg.rid.kind, xy, reg.center, reg.base, reg.u_base,
                                  reg.into_final, branch, want_grad)
 
-    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
                      want_grad=True):
         """Closed form of one region kind at the points xy.
 
-        center, index, u_base and into_final describe the region holding
+        center, base, u_base and into_final describe the region holding
         each point: scalars for one region or per-point arrays.  A scalar
         broadcasts to the same bits as an array of copies.
         """
@@ -459,7 +467,6 @@ class Landscape:
         L2 = self.derived.L2
         x1, x2 = xy[:, 0], xy[:, 1]
         s1, s2 = center
-        base = -index * self.nu
         grads = np.empty_like(xy) if want_grad else None
         if kind.is_block:
             d1, d2 = x1 - s1, x2 - s2

@@ -338,3 +338,16 @@ def test_theory_report_skips_for_sgd():
     assert rep.containment.skipped
     assert rep.recurrence.skipped
     assert rep.passed
+
+
+def test_detect_stall_rejects_thinned():
+    # the first pinned iterate, t=68, is thinned away at record_every=7; the
+    # first kept pinned one is t=70
+    lc = Landscape(LandscapeParams(n_saddles=9))
+    start = ss.init_sample(lc, np.random.default_rng([0, 0]))
+    obs = ss.StreamObserver(lc)
+    traj = ss.run(lc, GdConfig(record_every=7), start, observer=obs)
+    assert obs.stall.t == 68
+    with pytest.raises(ss.SegmentationError):
+        ss.detect_stall(traj)
+    assert ss.detect_stall(ss.run(lc, GdConfig(), start)) == obs.stall

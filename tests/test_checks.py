@@ -3,7 +3,16 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
+from saddlescape.landscape import _build_regions
 from test_landscape import GRID
+
+
+def _without_offset(params):
+    """A landscape whose regions were all built with nu = 0, which kills the
+    telescoping offset: block->buffer seams now jump."""
+    lc = Landscape(params)
+    lc.regions = _build_regions(params, 0.0)
+    return lc
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +69,9 @@ def test_gradient_check_zero_samples_vacuous(lc8):
 class _CorruptedGradient(Landscape):
     """Negates the analytic gradient on the escape half of odd blocks."""
 
-    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
                      want_grad=True):
-        vals, grads = super()._eval_kernel(kind, xy, center, index, u_base, into_final,
+        vals, grads = super()._eval_kernel(kind, xy, center, base, u_base, into_final,
                                            branch, want_grad)
         if want_grad and kind is RegionKind.ODD_BLOCK:
             esc = xy[:, 0] - center[0] > 0
@@ -103,8 +112,7 @@ def test_seam_scan_zero_samples_vacuous(lc8):
 
 
 def test_seam_scan_detects_missing_offset():
-    lc = Landscape(LandscapeParams(n_saddles=4))
-    lc.nu = 0.0  # kills the telescoping offset; block->buffer seams now jump
+    lc = _without_offset(LandscapeParams(n_saddles=4))
     rep = ss.seam_scan(lc, samples_per_seam=50, seed=0)
     assert not rep.passed
     assert any(w["kind"] == "value" and "edge" in w["seam"] for w in rep.witnesses)
@@ -279,8 +287,7 @@ def test_seam_scan_matches_per_seam_loop_above_chunk():
 
 
 def test_seam_scan_matches_per_seam_loop_on_corrupted_landscapes():
-    lc = Landscape(LandscapeParams(n_saddles=5))
-    lc.nu = 0.0
+    lc = _without_offset(LandscapeParams(n_saddles=5))
     bad = _CorruptedGradient(LandscapeParams(n_saddles=5, tau=0.7))
     for landscape in (lc, bad):
         for samples_per_seam in (13, 7000):
@@ -320,9 +327,9 @@ class _BrokenStationary(Landscape):
         g1, g2 = super().gradient_in(reg, p, branch)
         return (g1 + d1, g2 + d2)
 
-    def _eval_kernel(self, kind, xy, center, index, u_base, into_final, branch=0,
+    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
                      want_grad=True):
-        vals, grads = super()._eval_kernel(kind, xy, center, index, u_base, into_final,
+        vals, grads = super()._eval_kernel(kind, xy, center, base, u_base, into_final,
                                            branch, want_grad)
         dv, (d1, d2) = self._bump(kind, xy[:, 0] - center[0], xy[:, 1] - center[1])
         if want_grad:
@@ -332,8 +339,7 @@ class _BrokenStationary(Landscape):
 
 
 def test_stationary_check_matches_per_block_loop_on_corrupted_landscapes():
-    lc = Landscape(LandscapeParams(n_saddles=5))
-    lc.nu = 0.0
+    lc = _without_offset(LandscapeParams(n_saddles=5))
     assert _assert_stationary_matches_loop(lc).passed
     bad = _BrokenStationary(LandscapeParams(n_saddles=5, tau=0.7))
     for n_angles in (3, 256):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from saddlescape import cli
 from saddlescape.cli import main
 
 CSV_HEADER = "iter,x1,x2,f,grad_norm,region_kind,region_index,event"
@@ -264,3 +265,58 @@ def test_sweep_has_no_record_every_flag(tmp_path):
               "--out", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+def test_noisy_run_reports_no_transient_pin_as_its_stall(tmp_path):
+    # the cross coordinate of block 2 sits exactly on its center line at
+    # t=68, and later kicks free it: the run arrives, and reports no stall
+    assert main(["run", "--algo", "sgd", "--noise-var", "1e-30", "--n-saddles", "9",
+                 "--seeds", "1", "--out", str(tmp_path)]) == 0
+    run = json.loads(read(tmp_path / "summary.json"))["runs"][0]
+    pinned = read(tmp_path / "run_seed0.csv").splitlines()[1 + 68].split(",")
+    assert pinned[1] == "2.5" and pinned[6] == "2"
+    assert run["outcome"] == "reached_minimum" and run["total_iterations"] == 1171
+    assert run["theory"]["stall"] is None
+
+
+def test_noisy_run_does_not_stall_on_a_zero_gradient(tmp_path):
+    # at variance 1e-32 the kicks round away at the saddle (2.5, 2.5), whose
+    # gradient is exactly zero at t=236; a noisy run goes on
+    assert main(["run", "--algo", "sgd", "--noise-var", "1e-32", "--n-saddles", "9",
+                 "--seeds", "1", "--max-iter", "2000", "--out", str(tmp_path)]) == 0
+    run = json.loads(read(tmp_path / "summary.json"))["runs"][0]
+    row = read(tmp_path / "run_seed0.csv").splitlines()[1 + 236].split(",")
+    assert row[1:3] == ["2.5", "2.5"] and float(row[4]) == 0.0
+    assert run["outcome"] != "stalled"
+    assert run["total_iterations"] > 236
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_record_every_from_config_file_is_validated(tmp_path, capsys, command):
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text("record_every = 0\n")
+    out = tmp_path / "out"
+    assert main([command, "--n-saddles", "2", "--seeds", "1", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "record_every must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_builds_one_landscape_per_grid_point(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli.Landscape):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    monkeypatch.setattr(cli, "Landscape", Counted)
+    args = ["sweep", "--L", "1", "1.5", "--tau", "1", "0.7", "--seeds", "3",
+            "--n-saddles", "3"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert len(built) == len(set(built)) == 4
+    # no Landscape survives from one call to the next
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert len(built) == 8 and set(built[4:]) == set(built[:4])
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "c")]) == 0
+    assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "c" / "sweep.csv")

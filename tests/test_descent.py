@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import saddlescape as ss
 from saddlescape import (GdConfig, Landscape, LandscapeParams, NoiseConfig,
                          Outcome, RegionKind)
+from saddlescape.descent import KICK_BLOCK, _kicks
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +118,11 @@ def test_sgd_step_reproducible(lc):
 
 
 def test_sgd_noise_statistics():
-    # the raw kick generator, before projection clips anything
-    from saddlescape.descent import _perturb
+    # the raw kicks, before projection clips anything
     rng = np.random.default_rng(11)
     noise = NoiseConfig(variance=0.1)
     n = 10_000
-    kicks = np.array([_perturb((0.0, 0.0), noise, rng) for _ in range(n)])
+    kicks = np.array(list(itertools.islice(_kicks(noise, rng, KICK_BLOCK), n)))
     sigma = math.sqrt(0.1)
     assert np.all(np.abs(kicks.mean(axis=0)) <= 3 * sigma / math.sqrt(n))
     assert np.all(np.abs(kicks.var(axis=0) - 0.1) <= 0.05 * 0.1)
@@ -129,26 +130,32 @@ def test_sgd_noise_statistics():
 
 def test_sgd_step_is_projected_perturbed_gd(lc):
     # replaying the same rng shows sgd_step == project(gd_step + kick)
-    from saddlescape.descent import _perturb
     p = (2.5, 2.5)
     noise = NoiseConfig(variance=0.1)
     base = ss.gd_step(lc, p, 0.25)
     for seed in range(50):
-        q = ss.sgd_step(lc, p, 0.25, noise, np.random.default_rng(seed))
-        raw = _perturb(base, noise, np.random.default_rng(seed))
-        assert q == ss.project_to_domain(lc, raw)
+        rng = np.random.default_rng(seed)
+        q = ss.sgd_step(lc, p, 0.25, noise, rng)
+        k1, k2 = next(_kicks(noise, np.random.default_rng(seed), 1))
+        assert q == ss.project_to_domain(lc, (base[0] + k1, base[1] + k2))
+        # sgd_step draws exactly one pair from the generator it is given
+        after = np.random.default_rng(seed)
+        after.standard_normal(2)
+        assert rng.random() == after.random()
 
 
 @pytest.mark.parametrize("variance", [0.1, 0.37, 2.0])
 def test_perturb_returns_floats_with_numpy_bits(variance):
-    # the kick in Python floats against the same arithmetic on float64 arrays
-    from saddlescape.descent import _perturb
+    # kicks drawn in blocks and added in Python floats against one
+    # standard_normal(2) per kick and the same arithmetic on float64 arrays;
+    # 500 kicks cross several block boundaries
     noise = NoiseConfig(variance=variance)
-    ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+    kicks, ref = _kicks(noise, np.random.default_rng(5), KICK_BLOCK), np.random.default_rng(5)
     for q in np.random.default_rng(6).uniform(-20.0, 20.0, size=(500, 2)).tolist():
-        got = _perturb(tuple(q), noise, ours)
+        k = next(kicks)
+        assert type(k) is tuple and all(type(v) is float for v in k)
+        got = (q[0] + k[0], q[1] + k[1])
         z = math.sqrt(variance) * ref.standard_normal(2)
-        assert type(got) is tuple and all(type(v) is float for v in got)
         assert np.array(got).tobytes() == (np.array(q) + z).tobytes()
 
 
@@ -317,3 +324,64 @@ def test_noisy_repeat_at_a_corner_is_not_a_stall():
     assert traj.outcome is Outcome.BUDGET
     assert ss.detect_stall(traj) is None
     assert obs.stall is None
+
+
+def _noisy_oracle(lc, config, start, noise):
+    """Every iterate of a noisy run as (t, x1, x2, f, grad_norm) in float hex
+    and the region id, stepping the way runs did before kicks were drawn in
+    blocks: one standard_normal(2) per step, scaled and added as float64
+    arrays.  With variance 0 the run is noise-free and stalls as plain
+    descent does."""
+    rng = np.random.default_rng(noise.seed)
+    noisy = noise.variance > 0
+    stop = config.stop_grad_norm
+    if stop is None:
+        stop = lc.params.L * lc.params.tau / 2.0
+    eta = lc.derived.eta_default
+    x, out = start, []
+    for t in itertools.count():
+        f, g = lc.value_and_gradient(x)
+        rid = lc.classify(x)
+        gnorm = math.hypot(g[0], g[1])
+        out.append((t, x[0].hex(), x[1].hex(), f.hex(), gnorm.hex(), rid))
+        in_final = rid.kind is RegionKind.FINAL_BLOCK
+        if ((in_final and gnorm <= stop) or (gnorm == 0.0 and not in_final and not noisy)
+                or t >= config.max_iter):
+            return out
+        q = np.array([x[0] - eta * g[0], x[1] - eta * g[1]])
+        q = q + math.sqrt(noise.variance) * rng.standard_normal(2)
+        nxt = ss.project_to_domain(lc, tuple(q.tolist()))
+        if nxt == x and not noisy:
+            return out
+        x = nxt
+
+
+@pytest.mark.parametrize("variance", [0.0, 0.1])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_noisy_run_matches_per_step_draw_oracle(n, variance):
+    # budgets around the kick block size, and a stop norm of 0 so that noisy
+    # runs spend them all: every iterate, bit for bit
+    lc = Landscape(LandscapeParams(n_saddles=n))
+    for seed in (0, 1, 7):
+        start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+        noise = NoiseConfig(variance=variance, seed=seed)
+        for max_iter in (KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK):
+            for stop in (None, 0.0):
+                config = GdConfig(max_iter=max_iter, stop_grad_norm=stop)
+                seen = []
+                traj = ss.run(lc, config, start, noise=noise, observer=seen.append)
+                assert traj.iterates == tuple(seen)
+                got = [(it.t, it.position[0].hex(), it.position[1].hex(), it.f_value.hex(),
+                        it.grad_norm.hex(), it.region) for it in seen]
+                assert got == _noisy_oracle(lc, config, start, noise)
+                if variance and stop == 0.0:
+                    assert traj.outcome is Outcome.BUDGET and traj.total_steps == max_iter
+
+
+def test_iterate_is_immutable(lc):
+    it = ss.Iterate(0, (0.6, 0.4), 1.0, 0.5, lc.classify((0.6, 0.4)))
+    assert it.event is None
+    for field in ss.Iterate._fields:
+        with pytest.raises(AttributeError):
+            setattr(it, field, None)
+    assert it == ss.Iterate(0, (0.6, 0.4), 1.0, 0.5, lc.classify((0.6, 0.4)), None)
