@@ -1,8 +1,6 @@
 """Staircase-of-saddles landscape, descent experiments, and theory checks."""
 
 from .landscape import (
-    BlockGeometry,
-    BufferBranch,
     DerivedConstants,
     Landscape,
     LandscapeParams,
@@ -12,8 +10,6 @@ from .landscape import (
     RegionKind,
     OUTSIDE,
     derive_constants,
-    quintic_blend,
-    ramp_profile,
 )
 from .descent import (
     Event,
@@ -22,11 +18,9 @@ from .descent import (
     NoiseConfig,
     Outcome,
     Trajectory,
-    gd_step,
     init_sample,
     project_to_domain,
     run,
-    sgd_step,
 )
 from .analysis import (
     EscapeRecord,
@@ -48,7 +42,6 @@ from .analysis import (
 )
 from .checks import (
     CheckReport,
-    fd_gradient,
     global_minimum_check,
     gradient_check,
     lipschitz_probe,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import CHUNK, Landscape, Point, RegionKind
+from .landscape import CHUNK, Landscape, RegionKind
 
 
 @dataclass
@@ -45,17 +45,6 @@ def _report(name, samples, worst, threshold, witnesses=None, details=None) -> Ch
     return CheckReport(name=name, samples=samples, worst_error=worst, threshold=threshold,
                        passed=bool(worst <= threshold), witnesses=witnesses or [],
                        details=details or {})
-
-
-def fd_gradient(landscape: Landscape, p: Point, h: float) -> Point:
-    """Central-difference gradient; both axis neighbors must lie in D."""
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h}")
-    x1, x2 = p
-    f = landscape.value
-    g1 = (f((x1 + h, x2)) - f((x1 - h, x2))) / (2.0 * h)
-    g2 = (f((x1, x2 + h)) - f((x1, x2 - h))) / (2.0 * h)
-    return (g1, g2)
 
 
 def _seam_distance(landscape: Landscape, xy: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import itertools
 import json
 import sys
@@ -100,8 +101,8 @@ def _add_run_options(parser: argparse.ArgumentParser):
     parser.add_argument("--max-iter", type=int, default=None,
                         help="iteration budget (default 1000000)")
     parser.add_argument("--stop-grad-norm", type=float, default=None,
-                        help="stop threshold inside the final block "
-                             "(default 1e-10 for gd, L*tau/2 for sgd)")
+                        help="stop threshold inside the final block (default "
+                             "1e-10, or L*tau/2 for sgd with --noise-var above 0)")
     parser.add_argument("--seed", type=int, default=None, help="first seed (default 0)")
     parser.add_argument("--seeds", type=int, default=None,
                         help="number of consecutive seeds (default 1)")
@@ -197,10 +198,16 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _gd_config(args) -> GdConfig:
+    """Each GdConfig field from its flag, else the config file, else its default."""
+    return GdConfig(**{f.name: _resolve(args, f.name, f.default)
+                       for f in dataclasses.fields(GdConfig)})
+
+
 def _noise_var(args, algos) -> float:
     """--noise-var, validated when an sgd run will use it, so that bad
     noise fails before any output directory is made."""
-    noise_var = _resolve(args, "noise_var", 0.1)
+    noise_var = _resolve(args, "noise_var", NoiseConfig.variance)
     if "sgd" in algos:
         NoiseConfig(variance=noise_var)
     return noise_var
@@ -292,12 +299,7 @@ def _write_trajectory_csv(path: Path, trajectory):
 def cmd_run(args) -> int:
     params = _params_from(args)
     n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
-    eta = _resolve(args, "eta", None)
-    max_iter = _resolve(args, "max_iter", 1_000_000)
-    stop = _resolve(args, "stop_grad_norm", None)
-    record_every = _resolve(args, "record_every", 1)
-    config = GdConfig(eta=eta, max_iter=max_iter, stop_grad_norm=stop,
-                      record_every=record_every)
+    config = _gd_config(args)
     algo = _resolve(args, "algo", "gd")
     noise_var = _noise_var(args, [algo])
     out = _outdir(args)
@@ -318,9 +320,7 @@ def cmd_run(args) -> int:
         "params": _params_dict(params),
         "derived": _derived_dict(params),
         "algo": algo,
-        "config": {"eta": eta, "max_iter": max_iter, "stop_grad_norm": stop,
-                   "record_every": record_every,
-                   "noise_var": noise_var if algo == "sgd" else None},
+        "config": {**dataclasses.asdict(config), "noise_var": noise_var if algo == "sgd" else None},
         "runs": summaries,
     }
     _write_json(out / "summary.json", payload)
@@ -368,10 +368,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty parameter grid")
     n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
     jobs = _require_at_least("jobs", _resolve(args, "jobs", 1), 1)
-    config = GdConfig(eta=_resolve(args, "eta", None),
-                      max_iter=_resolve(args, "max_iter", 1_000_000),
-                      stop_grad_norm=_resolve(args, "stop_grad_norm", None),
-                      record_every=_resolve(args, "record_every", 1))
+    config = _gd_config(args)
     algos = _resolve(args, "algo", None) or ["gd", "sgd"]
     if isinstance(algos, str):
         algos = [algos]

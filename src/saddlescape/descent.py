@@ -40,7 +40,7 @@ class Outcome(Enum):
 class GdConfig:
     eta: float | None = None          # None: use the landscape default 1/(4L)
     max_iter: int = 1_000_000
-    stop_grad_norm: float | None = None   # None: 1e-10, or L*tau/2 under noise (see run)
+    stop_grad_norm: float | None = None   # None: 1e-10, or L*tau/2 under noise of variance above 0
     record_every: int = 1
 
     def __post_init__(self):
@@ -117,10 +117,7 @@ def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
     return (s1 + sign * u, x2)
 
 
-def gd_step(landscape: Landscape, p: Point, eta: float) -> Point:
-    return _step(landscape, p, landscape.gradient(p), eta, None)[0]
-
-
+# Kept public: perfbench's tracer and probes wrap it by name, and test oracles call it.
 def project_to_domain(landscape: Landscape, p: Point) -> Point:
     """Euclidean nearest point of D (ties go to the earlier chain region)."""
     x1, x2 = p
@@ -139,39 +136,20 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
     return best
 
 
-def sgd_step(landscape: Landscape, p: Point, eta: float, noise: NoiseConfig,
-             rng: np.random.Generator) -> Point:
-    return _step(landscape, p, landscape.gradient(p), eta, _kicks(noise, rng, 1))[0]
+def _kicks(noise: NoiseConfig) -> Iterator[Point]:
+    """Endless Gaussian kicks of per-coordinate variance noise.variance,
+    from a generator of their own seeded by noise.seed.
 
-
-def _step(landscape: Landscape, p: Point, g: Point, eta: float,
-          kicks: Iterator[Point] | None) -> tuple[Point, bool]:
-    """The iterate after p, whose gradient is g, and whether projection moved it.
-
-    A gradient step; under noise also the next kick and the projection back
-    onto D.
+    Each ``KICK_BLOCK`` kicks are one ``standard_normal(2 * KICK_BLOCK)``
+    draw, taken in pairs: the same values as ``KICK_BLOCK`` draws of
+    ``standard_normal(2)``.  The scale is applied to the float64 array,
+    which gives the same bits as in Python floats, and the kicks come out
+    as Python floats, which keeps every later operation on the iterate fast.
     """
-    q = (p[0] - eta * g[0], p[1] - eta * g[1])
-    if kicks is None:
-        return q, False
-    k1, k2 = next(kicks)
-    q = (q[0] + k1, q[1] + k2)
-    nxt = project_to_domain(landscape, q)
-    return nxt, nxt != q
-
-
-def _kicks(noise: NoiseConfig, rng: np.random.Generator, block: int) -> Iterator[Point]:
-    """Endless Gaussian kicks of per-coordinate variance noise.variance.
-
-    Each ``block`` kicks are one ``standard_normal(2 * block)`` draw, taken
-    in pairs: the same values as ``block`` draws of ``standard_normal(2)``.
-    The scale is applied to the float64 array, which gives the same bits as
-    in Python floats, and the kicks come out as Python floats, which keeps
-    every later operation on the iterate fast.
-    """
+    rng = np.random.default_rng(noise.seed)
     s = math.sqrt(noise.variance)
     while True:
-        z = (s * rng.standard_normal(2 * block)).tolist()
+        z = (s * rng.standard_normal(2 * KICK_BLOCK)).tolist()
         yield from zip(z[0::2], z[1::2])
 
 
@@ -182,16 +160,17 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
     Terminal conditions, checked in order at each iterate:
       - inside the final block with grad norm <= stop_grad_norm (converged);
-        by default 1e-10, or L*tau/2 when ``noise`` is given, since
-        persistent noise keeps the gradient above any tiny threshold and a
-        noisy run stops on solid entry into the bowl instead;
+        by default 1e-10, or L*tau/2 for a noisy run (``noise`` of variance
+        above 0), since persistent noise keeps the gradient above any tiny
+        threshold and a noisy run stops on solid entry into the bowl instead;
       - a noise-free run at an exact zero gradient outside the final block
         (stalled);
       - the iteration budget is exhausted;
       - a noise-free step leaves the position bitwise unchanged (stalled).
     A noisy run never stalls: a kick can still move a point of zero
     gradient, and two kicks can project onto the same corner of D before
-    the next kick moves on.
+    the next kick moves on.  Noise of variance 0 is plain descent: no kicks,
+    no projection, the same iterates as ``noise=None``.
     The observer sees every iterate; the stored trajectory keeps every
     record_every-th iterate plus all event-tagged ones and the last one.
     Each iterate costs one ``locate``, one closed-form evaluation and one
@@ -203,12 +182,10 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     if reg is None:
         raise OutsideDomainError(f"start {start} is outside D")
     eta, noisy = step_settings(landscape.params, config, noise)
-    kicks = None
-    if noise is not None:
-        kicks = _kicks(noise, np.random.default_rng(noise.seed), KICK_BLOCK)
+    kicks = _kicks(noise) if noisy else None
     stop = config.stop_grad_norm
     if stop is None:
-        stop = 1e-10 if noise is None else landscape.params.L * landscape.params.tau / 2.0
+        stop = landscape.params.L * landscape.params.tau / 2.0 if noisy else 1e-10
     max_iter, record_every = config.max_iter, config.record_every
 
     x = (float(start[0]), float(start[1]))
@@ -236,8 +213,13 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             terminal = Outcome.BUDGET
 
         if terminal is None:
-            nxt, next_projected = _step(landscape, x, g, eta, kicks)
-            if nxt == x and not noisy:
+            nxt = (x[0] - eta * g[0], x[1] - eta * g[1])
+            if noisy:
+                k1, k2 = next(kicks)
+                q = (nxt[0] + k1, nxt[1] + k2)
+                nxt = project_to_domain(landscape, q)
+                arrived_by_projection = nxt != q
+            elif nxt == x:
                 event, terminal = Event.STALLED, Outcome.STALLED
 
         it = Iterate(t, x, val, gnorm, reg.rid, event)
@@ -249,7 +231,6 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
 
         prev = reg
-        arrived_by_projection = next_projected
         x = nxt
         reg = landscape.locate(x)
         if reg is None:

@@ -103,27 +103,6 @@ class DerivedConstants:
     lower_bound_base: float  # L/gamma, the per-saddle escape-time growth base
 
 
-@dataclass(frozen=True)
-class BlockGeometry:
-    """Bounds (x1_min, x1_max, x2_min, x2_max) and quadratic center."""
-
-    bounds: tuple[float, float, float, float]
-    center: Point
-
-
-@dataclass(frozen=True)
-class BufferBranch:
-    """Endpoint curvatures of a buffer's cross-coordinate blend.
-
-    c1 is always L (matching the block being left); c2 is -gamma on the
-    escape side of the next block, L2 on its wrong side, and L only in
-    the buffer that leads into the final block.
-    """
-
-    c1: float
-    c2: float
-
-
 def derive_constants(params: LandscapeParams) -> DerivedConstants:
     """Constants fixed by the construction: L2, the offset nu, default step."""
     L, g, tau = params.L, params.gamma, params.tau
@@ -133,20 +112,9 @@ def derive_constants(params: LandscapeParams) -> DerivedConstants:
     return DerivedConstants(L2=L2, nu=nu, eta_default=1.0 / L2, lower_bound_base=L / g)
 
 
-def ramp_profile(u: float, params: LandscapeParams) -> tuple[float, float]:
-    """Along-travel buffer profile and its derivative on u in [tau, 2*tau].
-
-    The profile is a quadratic ramp whose slope runs from -gamma*tau at the
-    block exit to -L*tau at the next block's entry, shifted so the value at
-    u = tau matches the block's exit level.
-    """
-    tau = params.tau
-    if not (tau <= u <= 2.0 * tau):
-        raise ValueError(f"u={u} outside buffer range [{tau}, {2 * tau}]")
-    return _ramp_value(u, params), _ramp_slope(u, params)
-
-
 def _ramp_value(u, params):
+    """Along-travel buffer profile on u in [tau, 2*tau]: a quadratic ramp whose
+    slope runs from -gamma*tau at the block exit to -L*tau at the next entry."""
     L, g, tau = params.L, params.gamma, params.tau
     # p(x) = 0.5*(gamma-L)*x^2 + (L-2*gamma)*tau*x, shifted by -p(tau) - gamma*tau^2/4
     p_u = 0.5 * (g - L) * u * u + (L - 2.0 * g) * tau * u
@@ -159,19 +127,9 @@ def _ramp_slope(u, params):
     return (g - L) * u + (L - 2.0 * g) * tau
 
 
-def quintic_blend(u: float, branch: BufferBranch, tau: float) -> tuple[float, float]:
-    """Quintic blend from c1 at u = tau to c2 at u = 2*tau and its derivative.
-
-    Both endpoint derivatives vanish (double roots at tau and 2*tau), which
-    is what keeps the assembled gradient continuous across block edges.
-    """
-    if not (tau <= u <= 2.0 * tau):
-        raise ValueError(f"u={u} outside buffer range [{tau}, {2 * tau}]")
-    return (_blend_value(u, branch.c1, branch.c2, tau),
-            _blend_slope(u, branch.c1, branch.c2, tau))
-
-
 def _blend_value(u, c1, c2, tau):
+    """Quintic blend from c1 at u = tau to c2 at u = 2*tau; both endpoint
+    derivatives vanish, which keeps the gradient continuous across edges."""
     # normalized z = (u - 2*tau)/tau in [-1, 0]; explicit products keep the
     # scalar and vectorized paths bitwise identical and the endpoints exact
     z = (u - 2.0 * tau) / tau
@@ -280,14 +238,6 @@ class Landscape:
         reg = self.locate(p)
         return OUTSIDE if reg is None else reg.rid
 
-    def geometry(self, region: RegionId) -> BlockGeometry:
-        if region.is_outside:
-            raise ValueError("Outside has no geometry")
-        if region.order is None or not (0 <= region.order < len(self.regions)):
-            raise ValueError(f"region order out of range: {region}")
-        reg = self.regions[region.order]
-        return BlockGeometry(bounds=reg.bounds, center=reg.center)
-
     # -- scalar evaluation ---------------------------------------------------
 
     def _region_of(self, p: Point) -> _Region:
@@ -305,6 +255,7 @@ class Landscape:
     def value_and_gradient(self, p: Point) -> tuple[float, Point]:
         return self.value_and_gradient_in(self._region_of(p), p)
 
+    # Kept: perfbench's tracer wraps value_in and gradient_in by name; test oracles call them.
     def value_in(self, reg: _Region, p: Point, branch: int = 0) -> float:
         return self.value_and_gradient_in(reg, p, branch)[0]
 
@@ -449,6 +400,7 @@ class Landscape:
                            for reg in self.regions])
         return cx, cy, base, u_base
 
+    # Kept: perfbench's tracer wraps it by name, and test oracles call it.
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
         """Vectorized closed form of one region, with optional forced branch."""

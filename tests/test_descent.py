@@ -37,23 +37,30 @@ def test_init_sample_reproducible(lc):
 
 # --- single steps ------------------------------------------------------------------
 
+def _one_step(lc, p, eta=0.25, noise=None):
+    """The iterate after p: a run with a budget of one step."""
+    traj = ss.run(lc, GdConfig(eta=eta, max_iter=1), p, noise=noise)
+    assert traj.total_steps == 1
+    return traj.iterates[-1].position
+
+
 def test_gd_step_escape_growth_factor(lc):
     # dyadic offset: (1 + 2*eta*gamma) = 1.25 applies exactly
     d = 2.0 ** -4
     p = (0.5 + d, 0.25)
-    q = ss.gd_step(lc, p, 0.25)
+    q = _one_step(lc, p)
     assert q[0] - 0.5 == 1.25 * d
 
 
 def test_gd_step_cross_contraction(lc):
     d = 2.0 ** -3
     p = (0.75, 0.5 + d)
-    q = ss.gd_step(lc, p, 0.25)
+    q = _one_step(lc, p)
     assert q[1] - 0.5 == 0.5 * d
 
 
 def test_gd_step_wrong_side_reflection_example(lc):
-    q = ss.gd_step(lc, (0.25, 0.5), 0.25)
+    q = _one_step(lc, (0.25, 0.5))
     assert q == (0.75, 0.5)
 
 
@@ -67,14 +74,14 @@ def test_reflection_preserves_distance_bitwise_in_one_binade():
         if x1 == 2.5:
             continue
         x2 = 2.5 + 0.02 * (rng.random() - 0.5)
-        q = ss.gd_step(lc9, (x1, x2), 0.25)
+        q = _one_step(lc9, (x1, x2))
         assert abs(q[0] - 2.5) == abs(x1 - 2.5)
         assert q[0] > 2.5
 
 
 def test_gd_step_outside_raises(lc):
     with pytest.raises(ss.OutsideDomainError):
-        ss.gd_step(lc, (-1.0, 0.0), 0.25)
+        _one_step(lc, (-1.0, 0.0))
 
 
 # --- projection ------------------------------------------------------------------------
@@ -104,44 +111,38 @@ def test_project_is_nearest_point(lc, rng):
 
 # --- noisy steps -------------------------------------------------------------------------
 
-def test_sgd_step_zero_variance_is_gd(lc):
-    p = (0.6, 0.4)
-    q = ss.sgd_step(lc, p, 0.25, NoiseConfig(variance=0.0), np.random.default_rng(0))
-    assert q == ss.gd_step(lc, p, 0.25)
-
-
-def test_sgd_step_reproducible(lc):
-    p = (0.6, 0.4)
-    a = ss.sgd_step(lc, p, 0.25, NoiseConfig(variance=0.1), np.random.default_rng(3))
-    b = ss.sgd_step(lc, p, 0.25, NoiseConfig(variance=0.1), np.random.default_rng(3))
-    assert a == b
+def test_sgd_step_zero_variance_is_gd():
+    # noise of variance 0 is plain descent: no kicks, no projection and the
+    # plain stop norm, so the run is the noise-free one iterate for iterate
+    lc2 = Landscape(LandscapeParams(n_saddles=2))
+    for seed in range(3):
+        start = ss.init_sample(lc2, np.random.default_rng([seed, 0]))
+        plain = ss.run(lc2, GdConfig(), start)
+        zero = ss.run(lc2, GdConfig(), start, noise=NoiseConfig(variance=0.0, seed=seed))
+        assert zero.iterates == plain.iterates and zero.outcome is plain.outcome
+        assert plain.outcome is Outcome.REACHED_MINIMUM and not zero.is_noisy
 
 
 def test_sgd_noise_statistics():
     # the raw kicks, before projection clips anything
-    rng = np.random.default_rng(11)
-    noise = NoiseConfig(variance=0.1)
+    noise = NoiseConfig(variance=0.1, seed=11)
     n = 10_000
-    kicks = np.array(list(itertools.islice(_kicks(noise, rng, KICK_BLOCK), n)))
+    kicks = np.array(list(itertools.islice(_kicks(noise), n)))
     sigma = math.sqrt(0.1)
     assert np.all(np.abs(kicks.mean(axis=0)) <= 3 * sigma / math.sqrt(n))
     assert np.all(np.abs(kicks.var(axis=0) - 0.1) <= 0.05 * 0.1)
 
 
 def test_sgd_step_is_projected_perturbed_gd(lc):
-    # replaying the same rng shows sgd_step == project(gd_step + kick)
-    p = (2.5, 2.5)
-    noise = NoiseConfig(variance=0.1)
-    base = ss.gd_step(lc, p, 0.25)
+    # replaying the first kick of the seed shows a noisy step is
+    # project(gd step + kick)
+    p = (2.6, 2.4)
+    base = _one_step(lc, p)
     for seed in range(50):
-        rng = np.random.default_rng(seed)
-        q = ss.sgd_step(lc, p, 0.25, noise, rng)
-        k1, k2 = next(_kicks(noise, np.random.default_rng(seed), 1))
+        noise = NoiseConfig(variance=0.1, seed=seed)
+        q = _one_step(lc, p, noise=noise)
+        k1, k2 = next(_kicks(noise))
         assert q == ss.project_to_domain(lc, (base[0] + k1, base[1] + k2))
-        # sgd_step draws exactly one pair from the generator it is given
-        after = np.random.default_rng(seed)
-        after.standard_normal(2)
-        assert rng.random() == after.random()
 
 
 @pytest.mark.parametrize("variance", [0.1, 0.37, 2.0])
@@ -149,8 +150,7 @@ def test_perturb_returns_floats_with_numpy_bits(variance):
     # kicks drawn in blocks and added in Python floats against one
     # standard_normal(2) per kick and the same arithmetic on float64 arrays;
     # 500 kicks cross several block boundaries
-    noise = NoiseConfig(variance=variance)
-    kicks, ref = _kicks(noise, np.random.default_rng(5), KICK_BLOCK), np.random.default_rng(5)
+    kicks, ref = _kicks(NoiseConfig(variance=variance, seed=5)), np.random.default_rng(5)
     for q in np.random.default_rng(6).uniform(-20.0, 20.0, size=(500, 2)).tolist():
         k = next(kicks)
         assert type(k) is tuple and all(type(v) is float for v in k)
@@ -330,13 +330,13 @@ def _noisy_oracle(lc, config, start, noise):
     """Every iterate of a noisy run as (t, x1, x2, f, grad_norm) in float hex
     and the region id, stepping the way runs did before kicks were drawn in
     blocks: one standard_normal(2) per step, scaled and added as float64
-    arrays.  With variance 0 the run is noise-free and stalls as plain
-    descent does."""
+    arrays.  With variance 0 the run is noise-free: it stalls and stops
+    as plain descent does."""
     rng = np.random.default_rng(noise.seed)
     noisy = noise.variance > 0
     stop = config.stop_grad_norm
     if stop is None:
-        stop = lc.params.L * lc.params.tau / 2.0
+        stop = lc.params.L * lc.params.tau / 2.0 if noisy else 1e-10
     eta = lc.derived.eta_default
     x, out = start, []
     for t in itertools.count():

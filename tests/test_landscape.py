@@ -6,6 +6,7 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
+from saddlescape.landscape import _blend_slope, _blend_value, _ramp_slope, _ramp_value
 
 
 # --- parameters and derived constants -------------------------------------------
@@ -54,22 +55,18 @@ def test_numpy_integer_n_saddles_accepted():
 # --- geometry --------------------------------------------------------------------
 
 def test_block_geometry_examples(landscape):
-    g1 = landscape.geometry(ss.RegionId(RegionKind.ODD_BLOCK, 1, 0))
+    g1 = landscape.regions[0]
+    assert g1.rid == ss.RegionId(RegionKind.ODD_BLOCK, 1, 0)
     assert g1.bounds == (0.0, 1.0, 0.0, 1.0)
     assert g1.center == (0.5, 0.5)
-    g2 = landscape.geometry(ss.RegionId(RegionKind.EVEN_BLOCK, 2, 2))
+    g2 = landscape.regions[2]
+    assert g2.rid == ss.RegionId(RegionKind.EVEN_BLOCK, 2, 2)
     assert g2.bounds == (2.0, 3.0, 0.0, 1.0)
     assert g2.center == (2.5, 0.5)
-    b1 = landscape.geometry(ss.RegionId(RegionKind.ODD_EVEN_BUFFER, 1, 1))
+    b1 = landscape.regions[1]
+    assert b1.rid == ss.RegionId(RegionKind.ODD_EVEN_BUFFER, 1, 1)
     assert b1.bounds == (1.0, 2.0, 0.0, 1.0)
     assert b1.center[1] == 0.5
-
-
-def test_block_geometry_out_of_range(landscape):
-    with pytest.raises(ValueError):
-        landscape.geometry(ss.RegionId(RegionKind.ODD_BLOCK, 99, 196))
-    with pytest.raises(ValueError):
-        landscape.geometry(ss.OUTSIDE)
 
 
 def test_translation_rule():
@@ -200,48 +197,31 @@ def _near_seam(landscape, p, dist):
 
 def test_ramp_profile_endpoints():
     params = LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=1)
-    v, s = ss.ramp_profile(1.0, params)
-    assert v == -0.25 * 0.5  # -gamma*tau^2/4
-    assert s == -0.5         # -gamma*tau
-    _, s2 = ss.ramp_profile(2.0, params)
-    assert s2 == -1.0        # -L*tau
-    v2, _ = ss.ramp_profile(2.0, params)
-    assert v2 == 0.25 - 1.125  # L*tau^2/4 - nu
-
-
-@pytest.mark.parametrize("u", [0.99, 2.01, -1.0])
-def test_ramp_profile_range_error(u):
-    with pytest.raises(ValueError):
-        ss.ramp_profile(u, LandscapeParams())
+    assert _ramp_value(1.0, params) == -0.25 * 0.5  # -gamma*tau^2/4
+    assert _ramp_slope(1.0, params) == -0.5         # -gamma*tau
+    assert _ramp_slope(2.0, params) == -1.0         # -L*tau
+    assert _ramp_value(2.0, params) == 0.25 - 1.125  # L*tau^2/4 - nu
 
 
 def test_quintic_blend_endpoints_and_midpoint():
-    br = ss.BufferBranch(c1=1.0, c2=-0.5)
-    assert ss.quintic_blend(1.0, br, 1.0) == (1.0, 0.0)
-    assert ss.quintic_blend(2.0, br, 1.0) == (-0.5, 0.0)
-    v, _ = ss.quintic_blend(1.5, br, 1.0)
-    assert v == 0.25  # (c1+c2)/2
+    # c1 = 1 at u = tau, c2 = -0.5 at u = 2*tau, tau = 1
+    assert (_blend_value(1.0, 1.0, -0.5, 1.0), _blend_slope(1.0, 1.0, -0.5, 1.0)) == (1.0, 0.0)
+    assert (_blend_value(2.0, 1.0, -0.5, 1.0), _blend_slope(2.0, 1.0, -0.5, 1.0)) == (-0.5, 0.0)
+    assert _blend_value(1.5, 1.0, -0.5, 1.0) == 0.25  # (c1+c2)/2
 
 
 def test_quintic_blend_constant_branch():
-    br = ss.BufferBranch(c1=1.0, c2=1.0)
     for u in np.linspace(1.0, 2.0, 11):
-        v, s = ss.quintic_blend(float(u), br, 1.0)
-        assert v == 1.0 and s == 0.0
-
-
-def test_quintic_blend_range_error():
-    with pytest.raises(ValueError):
-        ss.quintic_blend(2.5, ss.BufferBranch(1.0, -0.5), 1.0)
+        assert _blend_value(float(u), 1.0, 1.0, 1.0) == 1.0
+        assert _blend_slope(float(u), 1.0, 1.0, 1.0) == 0.0
 
 
 def test_quintic_blend_derivative_matches_fd(rng):
-    br = ss.BufferBranch(c1=1.0, c2=4.0)
     h = 1e-7
     for u in rng.uniform(1.0 + 2 * h, 2.0 - 2 * h, size=50):
-        v0, s = ss.quintic_blend(float(u), br, 1.0)
-        vp, _ = ss.quintic_blend(float(u) + h, br, 1.0)
-        vm, _ = ss.quintic_blend(float(u) - h, br, 1.0)
+        s = _blend_slope(float(u), 1.0, 4.0, 1.0)
+        vp = _blend_value(float(u) + h, 1.0, 4.0, 1.0)
+        vm = _blend_value(float(u) - h, 1.0, 4.0, 1.0)
         assert s == pytest.approx((vp - vm) / (2 * h), rel=1e-5, abs=1e-6)
 
 
