@@ -14,7 +14,7 @@ the stored iterates through one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .landscape import Landscape, LandscapeParams, Point, RegionKind
 from .descent import Event, Iterate, Trajectory
@@ -45,10 +45,6 @@ class EscapeRecord:
     t_prime: int
     T: int
     complete: bool
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "t": self.t, "t_prime": self.t_prime,
-                "T": self.T, "complete": self.complete}
 
 
 def _replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
@@ -83,10 +79,6 @@ class TheoryCheck:
     skipped: bool = False
     details: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "skipped": self.skipped,
-                "details": self.details, "witnesses": self.witnesses}
 
 
 def buffer_residence_bound(params: LandscapeParams, eta: float) -> int:
@@ -165,12 +157,6 @@ class GrowthSummary:
     total_iterations: int     # all residences, complete or not
     exceeds_floor: bool
 
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "n_fit": self.n_fit,
-                "fitted_t": list(self.fitted_t), "floor": self.floor,
-                "total_iterations": self.total_iterations,
-                "exceeds_floor": self.exceeds_floor}
-
 
 def growth_summary(records: list[EscapeRecord], params: LandscapeParams) -> GrowthSummary:
     """Fit the geometric growth of completed escape times and compare the
@@ -213,10 +199,6 @@ class StallInfo:
     region_order: int
     reason: str   # cross_pinned | fixed_point | zero_gradient
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "position": list(self.position),
-                "region_order": self.region_order, "reason": self.reason}
-
 
 def detect_stall(trajectory: Trajectory) -> StallInfo | None:
     """First iterate where descent is numerically doomed (see
@@ -251,20 +233,16 @@ class TheoryReport:
                 and self.recurrence.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "buffer_bound": self.buffer_bound.to_dict(),
-            "containment": self.containment.to_dict(),
-            "recurrence": self.recurrence.to_dict(),
-            "growth": self.growth.to_dict() if self.growth else None,
-            "stall": self.stall.to_dict() if self.stall else None,
-            "passed": self.passed,
-        }
+        """The checks, growth, stall and verdict; ``records`` is left out."""
+        d = asdict(self)
+        del d["records"]
+        d["passed"] = self.passed
+        return d
 
 
-def theory_report(trajectory: Trajectory, eta: float | None = None) -> TheoryReport:
+def theory_report(trajectory: Trajectory) -> TheoryReport:
     """Run every theory check that applies to this dense trajectory."""
-    return _replay(trajectory, dense=True).report(
-        trajectory.eta if eta is None else eta, trajectory.is_noisy)
+    return _replay(trajectory, dense=True).report(trajectory.eta, trajectory.is_noisy)
 
 
 _CROSS_AXIS = {RegionKind.ODD_BLOCK: 1, RegionKind.EVEN_BLOCK: 0}

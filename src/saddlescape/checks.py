@@ -29,17 +29,6 @@ class CheckReport:
     witnesses: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_error": self.worst_error,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
-
 
 def _report(name, samples, worst, threshold, witnesses=None, details=None) -> CheckReport:
     return CheckReport(name=name, samples=samples, worst_error=worst, threshold=threshold,
@@ -125,9 +114,9 @@ def _enumerate_seams(landscape: Landscape):
         kind, o = reg.rid.kind, reg.rid.order
         if kind is RegionKind.FINAL_BLOCK:
             continue
-        # odd blocks and x2-travelling buffers branch on x1 = center,
-        # even blocks and x1-travelling buffers on x2 = center
-        axis = 0 if kind is RegionKind.ODD_BLOCK or reg.travel_axis == 1 else 1
+        # odd blocks and the buffers into them branch on x1 = center,
+        # even blocks and the buffers into them on x2 = center
+        axis = 0 if kind in (RegionKind.ODD_BLOCK, RegionKind.EVEN_ODD_BUFFER) else 1
         lo, hi = reg.bounds[2 * (1 - axis):2 * (1 - axis) + 2]
         lines.append((f"branch[{o}]", axis, reg.center[axis], lo, hi, o, o))
     return edges, lines

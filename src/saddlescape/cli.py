@@ -152,23 +152,19 @@ def _as_list(v):
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _params_from(args, grid=False):
-    if grid:
-        Ls = _as_list(_resolve(args, "L", None)) or [1.0]
-        gammas = _as_list(_resolve(args, "gamma", None))
-        taus = _as_list(_resolve(args, "tau", None)) or [1.0]
-        ns = _as_list(_resolve(args, "n_saddles", None)) or [9]
-        combos = []
-        for L, tau, n in itertools.product(Ls, taus, ns):
-            gs = gammas if gammas is not None else [L / 2.0]
-            for g in gs:
-                combos.append(LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=n))
-        return combos
-    L = _resolve(args, "L", 1.0)
-    gamma = _resolve(args, "gamma", L / 2.0)
-    tau = _resolve(args, "tau", 1.0)
-    n = _resolve(args, "n_saddles", 9)
-    return LandscapeParams(L=L, gamma=gamma, tau=tau, n_saddles=n)
+def _params_grid(args) -> list[LandscapeParams]:
+    """Every combination of the given L, gamma, tau and n_saddles values;
+    gamma defaults to L/2.  A single value of each gives one element."""
+    Ls = _as_list(_resolve(args, "L", None)) or [1.0]
+    gammas = _as_list(_resolve(args, "gamma", None))
+    taus = _as_list(_resolve(args, "tau", None)) or [1.0]
+    ns = _as_list(_resolve(args, "n_saddles", None)) or [9]
+    combos = []
+    for L, tau, n in itertools.product(Ls, taus, ns):
+        gs = gammas if gammas is not None else [L / 2.0]
+        for g in gs:
+            combos.append(LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=n))
+    return combos
 
 
 def _outdir(args) -> Path:
@@ -181,17 +177,6 @@ def _outdir(args) -> Path:
     except OSError as e:
         raise IOError(f"output directory {out} is not writable: {e}") from e
     return out
-
-
-def _params_dict(params: LandscapeParams) -> dict:
-    return {"L": params.L, "gamma": params.gamma, "tau": params.tau,
-            "n_saddles": params.n_saddles}
-
-
-def _derived_dict(params: LandscapeParams) -> dict:
-    d = derive_constants(params)
-    return {"L2": d.L2, "nu": d.nu, "eta_default": d.eta_default,
-            "lower_bound_base": d.lower_bound_base}
 
 
 def _write_json(path: Path, payload: dict):
@@ -222,7 +207,7 @@ def _require_at_least(flag: str, value: int, least: int) -> int:
 # -- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    params = _params_from(args)
+    [params] = _params_grid(args)
     for flag, least in (("grad_samples", 0), ("seam_samples", 0), ("min_points", 0),
                         ("pairs", 1)):
         _require_at_least(flag, getattr(args, flag), least)
@@ -238,10 +223,10 @@ def cmd_check(args) -> int:
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
+        "params": dataclasses.asdict(params),
+        "derived": dataclasses.asdict(derive_constants(params)),
         "seed": seed,
-        "checks": [r.to_dict() for r in reports],
+        "checks": [dataclasses.asdict(r) for r in reports],
         "passed": all_passed,
     }
     _write_json(out / "check_report.json", payload)
@@ -279,7 +264,7 @@ def _summarize_run(seed, algo, trajectory, report, observer, start):
         "final": {"position": list(final.position), "f": final.f_value,
                   "grad_norm": final.grad_norm,
                   "region_order": final.region.order},
-        "escape_records": [r.to_dict() for r in report.records],
+        "escape_records": [dataclasses.asdict(r) for r in report.records],
         "theory": report.to_dict(),
         "growth_ratio": growth.ratio if growth else None,
     }
@@ -297,7 +282,7 @@ def _write_trajectory_csv(path: Path, trajectory):
 
 
 def cmd_run(args) -> int:
-    params = _params_from(args)
+    [params] = _params_grid(args)
     n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
     config = _gd_config(args)
     algo = _resolve(args, "algo", "gd")
@@ -317,8 +302,8 @@ def cmd_run(args) -> int:
               f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "params": _params_dict(params),
-        "derived": _derived_dict(params),
+        "params": dataclasses.asdict(params),
+        "derived": dataclasses.asdict(derive_constants(params)),
         "algo": algo,
         "config": {**dataclasses.asdict(config), "noise_var": noise_var if algo == "sgd" else None},
         "runs": summaries,
@@ -363,7 +348,7 @@ def _sweep_task(landscapes: dict[LandscapeParams, Landscape], task):
 
 
 def cmd_sweep(args) -> int:
-    grid = _params_from(args, grid=True)
+    grid = _params_grid(args)
     if not grid:
         raise ValueError("empty parameter grid")
     n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)

@@ -40,10 +40,6 @@ class RegionKind(Enum):
     def is_block(self) -> bool:
         return self in (RegionKind.ODD_BLOCK, RegionKind.EVEN_BLOCK, RegionKind.FINAL_BLOCK)
 
-    @property
-    def is_buffer(self) -> bool:
-        return self in (RegionKind.ODD_EVEN_BUFFER, RegionKind.EVEN_ODD_BUFFER)
-
 
 @dataclass(frozen=True)
 class RegionId:
@@ -155,7 +151,6 @@ class _Region:
     code: int                        # index of rid.kind in _KIND_BY_CODE
     base: float                      # value offset -index*nu
     # buffers only:
-    travel_axis: int | None = None   # 0: u along x1 (odd->even), 1: u along x2
     u_base: float | None = None      # u = coord - u_base, in [tau, 2*tau]
     into_final: bool = False         # buffer leading into the final block
 
@@ -189,9 +184,8 @@ def _build_regions(params: LandscapeParams, nu: float) -> tuple[_Region, ...]:
         index = o // 2 + 1
         rid = RegionId(_KIND_BY_CODE[code], index, o)
         if o & 1:   # a buffer, travelling along x1 (o mod 4 = 1) or x2 (o mod 4 = 3)
-            axis = (o & 3) >> 1
-            out.append(_Region(rid, bounds, center, code, -index * nu, axis,
-                               ((b if axis else a) - 1) * tau, o == last - 1))
+            out.append(_Region(rid, bounds, center, code, -index * nu,
+                               ((b if o & 2 else a) - 1) * tau, o == last - 1))
         else:
             out.append(_Region(rid, bounds, center, code, -index * nu))
     return tuple(out)
@@ -255,51 +249,54 @@ class Landscape:
     def value_and_gradient(self, p: Point) -> tuple[float, Point]:
         return self.value_and_gradient_in(self._region_of(p), p)
 
-    # Kept: perfbench's tracer wraps value_in and gradient_in by name; test oracles call them.
-    def value_in(self, reg: _Region, p: Point, branch: int = 0) -> float:
-        return self.value_and_gradient_in(reg, p, branch)[0]
+    # Kept: perfbench's tracer wraps value_in and gradient_in by name.
+    def value_in(self, reg: _Region, p: Point) -> float:
+        return self.value_and_gradient_in(reg, p)[0]
 
-    def gradient_in(self, reg: _Region, p: Point, branch: int = 0) -> Point:
-        return self.value_and_gradient_in(reg, p, branch)[1]
+    def gradient_in(self, reg: _Region, p: Point) -> Point:
+        return self.value_and_gradient_in(reg, p)[1]
 
-    def value_and_gradient_in(self, reg: _Region, p: Point,
-                              branch: int = 0) -> tuple[float, Point]:
-        """Value and gradient of a specific region's closed form at p.
-
-        ``branch`` forces a branch on the region's internal branch line:
-        +1 the escape-side branch, -1 the wrong-side branch, 0 pick by sign.
-        Used by seam scans to compare adjacent closed forms at the same point.
-        """
-        L, g = self.params.L, self.params.gamma
-        L2 = self.derived.L2
+    def value_and_gradient_in(self, reg: _Region, p: Point) -> tuple[float, Point]:
+        """Value and gradient of a specific region's closed form at p."""
         x1, x2 = p
         s1, s2 = reg.center
-        base = reg.base
-        if reg.travel_axis is None:   # a block: base + k1*d1^2 + k2*d2^2
-            code = reg.code
+        code = reg.code
+        if code == FINAL_CODE or reg.into_final:
+            c = self.params.L
+        elif (x1 > s1) if code in (0, 3) else (x2 > s2):   # the branch line's escape side
+            c = -self.params.gamma
+        else:
+            c = self.derived.L2
+        return self._form(code, x1, x2, s1, s2, reg.base, reg.u_base, c)
+
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        """The closed form of region kind ``code`` at (x1, x2): the value
+        and the gradient (g1, g2), or None unless want_grad.
+
+        (s1, s2) is the region's center, base its value offset and u_base
+        its buffer offset (unused in a block).  c is the curvature on the
+        point's side of the branch line: k1 in an odd block, k2 in an even
+        block, the blend target in a buffer.  Every argument may be a float
+        or an array; floats give the same bits as arrays of copies.
+        """
+        L = self.params.L
+        if not code & 1:   # a block: base + k1*d1^2 + k2*d2^2
             d1, d2 = x1 - s1, x2 - s2
-            k1 = k2 = L
-            if code == 0:     # odd block
-                k1 = -g if branch > 0 or (branch == 0 and d1 > 0) else L2
-            elif code == 2:   # even block
-                k2 = -g if branch > 0 or (branch == 0 and d2 > 0) else L2
-            return base + k1 * d1 * d1 + k2 * d2 * d2, (2.0 * k1 * d1, 2.0 * k2 * d2)
+            k1, k2 = (c, L) if code == 0 else (L, c)
+            value = base + k1 * d1 * d1 + k2 * d2 * d2
+            return value, ((2.0 * k1 * d1, 2.0 * k2 * d2) if want_grad else None)
         tau = self.params.tau
-        if reg.travel_axis == 0:   # u along travel in [tau, 2*tau], w centered across
-            u, w = x1 - reg.u_base, x2 - s2
+        if code == 1:   # u along travel in [tau, 2*tau], w centered across
+            u, w = x1 - u_base, x2 - s2
         else:
-            u, w = x2 - reg.u_base, x1 - s1
-        if reg.into_final:
-            c2 = L
-        elif branch > 0 or (branch == 0 and w > 0):
-            c2 = -g
-        else:
-            c2 = L2
-        blend = _blend_value(u, L, c2, tau)
+            u, w = x2 - u_base, x1 - s1
+        blend = _blend_value(u, L, c, tau)
         value = base + _ramp_value(u, self.params) + blend * w * w
-        du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
+        if not want_grad:
+            return value, None
+        du = _ramp_slope(u, self.params) + _blend_slope(u, L, c, tau) * w * w
         dw = 2.0 * blend * w
-        return value, ((du, dw) if reg.travel_axis == 0 else (dw, du))
+        return value, ((du, dw) if code == 1 else (dw, du))
 
     # -- vectorized evaluation (verification workloads) ----------------------
 
@@ -356,10 +353,12 @@ class Landscape:
         """Values and gradients (None unless want_grad) at an (N, 2) array.
 
         ``orders`` names the region whose closed form each point is
-        evaluated in (default: the region holding it); ``branch`` forces a
-        branch as in ``value_in``.  Each chunk of points is grouped by region
-        kind; per-point region data (center, base, u_base, into_final)
-        follows from the chain order."""
+        evaluated in (default: the region holding it).  ``branch`` forces
+        the branch on each region's branch line: +1 the escape side, -1 the
+        wrong side, 0 the side the point lies on.  Each chunk of points is
+        grouped by region kind; per-point region data (center, base, u_base,
+        into_final) follows from the chain order."""
+        L, g, L2 = self.params.L, self.params.gamma, self.derived.L2
         last = len(self.regions) - 1
         cx, cy, bases, u_bases = self._region_table
         values = np.empty(len(xy))
@@ -371,23 +370,29 @@ class Landscape:
             if outside.any():
                 bad = s + int(np.argmax(outside))
                 raise OutsideDomainError(f"point {tuple(xy[bad])} is outside D")
-            kinds = np.where(o == last, FINAL_CODE, o & 3)
-            for code, kind in enumerate(_KIND_BY_CODE):
-                idx = np.flatnonzero(kinds == code)
+            codes = np.where(o == last, FINAL_CODE, o & 3)
+            for code in range(FINAL_CODE + 1):
+                idx = np.flatnonzero(codes == code)
                 if not len(idx):
                     continue
                 om = o[idx]
                 # np.take: row gathers by fancy indexing are several times slower
-                v, gr = self._eval_kernel(kind, np.take(p, idx, axis=0),
-                                          (np.take(cx, om), np.take(cy, om)),
-                                          np.take(bases, om), np.take(u_bases, om),
-                                          om == last - 1,
-                                          branch, want_grad)
+                x1, x2 = np.take(p, idx, axis=0).T
+                s1, s2 = np.take(cx, om), np.take(cy, om)
+                if code == FINAL_CODE:
+                    c = L
+                elif branch:
+                    c = np.full(len(idx), -g if branch > 0 else L2)
+                else:   # the branch line's escape side
+                    c = np.where((x1 > s1) if code in (0, 3) else (x2 > s2), -g, L2)
+                if code & 1:
+                    np.copyto(c, L, where=om == last - 1)
+                v, gr = self._form(code, x1, x2, s1, s2, np.take(bases, om),
+                                   np.take(u_bases, om), c, want_grad)
                 idx += s
                 values[idx] = v
                 if want_grad:   # column by column: a row scatter is slower
-                    grads[idx, 0] = gr[:, 0]
-                    grads[idx, 1] = gr[:, 1]
+                    grads[idx, 0], grads[idx, 1] = gr
         return values, grads
 
     @functools.cached_property
@@ -400,64 +405,11 @@ class Landscape:
                            for reg in self.regions])
         return cx, cy, base, u_base
 
-    # Kept: perfbench's tracer wraps it by name, and test oracles call it.
+    # Kept: perfbench's tracer wraps it by name, and the per-seam test oracles call it.
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
-        """Vectorized closed form of one region, with optional forced branch."""
-        return self._eval_kernel(reg.rid.kind, xy, reg.center, reg.base, reg.u_base,
-                                 reg.into_final, branch, want_grad)
-
-    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
-                     want_grad=True):
-        """Closed form of one region kind at the points xy.
-
-        center, base, u_base and into_final describe the region holding
-        each point: scalars for one region or per-point arrays.  A scalar
-        broadcasts to the same bits as an array of copies.
-        """
-        L, g, tau = self.params.L, self.params.gamma, self.params.tau
-        L2 = self.derived.L2
-        x1, x2 = xy[:, 0], xy[:, 1]
-        s1, s2 = center
-        grads = np.empty_like(xy) if want_grad else None
-        if kind.is_block:
-            d1, d2 = x1 - s1, x2 - s2
-            if kind is RegionKind.FINAL_BLOCK:
-                k1 = np.full(d1.shape, L)
-                k2 = np.full(d1.shape, L)
-            elif kind is RegionKind.ODD_BLOCK:
-                esc = np.full(d1.shape, branch > 0) if branch else (d1 > 0)
-                k1 = np.where(esc, -g, L2)
-                k2 = np.full(d1.shape, L)
-            else:
-                esc = np.full(d2.shape, branch > 0) if branch else (d2 > 0)
-                k1 = np.full(d1.shape, L)
-                k2 = np.where(esc, -g, L2)
-            values = base + k1 * d1 * d1 + k2 * d2 * d2
-            if want_grad:
-                grads[:, 0] = 2.0 * k1 * d1
-                grads[:, 1] = 2.0 * k2 * d2
-            return values, grads
-        along_x1 = kind is RegionKind.ODD_EVEN_BUFFER
-        if along_x1:
-            u, w = x1 - u_base, x2 - s2
-        else:
-            u, w = x2 - u_base, x1 - s1
-        if branch:
-            c2 = np.full(u.shape, -g if branch > 0 else L2)
-        else:
-            c2 = np.where(w > 0, -g, L2)
-        np.copyto(c2, L, where=into_final)
-        blend = _blend_value(u, L, c2, tau)
-        values = base + _ramp_value(u, self.params) + blend * w * w
-        if want_grad:
-            du = _ramp_slope(u, self.params) + _blend_slope(u, L, c2, tau) * w * w
-            dw = 2.0 * blend * w
-            if along_x1:
-                grads[:, 0], grads[:, 1] = du, dw
-            else:
-                grads[:, 0], grads[:, 1] = dw, du
-        return values, grads
+        """``eval_many`` with every point evaluated in the closed form of reg."""
+        return self.eval_many(xy, np.full(len(xy), reg.rid.order), branch, want_grad)
 
     # -- sampling and bounds --------------------------------------------------
 

@@ -122,8 +122,7 @@ def test_stream_observer_matches_segment(algo, n, seed, record_every):
             ss.segment(traj)
         with pytest.raises(ss.SegmentationError):
             ss.theory_report(traj)
-    assert ([r.to_dict() for r in obs.records(traj.is_noisy)]
-            == [r.to_dict() for r in ss.segment(dense)])
+    assert obs.records(traj.is_noisy) == ss.segment(dense)
     report = obs.report(traj.eta, traj.is_noisy)
     assert report.to_dict() == ss.theory_report(dense).to_dict()
     assert report.records == ss.segment(dense)

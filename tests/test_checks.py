@@ -3,7 +3,7 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
-from saddlescape.landscape import _build_regions
+from saddlescape.landscape import FINAL_CODE, _build_regions
 from test_landscape import GRID
 
 
@@ -66,14 +66,12 @@ def test_gradient_check_zero_samples_vacuous(lc8):
 class _CorruptedGradient(Landscape):
     """Negates the analytic gradient on the escape half of odd blocks."""
 
-    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
-                     want_grad=True):
-        vals, grads = super()._eval_kernel(kind, xy, center, base, u_base, into_final,
-                                           branch, want_grad)
-        if want_grad and kind is RegionKind.ODD_BLOCK:
-            esc = xy[:, 0] - center[0] > 0
-            grads[esc] = -grads[esc]
-        return vals, grads
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        value, grad = super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
+        if want_grad and code == 0:
+            sign = np.where(x1 - s1 > 0, -1.0, 1.0)
+            grad = (sign * grad[0], sign * grad[1])
+        return value, grad
 
 
 def test_gradient_check_catches_corruption():
@@ -168,7 +166,7 @@ def test_run_all_checks_deterministic(lc8):
                           n_min_points=5000, n_pairs=1000, seed=9)
     b = ss.run_all_checks(lc8, n_grad_samples=500, samples_per_seam=20,
                           n_min_points=5000, n_pairs=1000, seed=9)
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+    assert a == b
 
 
 # --- batched checks against the per-seam and per-block loops ------------------------
@@ -191,7 +189,7 @@ def _seam_scan_loop(landscape, samples_per_seam, tol_value=1e-9, tol_grad=1e-5, 
         kind = reg.rid.kind
         if kind is RegionKind.FINAL_BLOCK:
             continue
-        on_x1 = kind is RegionKind.ODD_BLOCK or (kind.is_buffer and reg.travel_axis == 1)
+        on_x1 = kind in (RegionKind.ODD_BLOCK, RegionKind.EVEN_ODD_BUFFER)
         axis = 0 if on_x1 else 1
         lo, hi = (reg.bounds[2], reg.bounds[3]) if on_x1 else (reg.bounds[0], reg.bounds[1])
         seams.append((f"branch[{reg.rid.order}]", axis, reg.center[axis], lo, hi,
@@ -303,36 +301,23 @@ def test_stationary_check_matches_per_block_loop(params):
 
 class _BrokenStationary(Landscape):
     """Tilts odd blocks along x1, turns even blocks into bowls and the final
-    bowl into a saddle, in the scalar and the vectorized closed forms alike."""
+    bowl into a saddle, in the closed form the scalar and vectorized paths share."""
 
-    def _bump(self, kind, d1, d2):
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        value, grad = super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
         g, L = self.params.gamma, self.params.L
-        if kind is RegionKind.ODD_BLOCK:
-            return 0.1 * d1, (0.1, 0.0)
-        if kind is RegionKind.EVEN_BLOCK:
-            return 2.0 * g * d2 * d2, (0.0, 4.0 * g * d2)
-        if kind is RegionKind.FINAL_BLOCK:
-            return -2.0 * L * d1 * d1, (-4.0 * L * d1, 0.0)
-        return 0.0, (0.0, 0.0)
-
-    def value_in(self, reg, p, branch=0):
-        dv, _ = self._bump(reg.rid.kind, p[0] - reg.center[0], p[1] - reg.center[1])
-        return super().value_in(reg, p, branch) + dv
-
-    def gradient_in(self, reg, p, branch=0):
-        _, (d1, d2) = self._bump(reg.rid.kind, p[0] - reg.center[0], p[1] - reg.center[1])
-        g1, g2 = super().gradient_in(reg, p, branch)
-        return (g1 + d1, g2 + d2)
-
-    def _eval_kernel(self, kind, xy, center, base, u_base, into_final, branch=0,
-                     want_grad=True):
-        vals, grads = super()._eval_kernel(kind, xy, center, base, u_base, into_final,
-                                           branch, want_grad)
-        dv, (d1, d2) = self._bump(kind, xy[:, 0] - center[0], xy[:, 1] - center[1])
+        d1, d2 = x1 - s1, x2 - s2
+        if code == 0:
+            dv, dg = 0.1 * d1, (0.1, 0.0)
+        elif code == 2:
+            dv, dg = 2.0 * g * d2 * d2, (0.0, 4.0 * g * d2)
+        elif code == FINAL_CODE:
+            dv, dg = -2.0 * L * d1 * d1, (-4.0 * L * d1, 0.0)
+        else:
+            return value, grad
         if want_grad:
-            grads[:, 0] += d1
-            grads[:, 1] += d2
-        return vals + dv, grads
+            grad = (grad[0] + dg[0], grad[1] + dg[1])
+        return value + dv, grad
 
 
 def test_stationary_check_matches_per_block_loop_on_corrupted_landscapes():

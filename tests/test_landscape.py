@@ -382,3 +382,9 @@ def test_scalar_and_vectorized_paths_bitwise_equal_on_grid(params):
     assert np.array_equal(orders[idx], [_scan_order(lc, p) for p in sub])
     assert np.array_equal(values[idx], [lc.value(p) for p in sub])
     assert np.array_equal(grads[idx], [lc.gradient(p) for p in sub])
+    # every grid line, centre line and corner in D, and their float neighbours
+    pts = _edge_and_corner_points(lc)
+    pts = pts[lc.classify_many(pts) >= 0]
+    sub = [tuple(p) for p in pts.tolist()]
+    assert np.array_equal(lc.value_many(pts), [lc.value(p) for p in sub])
+    assert np.array_equal(lc.gradient_many(pts), [lc.gradient(p) for p in sub])
