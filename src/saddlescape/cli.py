@@ -42,11 +42,12 @@ def _default_out() -> str:
     return str(Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
 
 
-def _load_config_file(path: str) -> dict:
-    """``key = value`` lines; '#' starts a comment; keys match the flag names."""
-    values = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), 1):
+def _config_tokens(path: str, known) -> list[str]:
+    """The flag tokens of a config file: each ``key = value`` line becomes
+    ``--key`` and the value split on whitespace; '#' starts a comment.
+    ``known`` holds the subcommand's own option names."""
+    tokens = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -54,42 +55,31 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"known keys: {', '.join(_CONFIG_TYPES)}")
-        values[key] = val.strip()
-    return values
+                             f"known keys: {', '.join(known)}")
+        tokens += ["--" + key.replace("_", "-"), *val.split()]
+    return tokens
 
 
-_CONFIG_TYPES = {
-    "L": float, "gamma": float, "tau": float, "n_saddles": int,
-    "eta": float, "max_iter": int, "stop_grad_norm": float,
-    "seed": int, "seeds": int, "noise_var": float, "algo": str,
-    "out": str, "record_every": int, "jobs": int,
-}
-
-
-def _resolve(args: argparse.Namespace, key: str, default):
-    """Flag value if given, else config-file value, else the default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return _CONFIG_TYPES[key](cfg[key])
-    return default
+# The least value of each count option; main checks them before any handler runs.
+_AT_LEAST = {"seed": 0, "seeds": 1, "jobs": 1, "pairs": 1,
+             "grad_samples": 0, "seam_samples": 0, "min_points": 0}
 
 
 def _add_common(parser: argparse.ArgumentParser, grid: bool = False):
     nargs = "+" if grid else None
-    parser.add_argument("--L", type=float, nargs=nargs, default=None,
-                        help="benign curvature (default 1)")
+    parser.add_argument("--L", type=float, nargs=nargs, default=LandscapeParams.L,
+                        help="benign curvature (default %(default)s)")
     parser.add_argument("--gamma", type=float, nargs=nargs, default=None,
                         help="escape curvature (default L/2)")
-    parser.add_argument("--tau", type=float, nargs=nargs, default=None,
-                        help="block side length (default 1)")
-    parser.add_argument("--n-saddles", type=int, nargs=nargs, default=None,
-                        help="number of saddle blocks (default 9)")
+    parser.add_argument("--tau", type=float, nargs=nargs, default=LandscapeParams.tau,
+                        help="block side length (default %(default)s)")
+    parser.add_argument("--n-saddles", type=int, nargs=nargs,
+                        default=LandscapeParams.n_saddles,
+                        help="number of saddle blocks (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="first seed, or the checks' seed (default %(default)s)")
     parser.add_argument("--config", default=None,
                         help="file with 'key = value' lines; flags override it")
     parser.add_argument("--out", default=None, help="output directory")
@@ -98,16 +88,15 @@ def _add_common(parser: argparse.ArgumentParser, grid: bool = False):
 def _add_run_options(parser: argparse.ArgumentParser):
     parser.add_argument("--eta", type=float, default=None,
                         help="step size (default 1/(4L))")
-    parser.add_argument("--max-iter", type=int, default=None,
-                        help="iteration budget (default 1000000)")
+    parser.add_argument("--max-iter", type=int, default=GdConfig.max_iter,
+                        help="iteration budget (default %(default)s)")
     parser.add_argument("--stop-grad-norm", type=float, default=None,
                         help="stop threshold inside the final block (default "
                              "1e-10, or L*tau/2 for sgd with --noise-var above 0)")
-    parser.add_argument("--seed", type=int, default=None, help="first seed (default 0)")
-    parser.add_argument("--seeds", type=int, default=None,
-                        help="number of consecutive seeds (default 1)")
-    parser.add_argument("--noise-var", type=float, default=None,
-                        help="per-coordinate Gaussian variance for sgd (default 0.1)")
+    parser.add_argument("--seeds", type=int, default=1,
+                        help="number of consecutive seeds (default %(default)s)")
+    parser.add_argument("--noise-var", type=float, default=NoiseConfig.variance,
+                        help="per-coordinate Gaussian variance for sgd (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify the landscape numerically")
     _add_common(p_check)
-    p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--grad-samples", type=int, default=10_000)
     p_check.add_argument("--seam-samples", type=int, default=1000)
     p_check.add_argument("--min-points", type=int, default=1_000_000)
@@ -127,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="seeded descent runs")
     _add_common(p_run)
     _add_run_options(p_run)
-    p_run.add_argument("--record-every", type=int, default=None,
-                       help="trajectory thinning stride (default 1)")
-    p_run.add_argument("--algo", choices=["gd", "sgd"], default=None,
-                       help="plain or noisy descent (default gd)")
+    p_run.add_argument("--record-every", type=int, default=GdConfig.record_every,
+                       help="trajectory thinning stride (default %(default)s)")
+    p_run.add_argument("--algo", choices=["gd", "sgd"], default="gd",
+                       help="plain or noisy descent (default %(default)s)")
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, aggregate CSV")
     _add_common(p_sweep, grid=True)
     _add_run_options(p_sweep)
-    p_sweep.add_argument("--algo", choices=["gd", "sgd"], nargs="+", default=None,
-                         help="algorithms to sweep (default: gd sgd)")
-    p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel workers (default 1)")
+    p_sweep.add_argument("--algo", choices=["gd", "sgd"], nargs="+", default=["gd", "sgd"],
+                         help="algorithms to sweep (default %(default)s)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (default %(default)s)")
 
     p_plot = sub.add_parser("plotdata", help="plot-ready CSV series from run outputs")
     p_plot.add_argument("--runs", required=True, help="directory written by 'run'")
@@ -146,29 +134,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _as_list(v):
-    if v is None:
-        return None
-    return list(v) if isinstance(v, (list, tuple)) else [v]
+def _as_list(v) -> list:
+    return v if isinstance(v, list) else [v]
 
 
 def _params_grid(args) -> list[LandscapeParams]:
     """Every combination of the given L, gamma, tau and n_saddles values;
     gamma defaults to L/2.  A single value of each gives one element."""
-    Ls = _as_list(_resolve(args, "L", None)) or [1.0]
-    gammas = _as_list(_resolve(args, "gamma", None))
-    taus = _as_list(_resolve(args, "tau", None)) or [1.0]
-    ns = _as_list(_resolve(args, "n_saddles", None)) or [9]
     combos = []
-    for L, tau, n in itertools.product(Ls, taus, ns):
-        gs = gammas if gammas is not None else [L / 2.0]
-        for g in gs:
+    for L, tau, n in itertools.product(_as_list(args.L), _as_list(args.tau),
+                                       _as_list(args.n_saddles)):
+        for g in _as_list(L / 2.0 if args.gamma is None else args.gamma):
             combos.append(LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=n))
     return combos
 
 
 def _outdir(args) -> Path:
-    out = Path(_resolve(args, "out", None) or _default_out())
+    out = Path(args.out or _default_out())
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -184,48 +166,37 @@ def _write_json(path: Path, payload: dict):
 
 
 def _gd_config(args) -> GdConfig:
-    """Each GdConfig field from its flag, else the config file, else its default."""
-    return GdConfig(**{f.name: _resolve(args, f.name, f.default)
-                       for f in dataclasses.fields(GdConfig)})
+    """A GdConfig from the options the subcommand has; the rest keep their defaults."""
+    return GdConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GdConfig)
+                       if getattr(args, f.name, None) is not None})
 
 
 def _noise_var(args, algos) -> float:
     """--noise-var, validated when an sgd run will use it, so that bad
     noise fails before any output directory is made."""
-    noise_var = _resolve(args, "noise_var", NoiseConfig.variance)
     if "sgd" in algos:
-        NoiseConfig(variance=noise_var)
-    return noise_var
-
-
-def _require_at_least(flag: str, value: int, least: int) -> int:
-    if value < least:
-        raise ValueError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
-    return value
+        NoiseConfig(variance=args.noise_var)
+    return args.noise_var
 
 
 # -- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
     [params] = _params_grid(args)
-    for flag, least in (("grad_samples", 0), ("seam_samples", 0), ("min_points", 0),
-                        ("pairs", 1)):
-        _require_at_least(flag, getattr(args, flag), least)
     out = _outdir(args)
-    seed = _resolve(args, "seed", 0)
     landscape = Landscape(params)
     t0 = time.perf_counter()
     reports = checks.run_all_checks(
         landscape, n_grad_samples=args.grad_samples,
         samples_per_seam=args.seam_samples, n_min_points=args.min_points,
-        n_pairs=args.pairs, seed=seed)
+        n_pairs=args.pairs, seed=args.seed)
     elapsed = time.perf_counter() - t0
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "params": dataclasses.asdict(params),
         "derived": dataclasses.asdict(derive_constants(params)),
-        "seed": seed,
+        "seed": args.seed,
         "checks": [dataclasses.asdict(r) for r in reports],
         "passed": all_passed,
     }
@@ -283,16 +254,14 @@ def _write_trajectory_csv(path: Path, trajectory):
 
 def cmd_run(args) -> int:
     [params] = _params_grid(args)
-    n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
     config = _gd_config(args)
-    algo = _resolve(args, "algo", "gd")
+    algo = args.algo
     noise_var = _noise_var(args, [algo])
     out = _outdir(args)
-    seed0 = _resolve(args, "seed", 0)
     landscape = Landscape(params)
 
     summaries = []
-    for seed in range(seed0, seed0 + n_seeds):
+    for seed in range(args.seed, args.seed + args.seeds):
         t0 = time.perf_counter()
         trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise_var)
         elapsed = time.perf_counter() - t0
@@ -349,23 +318,16 @@ def _sweep_task(landscapes: dict[LandscapeParams, Landscape], task):
 
 def cmd_sweep(args) -> int:
     grid = _params_grid(args)
-    if not grid:
-        raise ValueError("empty parameter grid")
-    n_seeds = _require_at_least("seeds", _resolve(args, "seeds", 1), 1)
-    jobs = _require_at_least("jobs", _resolve(args, "jobs", 1), 1)
     config = _gd_config(args)
-    algos = _resolve(args, "algo", None) or ["gd", "sgd"]
-    if isinstance(algos, str):
-        algos = [algos]
-    noise_var = _noise_var(args, algos)
+    noise_var = _noise_var(args, args.algo)
     out = _outdir(args)
-    seed0 = _resolve(args, "seed", 0)
 
+    seeds = range(args.seed, args.seed + args.seeds)
     tasks = [(params, algo, seed, config, noise_var)
-             for params in grid for algo in algos for seed in range(seed0, seed0 + n_seeds)]
+             for params in grid for algo in args.algo for seed in seeds]
     t0 = time.perf_counter()
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs,
                                                     initializer=_init_sweep_worker) as pool:
             rows = list(pool.map(_sweep_worker_task, tasks))
     else:
@@ -418,22 +380,22 @@ def cmd_plotdata(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``; a ``--config`` file's lines go in as flag tokens after
+    the subcommand, so the flags on the command line win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            args._config_values = _load_config_file(args.config)
-        except OSError as e:
-            print(f"error: cannot read config file: {e}", file=sys.stderr)
-            return IO_ERROR
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-    else:
-        args._config_values = {}
     handlers = {"check": cmd_check, "run": cmd_run, "sweep": cmd_sweep,
                 "plotdata": cmd_plotdata}
     try:
+        if getattr(args, "config", None):
+            known = [k for k in vars(args) if k not in ("command", "config")]
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config, known) + argv[at:])
+        for key, least in _AT_LEAST.items():
+            value = getattr(args, key, least)
+            if value < least:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
         return handlers[args.command](args)
     except IOError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -150,12 +152,29 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["params"]["L"] == 1.0          # flag wins
     assert summary["params"]["n_saddles"] == 3    # from config
     assert len(summary["runs"]) == 2              # from config
+    # a sweep config's values are split and parsed as the flags' are
+    cfg.write_text("algo = gd sgd\nL = 1 1.5\nseeds = 2\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep", "--n-saddles", "3", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["sweep", "--n-saddles", "3", "--algo", "gd", "sgd", "--L", "1", "1.5",
+                 "--seeds", "2", "--out", str(b)]) == 0
+    assert read(a / "sweep.csv") == read(b / "sweep.csv")
+    assert len(read(a / "sweep.csv").splitlines()) == 1 + 2 * 2 * 2
 
 
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a pair\n")
     assert main(["run", "--config", str(cfg)]) == 2
+    # a config value meets its flag's choices
+    cfg.write_text("algo = sgdd\n")
+    out = tmp_path / "out"
+    for command in ("run", "sweep"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n-saddles", "2", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'sgdd'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_flag_exits_two():
@@ -171,6 +190,11 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "'gama'" in err and ":2:" in err
+    assert not out.exists()
+    # the known keys are the subcommand's own flags: run has no --jobs
+    cfg.write_text("jobs = 2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:1: unknown key 'jobs'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,6 +223,7 @@ def test_noisy_run_with_zero_stop_norm_ends_on_budget(tmp_path):
     ("--min-points", "-1", 0),
     ("--pairs", "0", 1),
     ("--pairs", "-4", 1),
+    ("--seed", "-1", 0),
 ])
 def test_check_rejects_bad_sample_counts(tmp_path, capsys, flag, value, least):
     out = tmp_path / "out"
@@ -214,6 +239,12 @@ def test_check_zero_sample_counts_are_vacuous(tmp_path):
     by_name = {c["name"]: c for c in report["checks"]}
     for name in ("gradient_check", "seam_scan", "global_minimum"):
         assert by_name[name]["samples"] == 0 and by_name[name]["passed"]
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("grad-samples = 0\n")
+    out = tmp_path / "from_config"
+    assert main(["check", "--n-saddles", "2", "--config", str(cfg), "--seam-samples", "0",
+                 "--min-points", "0", "--pairs", "100", "--out", str(out)]) == 0
+    assert read(out / "check_report.json") == read(tmp_path / "check_report.json")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -233,11 +264,14 @@ def test_bad_stop_grad_norm_exits_two(tmp_path, capsys, command, value):
     (["sweep", "--seeds", "-1"], "--seeds"),
     (["sweep", "--jobs", "0"], "--jobs"),
     (["sweep", "--jobs", "-4"], "--jobs"),
+    (["run", "--seed", "-1"], "--seed"),
+    (["sweep", "--seed", "-1"], "--seed"),
 ])
 def test_run_and_sweep_reject_bad_counts(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
+    least = 0 if flag == "--seed" else 1
     assert main(argv + ["--n-saddles", "2", "--out", str(out)]) == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert f"{flag} must be >= {least}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -298,7 +332,10 @@ def test_record_every_from_config_file_is_validated(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--n-saddles", "2", "--seeds", "1", "--config", str(cfg),
                  "--out", str(out)]) == 2
-    assert "record_every must be >= 1, got 0" in capsys.readouterr().err
+    # sweep has no --record-every, so the key is unknown to it
+    expected = {"run": "record_every must be >= 1, got 0",
+                "sweep": f"{cfg}:1: unknown key 'record_every'"}
+    assert expected[command] in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -320,3 +357,17 @@ def test_sweep_builds_one_landscape_per_grid_point(tmp_path, monkeypatch):
     assert len(built) == 8 and set(built[4:]) == set(built[:4])
     assert main(args + ["--jobs", "2", "--out", str(tmp_path / "c")]) == 0
     assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "c" / "sweep.csv")
+
+
+def test_readme_commands_parse_and_help_renders(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("saddlescape ")]
+    assert {argv[1] for argv in commands} == {"check", "run", "sweep", "plotdata"}
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+    for command in ("check", "run", "sweep", "plotdata"):
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args([command, "-h"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: saddlescape {command}")
