@@ -44,7 +44,6 @@ from .checks import (
     CheckReport,
     global_minimum_check,
     gradient_check,
-    lipschitz_probe,
     lipschitz_report,
     run_all_checks,
     seam_scan,

@@ -18,6 +18,12 @@ import numpy as np
 
 from .landscape import CHUNK, Landscape, RegionKind
 
+# The sample counts of run_all_checks and of the ``check`` command's flags.
+N_GRAD_SAMPLES = 10_000
+SAMPLES_PER_SEAM = 1000
+N_MIN_POINTS = 1_000_000
+N_PAIRS = 100_000
+
 
 @dataclass
 class CheckReport:
@@ -49,12 +55,10 @@ def _seam_distance(landscape: Landscape, xy: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def gradient_check(landscape: Landscape, n_samples: int = 10_000, h: float | None = None,
-                   tol: float = 1e-6, seed: int = 0) -> CheckReport:
-    """Analytic gradient vs central differences on seam-free interior points."""
-    tau = landscape.params.tau
-    if h is None:
-        h = 1e-5 * tau
+def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> CheckReport:
+    """Analytic gradient vs central differences (step h = 1e-5*tau) on
+    seam-free interior points; the relative error must stay within 1e-6."""
+    h, tol = 1e-5 * landscape.params.tau, 1e-6
     if n_samples == 0:
         return _report("gradient_check", 0, 0.0, tol)
     rng = np.random.default_rng(seed)
@@ -122,16 +126,15 @@ def _enumerate_seams(landscape: Landscape):
     return edges, lines
 
 
-def seam_scan(landscape: Landscape, samples_per_seam: int = 1000,
-              tol_value: float = 1e-9, tol_grad: float = 1e-5,
-              seed: int = 0) -> CheckReport:
+def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> CheckReport:
     """Branch agreement at every interior seam.
 
     At each sampled seam point the two adjacent closed forms are evaluated
     at the seam itself (value and gradient), and a central difference taken
     across the seam (offsets 1e-7*tau) is compared against both analytic
     normal derivatives.  worst_error is the largest error normalized by its
-    tolerance, so the report threshold is 1.
+    tolerance (1e-9 for values, 1e-5 for gradients and the difference), so
+    the report threshold is 1.
 
     The seam parameters come from one stream, samples_per_seam draws per
     seam in seam order.  Seams are evaluated in passes of about ``CHUNK``
@@ -139,6 +142,7 @@ def seam_scan(landscape: Landscape, samples_per_seam: int = 1000,
     """
     if samples_per_seam == 0:
         return _report("seam_scan", 0, 0.0, 1.0)
+    tol_value, tol_grad = 1e-9, 1e-5
     rng = np.random.default_rng(seed)
     m = samples_per_seam
     per_pass = max(1, CHUNK // m)
@@ -230,8 +234,7 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
                                      "probe_radius": r})
 
 
-def global_minimum_check(landscape: Landscape, n_points: int = 1_000_000,
-                         seed: int = 0) -> CheckReport:
+def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> CheckReport:
     """The final-block center is the sampled global minimum over D."""
     if n_points == 0:
         return _report("global_minimum", 0, 0.0, 0.0)
@@ -252,8 +255,9 @@ def global_minimum_check(landscape: Landscape, n_points: int = 1_000_000,
                     "sampled_min": float(vals.min()), "seed": seed})
 
 
-def lipschitz_probe(landscape: Landscape, n_pairs: int = 100_000, seed: int = 0) -> float:
-    """Max gradient-difference ratio over random same-region point pairs."""
+def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> CheckReport:
+    """Max gradient-difference ratio over random same-region point pairs,
+    against the documented bound ``gradient_lipschitz_bound()``."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
@@ -265,18 +269,13 @@ def lipschitz_probe(landscape: Landscape, n_pairs: int = 100_000, seed: int = 0)
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 0
     ratios = np.linalg.norm(ga[keep] - gb[keep], axis=1) / dist[keep]
-    return float(ratios.max())
+    return _report("gradient_lipschitz", n_pairs, float(ratios.max()),
+                   landscape.gradient_lipschitz_bound(), details={"seed": seed})
 
 
-def lipschitz_report(landscape: Landscape, n_pairs: int = 100_000, seed: int = 0) -> CheckReport:
-    est = lipschitz_probe(landscape, n_pairs, seed)
-    bound = landscape.gradient_lipschitz_bound()
-    return _report("gradient_lipschitz", n_pairs, est, bound, details={"seed": seed})
-
-
-def run_all_checks(landscape: Landscape, n_grad_samples: int = 10_000,
-                   samples_per_seam: int = 1000, n_min_points: int = 1_000_000,
-                   n_pairs: int = 100_000, seed: int = 0) -> list[CheckReport]:
+def run_all_checks(landscape: Landscape, n_grad_samples: int = N_GRAD_SAMPLES,
+                   samples_per_seam: int = SAMPLES_PER_SEAM, n_min_points: int = N_MIN_POINTS,
+                   n_pairs: int = N_PAIRS, seed: int = 0) -> list[CheckReport]:
     return [
         gradient_check(landscape, n_grad_samples, seed=seed),
         seam_scan(landscape, samples_per_seam, seed=seed),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -42,10 +43,13 @@ def _default_out() -> str:
     return str(Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
 
 
-def _config_tokens(path: str, known) -> list[str]:
-    """The flag tokens of a config file: each ``key = value`` line becomes
-    ``--key`` and the value split on whitespace; '#' starts a comment.
-    ``known`` holds the subcommand's own option names."""
+def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
+    """The flag tokens of the file ``args.config``: each ``key = value`` line
+    becomes ``--key`` and the value split on whitespace; '#' starts a comment.
+    The keys are the subcommand's own options.  Each line is parsed as it is
+    read, so a bad value is reported with its file and line."""
+    path = args.config
+    known = [k for k in vars(args) if k not in ("command", "config")]
     tokens = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -58,7 +62,13 @@ def _config_tokens(path: str, known) -> list[str]:
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                              f"known keys: {', '.join(known)}")
-        tokens += ["--" + key.replace("_", "-"), *val.split()]
+        line_tokens = ["--" + key.replace("_", "-"), *val.split()]
+        try:
+            parser.parse_args([args.command, *line_tokens])
+        except SystemExit:
+            print(f"{path}:{lineno}: {line}", file=sys.stderr)
+            raise
+        tokens += line_tokens
     return tokens
 
 
@@ -107,10 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify the landscape numerically")
     _add_common(p_check)
-    p_check.add_argument("--grad-samples", type=int, default=10_000)
-    p_check.add_argument("--seam-samples", type=int, default=1000)
-    p_check.add_argument("--min-points", type=int, default=1_000_000)
-    p_check.add_argument("--pairs", type=int, default=100_000)
+    p_check.add_argument("--grad-samples", type=int, default=checks.N_GRAD_SAMPLES)
+    p_check.add_argument("--seam-samples", type=int, default=checks.SAMPLES_PER_SEAM)
+    p_check.add_argument("--min-points", type=int, default=checks.N_MIN_POINTS)
+    p_check.add_argument("--pairs", type=int, default=checks.N_PAIRS)
 
     p_run = sub.add_parser("run", help="seeded descent runs")
     _add_common(p_run)
@@ -171,14 +181,6 @@ def _gd_config(args) -> GdConfig:
                        if getattr(args, f.name, None) is not None})
 
 
-def _noise_var(args, algos) -> float:
-    """--noise-var, validated when an sgd run will use it, so that bad
-    noise fails before any output directory is made."""
-    if "sgd" in algos:
-        NoiseConfig(variance=args.noise_var)
-    return args.noise_var
-
-
 # -- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
@@ -211,10 +213,9 @@ def cmd_check(args) -> int:
 
 # -- run -----------------------------------------------------------------------
 
-def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise_var):
-    noise = None
-    if algo == "sgd":
-        noise = NoiseConfig(variance=noise_var, seed=seed)
+def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise: NoiseConfig):
+    """One seeded run; an sgd run draws its kicks from ``noise`` reseeded with ``seed``."""
+    noise = dataclasses.replace(noise, seed=seed) if algo == "sgd" else None
     start = init_sample(landscape, np.random.default_rng([seed, 0]))
     observer = analysis.StreamObserver(landscape)
     trajectory = run(landscape, config, start, noise=noise, observer=observer)
@@ -256,14 +257,14 @@ def cmd_run(args) -> int:
     [params] = _params_grid(args)
     config = _gd_config(args)
     algo = args.algo
-    noise_var = _noise_var(args, [algo])
+    noise = NoiseConfig(variance=args.noise_var)
     out = _outdir(args)
     landscape = Landscape(params)
 
     summaries = []
     for seed in range(args.seed, args.seed + args.seeds):
         t0 = time.perf_counter()
-        trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise_var)
+        trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise)
         elapsed = time.perf_counter() - t0
         _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
         summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
@@ -274,7 +275,8 @@ def cmd_run(args) -> int:
         "params": dataclasses.asdict(params),
         "derived": dataclasses.asdict(derive_constants(params)),
         "algo": algo,
-        "config": {**dataclasses.asdict(config), "noise_var": noise_var if algo == "sgd" else None},
+        "config": {**dataclasses.asdict(config),
+                   "noise_var": noise.variance if algo == "sgd" else None},
         "runs": summaries,
     }
     _write_json(out / "summary.json", payload)
@@ -284,28 +286,16 @@ def cmd_run(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-# A sweep worker process's Landscape per grid point, made by _init_sweep_worker;
-# the parent process of a sweep never sets it.
-_worker_landscapes: dict[LandscapeParams, Landscape] | None = None
+@functools.cache
+def _landscape(params: LandscapeParams) -> Landscape:
+    """A sweep grid point's Landscape, built once per process and sweep."""
+    return Landscape(params)
 
 
-def _init_sweep_worker():
-    global _worker_landscapes
-    _worker_landscapes = {}
-
-
-def _sweep_worker_task(task):
-    return _sweep_task(_worker_landscapes, task)
-
-
-def _sweep_task(landscapes: dict[LandscapeParams, Landscape], task):
-    """One row of sweep.csv; ``landscapes`` holds the Landscape of each grid
-    point built so far, and gains the task's own if it is missing."""
-    params, algo, seed, config, noise_var = task
-    landscape = landscapes.get(params)
-    if landscape is None:
-        landscape = landscapes[params] = Landscape(params)
-    trajectory, report, _, _ = _run_one(landscape, algo, seed, config, noise_var)
+def _sweep_task(task):
+    """One row of sweep.csv."""
+    params, algo, seed, config, noise = task
+    trajectory, report, _, _ = _run_one(_landscape(params), algo, seed, config, noise)
     growth = report.growth
     return {
         "L": params.L, "gamma": params.gamma, "tau": params.tau,
@@ -317,22 +307,21 @@ def _sweep_task(landscapes: dict[LandscapeParams, Landscape], task):
 
 
 def cmd_sweep(args) -> int:
+    _landscape.cache_clear()
     grid = _params_grid(args)
     config = _gd_config(args)
-    noise_var = _noise_var(args, args.algo)
+    noise = NoiseConfig(variance=args.noise_var)
     out = _outdir(args)
 
     seeds = range(args.seed, args.seed + args.seeds)
-    tasks = [(params, algo, seed, config, noise_var)
+    tasks = [(params, algo, seed, config, noise)
              for params in grid for algo in args.algo for seed in seeds]
     t0 = time.perf_counter()
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs,
-                                                    initializer=_init_sweep_worker) as pool:
-            rows = list(pool.map(_sweep_worker_task, tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_sweep_task, tasks))
     else:
-        landscapes: dict[LandscapeParams, Landscape] = {}
-        rows = [_sweep_task(landscapes, t) for t in tasks]
+        rows = [_sweep_task(t) for t in tasks]
     elapsed = time.perf_counter() - t0
 
     lines = ["L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"]
@@ -389,9 +378,8 @@ def main(argv=None) -> int:
                 "plotdata": cmd_plotdata}
     try:
         if getattr(args, "config", None):
-            known = [k for k in vars(args) if k not in ("command", "config")]
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config, known) + argv[at:])
+            args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
         for key, least in _AT_LEAST.items():
             value = getattr(args, key, least)
             if value < least:

@@ -52,7 +52,7 @@ def test_fd_gradient_matches_analytic_example(lc8):
 # --- gradient_check -----------------------------------------------------------------
 
 def test_gradient_check_passes_on_defaults(lc8):
-    rep = ss.gradient_check(lc8, n_samples=10_000, h=1e-5, tol=1e-6, seed=0)
+    rep = ss.gradient_check(lc8, n_samples=10_000, seed=0)
     assert rep.passed
     assert rep.samples == 10_000
     assert rep.worst_error <= 1e-6
@@ -146,7 +146,7 @@ def test_global_minimum_check(lc8):
 
 
 def test_lipschitz_probe_single_pair(lc8):
-    est = ss.lipschitz_probe(lc8, n_pairs=1, seed=0)
+    est = ss.lipschitz_report(lc8, n_pairs=1, seed=0).worst_error
     assert np.isfinite(est) and est >= 0
 
 
@@ -158,7 +158,7 @@ def test_lipschitz_probe_within_documented_bound(lc8):
 
 def test_lipschitz_probe_rejects_zero_pairs(lc8):
     with pytest.raises(ValueError):
-        ss.lipschitz_probe(lc8, n_pairs=0)
+        ss.lipschitz_report(lc8, n_pairs=0)
 
 
 def test_run_all_checks_deterministic(lc8):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import shlex
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import saddlescape
 from saddlescape import cli
 from saddlescape.cli import main
 
@@ -166,14 +168,15 @@ def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a pair\n")
     assert main(["run", "--config", str(cfg)]) == 2
-    # a config value meets its flag's choices
-    cfg.write_text("algo = sgdd\n")
+    # a config value meets its flag's choices, and the error names its line
+    cfg.write_text("n-saddles = 2\nalgo = sgdd\n")
     out = tmp_path / "out"
     for command in ("run", "sweep"):
         with pytest.raises(SystemExit) as err:
             main([command, "--n-saddles", "2", "--config", str(cfg), "--out", str(out)])
         assert err.value.code == 2
-        assert "invalid choice: 'sgdd'" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "invalid choice: 'sgdd'" in stderr and f"{cfg}:2" in stderr
         assert not out.exists()
 
 
@@ -284,9 +287,10 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("value", ["nan", "-1"])
-def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value):
+@pytest.mark.parametrize("algo", ["gd", "sgd"])
+def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value, algo):
     out = tmp_path / "D"
-    assert main([command, "--algo", "sgd", "--n-saddles", "2", "--seeds", "1",
+    assert main([command, "--algo", algo, "--n-saddles", "2", "--seeds", "1",
                  "--noise-var", value, "--out", str(out)]) == 2
     assert "variance must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
@@ -371,3 +375,13 @@ def test_readme_commands_parse_and_help_renders(capsys):
             cli.build_parser().parse_args([command, "-h"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: saddlescape {command}")
+
+
+def test_readme_api_paragraph_names_the_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = re.search(r"The public API is the package's top-level names\.(.*?)"
+                     r"The result dataclasses serialize", readme, re.S).group(1)
+    named = set(re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", para)))
+    exports = {name for name in saddlescape.__all__
+               if not inspect.ismodule(getattr(saddlescape, name))}
+    assert named == exports

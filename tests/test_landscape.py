@@ -276,7 +276,7 @@ def test_sampled_global_minimum(landscape, rng):
 
 
 def test_gradient_lipschitz_probe_within_bound(landscape):
-    est = ss.lipschitz_probe(landscape, n_pairs=20_000, seed=3)
+    est = ss.lipschitz_report(landscape, n_pairs=20_000, seed=3).worst_error
     assert est <= landscape.gradient_lipschitz_bound()
 
 
