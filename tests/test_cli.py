@@ -287,10 +287,20 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("value", ["nan", "-1"])
-@pytest.mark.parametrize("algo", ["gd", "sgd"])
-def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value, algo):
+def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value):
     out = tmp_path / "D"
-    assert main([command, "--algo", algo, "--n-saddles", "2", "--seeds", "1",
+    assert main([command, "--algo", "sgd", "--n-saddles", "2", "--seeds", "1",
+                 "--noise-var", value, "--out", str(out)]) == 2
+    assert "variance must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_noise_var_rejected_under_gd_too(tmp_path, capsys, command, value):
+    # gd ignores the noise variance, yet a bad one is still a usage error
+    out = tmp_path / "D"
+    assert main([command, "--algo", "gd", "--n-saddles", "2", "--seeds", "1",
                  "--noise-var", value, "--out", str(out)]) == 2
     assert "variance must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
