@@ -8,6 +8,13 @@ all its samples from one stream and evaluates the seams in passes of about
 ``CHUNK`` points, and the stationary check probes every block center and
 ring in one pass, so the number of numpy calls does not grow with the
 length of the chain.
+
+The global-minimum check and the Lipschitz report also work ``CHUNK``
+points at a time.  What they keep whole is 8 bytes per sampled point (its
+chain order) and 40 bytes per pair (the order and both points), so their
+peak memory is that plus a few ``CHUNK``-sized temporaries.  A seam scan
+with more than ``CHUNK`` samples per seam still evaluates a whole seam in
+one pass.
 """
 
 from __future__ import annotations
@@ -235,41 +242,53 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
 
 
 def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> CheckReport:
-    """The final-block center is the sampled global minimum over D."""
+    """The final-block center is the sampled global minimum over D.
+
+    The points are ``sample_points``' draws: all chain orders first, then
+    the offsets, drawn, placed and evaluated ``CHUNK`` points at a time.
+    """
     if n_points == 0:
         return _report("global_minimum", 0, 0.0, 0.0)
     rng = np.random.default_rng(seed)
-    pts = landscape.sample_points(n_points, rng)
-    vals = landscape.value_many(pts)
+    orders = rng.integers(0, len(landscape.regions), size=n_points)
     center = landscape.regions[-1].center
     fc = landscape.value(center)
-    at_or_below = vals <= fc
-    n_bad = int(at_or_below.sum())
-    witnesses = []
-    if n_bad:
-        for i in np.nonzero(at_or_below)[0][:3]:
+    n_bad, sampled_min, witnesses = 0, np.inf, []
+    for s in range(0, n_points, CHUNK):
+        o = orders[s:s + CHUNK]
+        pts = landscape.place_in_regions(o, rng.random((len(o), 2)))
+        vals = landscape.value_many(pts)
+        sampled_min = np.minimum(sampled_min, vals.min())
+        at_or_below = np.flatnonzero(vals <= fc)
+        n_bad += len(at_or_below)
+        for i in at_or_below[:3 - len(witnesses)]:
             witnesses.append({"point": [float(pts[i, 0]), float(pts[i, 1])],
                               "value": float(vals[i]), "center_value": fc})
     return _report("global_minimum", n_points, float(n_bad), 0.0, witnesses,
                    {"center": list(center), "center_value": fc,
-                    "sampled_min": float(vals.min()), "seed": seed})
+                    "sampled_min": float(sampled_min), "seed": seed})
 
 
 def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> CheckReport:
     """Max gradient-difference ratio over random same-region point pairs,
-    against the documented bound ``gradient_lipschitz_bound()``."""
+    against the documented bound ``gradient_lipschitz_bound()``.  The pairs
+    are drawn whole; gradients and ratios are taken ``CHUNK`` pairs at a time."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
     orders = rng.integers(0, len(landscape.regions), size=n_pairs)
     a = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
     b = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
-    ga = landscape.gradient_many(a, orders)
-    gb = landscape.gradient_many(b, orders)
-    dist = np.linalg.norm(a - b, axis=1)
-    keep = dist > 0
-    ratios = np.linalg.norm(ga[keep] - gb[keep], axis=1) / dist[keep]
-    return _report("gradient_lipschitz", n_pairs, float(ratios.max()),
+    worst = -np.inf
+    for s in range(0, n_pairs, CHUNK):
+        o, pa, pb = orders[s:s + CHUNK], a[s:s + CHUNK], b[s:s + CHUNK]
+        ga = landscape.gradient_many(pa, o)
+        gb = landscape.gradient_many(pb, o)
+        dist = np.linalg.norm(pa - pb, axis=1)
+        keep = dist > 0
+        ratios = np.linalg.norm(ga[keep] - gb[keep], axis=1) / dist[keep]
+        worst = np.maximum(worst, ratios.max(initial=-np.inf))
+    return _report("gradient_lipschitz", n_pairs, float(worst),
                    landscape.gradient_lipschitz_bound(), details={"seed": seed})
 
 

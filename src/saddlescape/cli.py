@@ -47,7 +47,7 @@ def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
     """The flag tokens of the file ``args.config``: each ``key = value`` line
     becomes ``--key`` and the value split on whitespace; '#' starts a comment.
     The keys are the subcommand's own options.  Each line is parsed as it is
-    read, so a bad value is reported with its file and line."""
+    read and checked, so a bad value is reported with its file and line."""
     path = args.config
     known = [k for k in vars(args) if k not in ("command", "config")]
     tokens = []
@@ -64,17 +64,32 @@ def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
                              f"known keys: {', '.join(known)}")
         line_tokens = ["--" + key.replace("_", "-"), *val.split()]
         try:
-            parser.parse_args([args.command, *line_tokens])
+            _check_values(parser.parse_args([args.command, *line_tokens]))
         except SystemExit:
             print(f"{path}:{lineno}: {line}", file=sys.stderr)
             raise
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {line}: {e}") from e
         tokens += line_tokens
     return tokens
 
 
-# The least value of each count option; main checks them before any handler runs.
+# The least value of each count option.
 _AT_LEAST = {"seed": 0, "seeds": 1, "jobs": 1, "pairs": 1,
              "grad_samples": 0, "seam_samples": 0, "min_points": 0}
+
+
+def _check_values(args):
+    """Raise ValueError for an option value that argparse accepts and the
+    code rejects: a count below its least value, or a bad descent or noise
+    setting.  Each rule reads one option, so a config line is checked alone."""
+    for key, least in _AT_LEAST.items():
+        value = getattr(args, key, least)
+        if value < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
+    if hasattr(args, "noise_var"):
+        _gd_config(args)
+        NoiseConfig(variance=args.noise_var)
 
 
 def _add_common(parser: argparse.ArgumentParser, grid: bool = False):
@@ -380,10 +395,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
-        for key, least in _AT_LEAST.items():
-            value = getattr(args, key, least)
-            if value < least:
-                raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
+        _check_values(args)
         return handlers[args.command](args)
     except IOError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,7 +21,9 @@ import numpy as np
 
 Point = tuple[float, float]
 
-CHUNK = 1 << 16  # points per pass of the vectorized path; bounds its temporaries
+# Points per pass of the vectorized path and of the sampled checks; bounds
+# their temporaries.  At 1 << 13, ``check --n-saddles 100`` took about 20% longer.
+CHUNK = 1 << 14
 
 
 class OutsideDomainError(ValueError):

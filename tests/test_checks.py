@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
-from saddlescape.landscape import FINAL_CODE, _build_regions
+from saddlescape.landscape import CHUNK, FINAL_CODE, _build_regions
 from test_landscape import GRID
 
 
@@ -266,12 +268,13 @@ def _assert_stationary_matches_loop(landscape, n_angles=256):
     return rep
 
 
-# 1 and 13 leave every seam in one pass; 7000 makes passes of 9 seams with a
-# shorter last one at n_saddles = 5
+# 1 and 13 leave every seam in one pass; 5000 makes passes of CHUNK // 5000
+# = 3 seams, so n_saddles = 5 (10 edges, 10 branch lines) ends each family
+# with a pass of 1 seam
 @pytest.mark.parametrize("params", GRID)
 def test_seam_scan_matches_per_seam_loop(params):
     lc = Landscape(params)
-    for samples_per_seam in (1, 13, 7000):
+    for samples_per_seam in (1, 13, 5000):
         rep = _assert_seam_scan_matches_loop(lc, samples_per_seam, seed=3)
         assert rep.passed
 
@@ -285,7 +288,7 @@ def test_seam_scan_matches_per_seam_loop_on_corrupted_landscapes():
     lc = _without_offset(LandscapeParams(n_saddles=5))
     bad = _CorruptedGradient(LandscapeParams(n_saddles=5, tau=0.7))
     for landscape in (lc, bad):
-        for samples_per_seam in (13, 7000):
+        for samples_per_seam in (13, 5000):
             rep = _assert_seam_scan_matches_loop(landscape, samples_per_seam, seed=2)
             assert not rep.passed and rep.witnesses
     assert {w["kind"] for w in rep.witnesses} == {"gradient", "fd"}
@@ -329,3 +332,89 @@ def test_stationary_check_matches_per_block_loop_on_corrupted_landscapes():
     assert not rep.passed
     assert {w["kind"] for w in rep.witnesses} == {"nonzero_gradient", "not_saddle",
                                                   "not_local_minimum"}
+
+
+# --- pass loops against the whole-array checks ----------------------------------------
+
+def _global_minimum_whole(landscape, n_points, seed=0):
+    """global_minimum_check over one whole array of sample_points."""
+    rng = np.random.default_rng(seed)
+    pts = landscape.sample_points(n_points, rng)
+    vals = landscape.value_many(pts)
+    center = landscape.regions[-1].center
+    fc = landscape.value(center)
+    at_or_below = vals <= fc
+    witnesses = [{"point": [float(pts[i, 0]), float(pts[i, 1])],
+                  "value": float(vals[i]), "center_value": fc}
+                 for i in np.nonzero(at_or_below)[0][:3]]
+    return ss.checks._report("global_minimum", n_points, float(at_or_below.sum()), 0.0,
+                             witnesses, {"center": list(center), "center_value": fc,
+                                         "sampled_min": float(vals.min()), "seed": seed})
+
+
+def _lipschitz_whole(landscape, n_pairs, seed=0):
+    """lipschitz_report with the gradients of all pairs in one array."""
+    rng = np.random.default_rng(seed)
+    orders = rng.integers(0, len(landscape.regions), size=n_pairs)
+    a = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
+    b = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
+    ga = landscape.gradient_many(a, orders)
+    gb = landscape.gradient_many(b, orders)
+    dist = np.linalg.norm(a - b, axis=1)
+    keep = dist > 0
+    ratios = np.linalg.norm(ga[keep] - gb[keep], axis=1) / dist[keep]
+    return ss.checks._report("gradient_lipschitz", n_pairs, float(ratios.max()),
+                             landscape.gradient_lipschitz_bound(), details={"seed": seed})
+
+
+class _RareDips(Landscape):
+    """Sinks about two sampled points in CHUNK far below the minimum, so the
+    first three global-minimum witnesses lie in different passes."""
+
+    def eval_many(self, xy, orders=None, branch=0, want_grad=True):
+        values, grads = super().eval_many(xy, orders, branch, want_grad)
+        values[np.modf(xy[:, 0] * 1e5)[0] < 2.0 / CHUNK] = -1e9
+        return values, grads
+
+
+PASS_COUNTS = (1, CHUNK - 1, CHUNK + 17, 3 * CHUNK + 5)
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_pass_loops_match_whole_array_checks(params):
+    flat = _without_offset(params)     # fails the global-minimum check, with witnesses
+    for lc in (Landscape(params), flat):
+        for n in PASS_COUNTS:
+            assert ss.global_minimum_check(lc, n, seed=5) == _global_minimum_whole(lc, n, 5)
+            assert ss.lipschitz_report(lc, n, seed=5) == _lipschitz_whole(lc, n, 5)
+    assert ss.global_minimum_check(flat, CHUNK + 17).witnesses
+
+
+def test_global_minimum_witnesses_keep_sample_order_across_passes():
+    lc = _RareDips(LandscapeParams(n_saddles=5))
+    n = PASS_COUNTS[-1]
+    rep = ss.global_minimum_check(lc, n, seed=1)
+    assert rep == _global_minimum_whole(lc, n, seed=1)
+    rng = np.random.default_rng(1)
+    dips = np.flatnonzero(lc.value_many(lc.sample_points(n, rng)) == -1e9)
+    assert len(rep.witnesses) == 3 and rep.worst_error == len(dips)
+    assert len(set(dips[:3] // CHUNK)) > 1      # the first three span passes
+
+
+# --- memory -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("check, count, bound_mib", [
+    (ss.seam_scan, 1000, 8),
+    (ss.global_minimum_check, 1_000_000, 12),
+    (ss.lipschitz_report, 100_000, 8),
+])
+def test_check_peak_memory_at_n100(check, count, bound_mib):
+    lc = Landscape(LandscapeParams(n_saddles=100))
+    check(lc, 10)
+    tracemalloc.start()
+    try:
+        check(lc, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20

@@ -285,6 +285,25 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
     assert "--seeds must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("run", "noise_var = nan", "variance must be finite and >= 0, got nan"),
+    ("sweep", "noise_var = nan", "variance must be finite and >= 0, got nan"),
+    ("run", "seeds = 0", "--seeds must be >= 1, got 0"),
+    ("sweep", "seeds = 0", "--seeds must be >= 1, got 0"),
+    ("sweep", "jobs = 0", "--jobs must be >= 1, got 0"),
+    ("run", "max_iter = 0", "max_iter must be >= 1, got 0"),
+    ("check", "pairs = 0", "--pairs must be >= 1, got 0"),
+])
+def test_rejected_config_value_names_its_file_and_line(tmp_path, capsys, command, line,
+                                                       message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_saddles = 2\n{line}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}:2: {line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_bad_noise_var_leaves_no_output_directory(tmp_path, capsys, command, value):
