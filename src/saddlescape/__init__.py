@@ -32,13 +32,9 @@ from .analysis import (
     TheoryCheck,
     TheoryReport,
     check_buffer_bound,
-    check_containment,
     check_escape_recurrence,
-    detect_stall,
-    first_final_entry,
     growth_summary,
-    segment,
-    theory_report,
+    replay,
 )
 from .checks import (
     CheckReport,

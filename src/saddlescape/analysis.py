@@ -7,8 +7,8 @@ in the chain.  For plain descent this coincides with direct label counts
 backward, it yields first-passage residence times.
 
 Every analysis is a pass of ``StreamObserver`` over the iterates: ``run``
-feeds it while descending, and the functions taking a ``Trajectory`` replay
-the stored iterates through one.
+feeds it while descending, and ``replay`` feeds it the stored iterates of a
+``Trajectory``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ class EscapeRecord:
     complete: bool
 
 
-def _replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
-    """A fresh observer fed every stored iterate; ``dense`` first requires
-    that none were thinned away, as exact residences need them all."""
+def replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
+    """A fresh observer fed every stored iterate.  Containment and the first
+    final entry are exact at any record_every; records, stall and report
+    need every iterate, so ``dense`` first raises SegmentationError on a
+    thinned trajectory."""
     its = trajectory.iterates
     if dense:
         for a, b in zip(its, its[1:]):
@@ -61,15 +63,6 @@ def _replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
     for it in its:
         observer(it)
     return observer
-
-
-def segment(trajectory: Trajectory) -> list[EscapeRecord]:
-    """Segment a dense (record_every == 1) trajectory into escape records.
-
-    Plain-descent trajectories must never revisit an earlier region; noisy
-    ones may, and are counted on a first-passage basis.
-    """
-    return _replay(trajectory, dense=True).records(trajectory.is_noisy)
 
 
 @dataclass
@@ -102,11 +95,6 @@ def check_buffer_bound(records: list[EscapeRecord], params: LandscapeParams,
     return TheoryCheck("buffer_residence_bound", passed=not witnesses,
                        details={"bound": bound, "margins": margins},
                        witnesses=witnesses)
-
-
-def check_containment(trajectory: Trajectory) -> TheoryCheck:
-    """``StreamObserver.containment`` over the stored iterates."""
-    return _replay(trajectory).containment(trajectory.is_noisy)
 
 
 def check_escape_recurrence(records: list[EscapeRecord], params: LandscapeParams,
@@ -200,24 +188,6 @@ class StallInfo:
     reason: str   # cross_pinned | fixed_point | zero_gradient
 
 
-def detect_stall(trajectory: Trajectory) -> StallInfo | None:
-    """First iterate where descent is numerically doomed (see
-    ``StreamObserver.__call__``), or None; for a noisy run, the first pin,
-    which a later kick may free (its report then has no stall).  Raises
-    SegmentationError on a thinned trajectory, whose first kept pinned
-    iterate need not be the first pinned one."""
-    return _replay(trajectory, dense=True).stall
-
-
-def first_final_entry(trajectory: Trajectory) -> int | None:
-    """Iteration index of the first recorded iterate inside the final block.
-
-    Region-entry iterates always carry an event and survive thinning, so
-    this is exact for any record_every.
-    """
-    return _replay(trajectory).first_final
-
-
 @dataclass
 class TheoryReport:
     records: list[EscapeRecord]     # the segmentation the checks ran on
@@ -238,11 +208,6 @@ class TheoryReport:
         del d["records"]
         d["passed"] = self.passed
         return d
-
-
-def theory_report(trajectory: Trajectory) -> TheoryReport:
-    """Run every theory check that applies to this dense trajectory."""
-    return _replay(trajectory, dense=True).report(trajectory.eta, trajectory.is_noisy)
 
 
 _CROSS_AXIS = {RegionKind.ODD_BLOCK: 1, RegionKind.EVEN_BLOCK: 0}

@@ -81,12 +81,17 @@ _AT_LEAST = {"seed": 0, "seeds": 1, "jobs": 1, "pairs": 1,
 
 def _check_values(args):
     """Raise ValueError for an option value that argparse accepts and the
-    code rejects: a count below its least value, or a bad descent or noise
-    setting.  Each rule reads one option, so a config line is checked alone."""
+    code rejects: a count below its least value, a bad landscape parameter,
+    or a bad descent or noise setting.  Each rule reads one option, so a
+    config line is checked alone."""
     for key, least in _AT_LEAST.items():
         value = getattr(args, key, least)
         if value < least:
             raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
+    for key in ("L", "gamma", "tau", "n_saddles"):
+        for value in _as_list(getattr(args, key, None)):
+            if value is not None:
+                LandscapeParams.check_field(key, value)
     if hasattr(args, "noise_var"):
         _gd_config(args)
         NoiseConfig(variance=args.noise_var)
@@ -357,29 +362,35 @@ def cmd_plotdata(args) -> int:
     summary_path = runs_dir / "summary.json"
     if not summary_path.exists():
         raise IOError(f"no summary.json under {runs_dir}")
+    runs = []   # (seed, blocks_seed<k>.csv rows) of each run
+    try:
+        for entry in json.loads(summary_path.read_text())["runs"]:
+            runs.append((entry["seed"], [
+                f"{rec['index']},{rec['t']},{rec['t_prime']},{str(rec['complete']).lower()}"
+                for rec in entry["escape_records"]]))
+    except (ValueError, KeyError, TypeError) as e:
+        raise IOError(f"{summary_path} is not a run summary: "
+                      f"{type(e).__name__}: {e}") from e
     out = Path(args.out) if args.out else runs_dir
     out.mkdir(parents=True, exist_ok=True)
-    summary = json.loads(summary_path.read_text())
-    for entry in summary["runs"]:
-        seed = entry["seed"]
+    for seed, records in runs:
         csv_path = runs_dir / f"run_seed{seed}.csv"
         if not csv_path.exists():
             raise IOError(f"missing trajectory file {csv_path}")
-        rows = csv_path.read_text().splitlines()[1:]
         f_lines = ["iter,f"]
         path_lines = ["iter,x1,x2"]
-        for row in rows:
+        for lineno, row in enumerate(csv_path.read_text().splitlines()[1:], 2):
             parts = row.split(",")
+            if len(parts) < 4:
+                raise IOError(f"{csv_path}:{lineno}: expected at least the 4 fields "
+                              f"iter,x1,x2,f, got {row!r}")
             f_lines.append(f"{parts[0]},{parts[3]}")
             path_lines.append(f"{parts[0]},{parts[1]},{parts[2]}")
         (out / f"fseries_seed{seed}.csv").write_text("\n".join(f_lines) + "\n")
         (out / f"path_seed{seed}.csv").write_text("\n".join(path_lines) + "\n")
-        block_lines = ["block_index,iterations,buffer_iterations,complete"]
-        for rec in entry["escape_records"]:
-            block_lines.append(f"{rec['index']},{rec['t']},{rec['t_prime']},"
-                               f"{str(rec['complete']).lower()}")
+        block_lines = ["block_index,iterations,buffer_iterations,complete", *records]
         (out / f"blocks_seed{seed}.csv").write_text("\n".join(block_lines) + "\n")
-    print(f"plot data for {len(summary['runs'])} runs -> {out}")
+    print(f"plot data for {len(runs)} runs -> {out}")
     return 0
 
 

@@ -71,7 +71,9 @@ class LandscapeParams:
     L is the benign curvature, gamma the (weaker) escape curvature,
     tau the side length of every block and buffer, n_saddles the number
     of saddle blocks; the chain has n_saddles + 1 blocks in total, the
-    last one holding the minimum.
+    last one holding the minimum.  Parameters whose derived constants,
+    final block offset or gradient Lipschitz bound overflow, or whose nu
+    underflows to 0, are rejected.
     """
 
     L: float = 1.0
@@ -80,13 +82,32 @@ class LandscapeParams:
     n_saddles: int = 9
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.L, self.gamma, self.tau)):
-            raise ValueError(f"L, gamma, tau must be finite and positive, got {self}")
+        for name in ("L", "gamma", "tau", "n_saddles"):
+            self.check_field(name, getattr(self, name))
         if self.L < self.gamma:
             raise ValueError(f"construction requires L >= gamma, got L={self.L} gamma={self.gamma}")
-        n = self.n_saddles
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_saddles must be an integer >= 1, got {n!r}")
+        d = derive_constants(self)
+        offset = -(self.n_saddles + 1) * d.nu   # the final block's value offset
+        try:
+            bound = _lipschitz_bound(d.L2, self.gamma, self.tau)
+        except OverflowError:   # float ** raises where * would give inf
+            bound = math.inf
+        checked = (d.L2, d.nu, d.eta_default, d.lower_bound_base, offset, bound)
+        if d.nu == 0.0 or not all(map(math.isfinite, checked)):
+            raise ValueError(f"{self} gives a zero or non-finite derived constant: {d}, "
+                             f"final block offset {offset}, gradient Lipschitz bound {bound}")
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError unless ``value`` is valid for the field ``name``
+        on its own: L, gamma and tau finite and positive, n_saddles an
+        integer >= 1.  L >= gamma and the derived constants are checked on
+        the whole set."""
+        if name == "n_saddles":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"n_saddles must be an integer >= 1, got {value!r}")
+        elif not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def n_blocks(self) -> int:
@@ -439,6 +460,9 @@ class Landscape:
         blend's cross contribution 30*(c1-c2)*(u-2t)^2(u-t)^2/t^5 * w^2
         with |c1-c2| <= L2+gamma and |w| <= tau/2.
         """
-        L2, g, tau = self.derived.L2, self.params.gamma, self.params.tau
-        return 2.0 * L2 + 30.0 * (L2 + g) * (tau / 2.0) ** 2 / tau
+        return _lipschitz_bound(self.derived.L2, self.params.gamma, self.params.tau)
+
+
+def _lipschitz_bound(L2: float, g: float, tau: float) -> float:
+    return 2.0 * L2 + 30.0 * (L2 + g) * (tau / 2.0) ** 2 / tau
 

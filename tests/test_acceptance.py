@@ -39,7 +39,7 @@ def grid_runs():
         n = 3 + seed % 7
         params = LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=n)
         lc, traj = _gd_run(params, seed)
-        runs.append((params, seed, traj, ss.segment(traj)))
+        runs.append((params, seed, traj, ss.replay(traj, dense=True).records(traj.is_noisy)))
     return runs
 
 
@@ -54,7 +54,7 @@ def growth_runs():
             t0 = time.perf_counter()
             lc, traj = _gd_run(params, seed)
             elapsed = time.perf_counter() - t0
-            growth = ss.growth_summary(ss.segment(traj), params)
+            growth = ss.growth_summary(ss.replay(traj, dense=True).records(traj.is_noisy), params)
             per_seed.append((seed, traj, growth, elapsed))
         out[L] = per_seed
     return out
@@ -122,7 +122,7 @@ def test_criterion_4_containment(grid_runs):
                 n_outside += 1
             if it.event is ss.Event.PROJECTED:
                 n_projected += 1
-        assert ss.check_containment(traj).passed, seed
+        assert ss.replay(traj).containment(traj.is_noisy).passed, seed
     ok = n_outside == 0 and n_projected == 0
     conclude(4, "containment", ok,
              f"{len(grid_runs)} runs, {n_outside} outside iterates, "
@@ -178,7 +178,7 @@ def test_criterion_7_noisy_descent_efficiency(growth_runs):
         ss.run(lc, GdConfig(max_iter=100_000, stop_grad_norm=params.L * params.tau / 2),
                start, noise=NoiseConfig(variance=0.1, seed=seed), observer=obs)
         sgd_entries.append(obs.first_final)
-    gd_entries = [ss.first_final_entry(traj) for _, traj, _, _ in growth_runs[1.0]]
+    gd_entries = [ss.replay(traj).first_final for _, traj, _, _ in growth_runs[1.0]]
 
     reached = [e for e in sgd_entries if e is not None and e <= 100_000]
     frac = len(reached) / len(sgd_entries)
@@ -203,7 +203,7 @@ def test_criterion_8_numerical_sticking():
         if traj.iterates[-1].region.order >= final_order:
             continue
         stalled += 1
-        info = ss.detect_stall(traj)
+        info = ss.replay(traj, dense=True).stall
         if info is not None and info.reason == "cross_pinned":
             pinned += 1
     ok = stalled >= 1 and pinned >= 1

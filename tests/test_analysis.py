@@ -47,7 +47,7 @@ def gd_run(n_saddles, seed):
 
 def test_segment_synthetic_counts(lc5):
     traj = make_trajectory(lc5, [0] * 5 + [1] * 3 + [2] * 7)
-    recs = ss.segment(traj)
+    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
     assert [(r.index, r.t, r.t_prime, r.complete) for r in recs] == [
         (1, 5, 3, True), (2, 7, 0, False)]
     assert recs[0].T == 8
@@ -55,7 +55,8 @@ def test_segment_synthetic_counts(lc5):
 
 
 def test_segment_single_region(lc5):
-    recs = ss.segment(make_trajectory(lc5, [0] * 9))
+    traj = make_trajectory(lc5, [0] * 9)
+    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
     assert [(r.index, r.t, r.t_prime, r.T, r.complete) for r in recs] == [
         (1, 9, 0, 9, False)]
 
@@ -63,7 +64,7 @@ def test_segment_single_region(lc5):
 def test_segment_t_recurrence_and_conservation():
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        recs = ss.segment(traj)
+        recs = ss.replay(traj, dense=True).records(traj.is_noisy)
         prev_T = 0
         for rec in recs:
             assert rec.T == prev_T + rec.t + rec.t_prime
@@ -75,32 +76,33 @@ def test_segment_rejects_thinned(lc5):
     start = ss.init_sample(lc5, np.random.default_rng(0))
     traj = ss.run(lc5, GdConfig(record_every=10), start)
     with pytest.raises(ss.SegmentationError):
-        ss.segment(traj)
+        ss.replay(traj, dense=True)
 
 
 def test_segment_rejects_gd_revisit(lc5):
     traj = make_trajectory(lc5, [0, 1, 0, 1, 2])
     with pytest.raises(ss.SegmentationError) as err:
-        ss.segment(traj)
+        ss.replay(traj, dense=True).records(traj.is_noisy)
     assert err.value.iterate.t == 2
 
 
 def test_segment_sgd_first_passage(lc5):
     traj = make_trajectory(lc5, [0, 1, 0, 1, 2], noise=NoiseConfig(variance=0.1))
-    recs = ss.segment(traj)
+    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
     assert [(r.index, r.t, r.t_prime, r.T, r.complete) for r in recs] == [
         (1, 1, 3, 4, True), (2, 1, 0, 5, False)]
 
 
 def test_segment_empty_raises(lc5):
     with pytest.raises(ss.SegmentationError):
-        ss.segment(Trajectory(lc5.params, GdConfig(), None, (), Outcome.BUDGET))
+        ss.replay(Trajectory(lc5.params, GdConfig(), None, (), Outcome.BUDGET),
+                  dense=True).records(False)
 
 
 def test_segment_outside_iterate_raises(lc5):
     traj = make_trajectory(lc5, [0, None, 1])
     with pytest.raises(ss.SegmentationError):
-        ss.segment(traj)
+        ss.replay(traj, dense=True).records(traj.is_noisy)
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -119,15 +121,14 @@ def test_stream_observer_matches_segment(algo, n, seed, record_every):
         dense = ss.run(lc, GdConfig(), start, noise=noise)
         assert len(traj.iterates) < len(dense.iterates)
         with pytest.raises(ss.SegmentationError):
-            ss.segment(traj)
-        with pytest.raises(ss.SegmentationError):
-            ss.theory_report(traj)
-    assert obs.records(traj.is_noisy) == ss.segment(dense)
+            ss.replay(traj, dense=True)
+    replayed = ss.replay(dense, dense=True)
+    assert obs.records(traj.is_noisy) == replayed.records(dense.is_noisy)
     report = obs.report(traj.eta, traj.is_noisy)
-    assert report.to_dict() == ss.theory_report(dense).to_dict()
-    assert report.records == ss.segment(dense)
-    assert obs.stall == ss.detect_stall(dense)
-    assert obs.first_final == ss.first_final_entry(dense) == ss.first_final_entry(traj)
+    assert report.to_dict() == replayed.report(dense.eta, dense.is_noisy).to_dict()
+    assert report.records == replayed.records(dense.is_noisy)
+    assert obs.stall == replayed.stall
+    assert obs.first_final == replayed.first_final == ss.replay(traj).first_final
     assert len(obs.first_exceed) <= 2 * n + 2
 
 
@@ -140,7 +141,8 @@ def test_buffer_bound_value(params5):
 def test_buffer_bound_on_real_runs(params5):
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        res = ss.check_buffer_bound(ss.segment(traj), params5, 0.25)
+        records = ss.replay(traj, dense=True).records(traj.is_noisy)
+        res = ss.check_buffer_bound(records, params5, 0.25)
         assert res.passed
         assert all(m["t_prime"] <= 8 for m in res.details["margins"])
 
@@ -161,30 +163,30 @@ def test_buffer_bound_synthetic_violation(params5):
 
 def test_containment_on_real_run(params5):
     _, traj = gd_run(5, 1)
-    assert ss.check_containment(traj).passed
+    assert ss.replay(traj).containment(traj.is_noisy).passed
 
 
 def test_containment_skipped_for_sgd(lc5):
     traj = make_trajectory(lc5, [0, 1], noise=NoiseConfig(variance=0.1))
-    res = ss.check_containment(traj)
+    res = ss.replay(traj).containment(traj.is_noisy)
     assert res.passed and res.skipped
 
 
 def test_containment_fails_on_outside_iterate(lc5):
     # the first outside iterate is both the witness and the segmentation error
     traj = make_trajectory(lc5, [0, 0, None, 1, None, 2])
-    res = ss.check_containment(traj)
+    res = ss.replay(traj).containment(traj.is_noisy)
     assert not res.passed
     assert res.witnesses == [{"t": 2, "kind": "outside", "position": [-1.0, -1.0]}]
     with pytest.raises(ss.SegmentationError) as err:
-        ss.segment(traj)
+        ss.replay(traj, dense=True).records(traj.is_noisy)
     assert err.value.iterate is traj.iterates[2]
 
 
 def test_containment_fails_on_projection(lc5):
     traj = make_trajectory(lc5, [0, 1, 1],
                            events=[None, ss.Event.PROJECTED, ss.Event.PROJECTED])
-    res = ss.check_containment(traj)
+    res = ss.replay(traj).containment(traj.is_noisy)
     assert not res.passed
     assert res.witnesses == [{"t": 1, "kind": "projected",
                               "position": list(traj.iterates[1].position)}]
@@ -201,7 +203,8 @@ def test_recurrence_rejects_small_ratio():
 def test_recurrence_on_real_runs(params5):
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        res = ss.check_escape_recurrence(ss.segment(traj), params5, 0.25)
+        records = ss.replay(traj, dense=True).records(traj.is_noisy)
+        res = ss.check_escape_recurrence(records, params5, 0.25)
         assert res.passed
         assert res.details["t1"] > 8  # 4L/gamma
 
@@ -258,7 +261,7 @@ def test_growth_skips_incomplete_tail(params5):
 
 def test_growth_on_real_run(params5):
     _, traj = gd_run(5, 0)
-    s = ss.growth_summary(ss.segment(traj), params5)
+    s = ss.growth_summary(ss.replay(traj, dense=True).records(traj.is_noisy), params5)
     assert s.ratio > 1.8
     assert s.exceeds_floor
     assert s.total_iterations == len(traj.iterates)
@@ -268,7 +271,7 @@ def test_growth_on_real_run(params5):
 
 def test_detect_stall_on_long_chain():
     lc, traj = gd_run(9, 0)
-    info = ss.detect_stall(traj)
+    info = ss.replay(traj, dense=True).stall
     assert info is not None
     assert info.reason == "cross_pinned"
     # pinned strictly before the final block
@@ -281,13 +284,13 @@ def test_detect_stall_on_long_chain():
 
 def test_detect_stall_none_for_short_run():
     _, traj = gd_run(1, 0)
-    assert ss.detect_stall(traj) is None
+    assert ss.replay(traj, dense=True).stall is None
 
 
 def test_detect_stall_pinned_center(lc5):
     center = lc5.regions[2].center  # block 2
     traj = make_trajectory(lc5, [2], positions=[center])
-    info = ss.detect_stall(traj)
+    info = ss.replay(traj, dense=True).stall
     assert info is not None and info.t == 0
 
 
@@ -295,16 +298,16 @@ def test_detect_stall_pinned_center(lc5):
 
 def test_first_final_entry():
     lc, traj = gd_run(1, 0)
-    t = ss.first_final_entry(traj)
+    t = ss.replay(traj).first_final
     assert t is not None
     assert traj.iterates[0].region.kind is not RegionKind.FINAL_BLOCK
     _, stuck = gd_run(9, 0)
-    assert ss.first_final_entry(stuck) is None
+    assert ss.replay(stuck).first_final is None
 
 
 def test_theory_report_real_run_serializes(params5):
     _, traj = gd_run(5, 2)
-    rep = ss.theory_report(traj)
+    rep = ss.replay(traj, dense=True).report(traj.eta, traj.is_noisy)
     assert rep.passed
     payload = json.dumps(rep.to_dict(), sort_keys=True)
     assert "buffer_bound" in payload
@@ -321,9 +324,9 @@ def test_theory_checks_pass_on_default_grid():
             for seed in range(20):
                 start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
                 traj = ss.run(lc, GdConfig(), start)
-                records = ss.segment(traj)
+                records = ss.replay(traj, dense=True).records(traj.is_noisy)
                 assert ss.check_buffer_bound(records, params, eta).passed
-                assert ss.check_containment(traj).passed
+                assert ss.replay(traj).containment(traj.is_noisy).passed
                 assert ss.check_escape_recurrence(records, params, eta).passed
 
 
@@ -332,7 +335,7 @@ def test_theory_report_skips_for_sgd():
     start = ss.init_sample(lc9, np.random.default_rng(0))
     traj = ss.run(lc9, GdConfig(stop_grad_norm=0.5, max_iter=50_000), start,
                   noise=NoiseConfig(variance=0.1, seed=0))
-    rep = ss.theory_report(traj)
+    rep = ss.replay(traj, dense=True).report(traj.eta, traj.is_noisy)
     assert rep.buffer_bound.skipped
     assert rep.containment.skipped
     assert rep.recurrence.skipped
@@ -348,5 +351,5 @@ def test_detect_stall_rejects_thinned():
     traj = ss.run(lc, GdConfig(record_every=7), start, observer=obs)
     assert obs.stall.t == 68
     with pytest.raises(ss.SegmentationError):
-        ss.detect_stall(traj)
-    assert ss.detect_stall(ss.run(lc, GdConfig(), start)) == obs.stall
+        ss.replay(traj, dense=True)
+    assert ss.replay(ss.run(lc, GdConfig(), start), dense=True).stall == obs.stall

@@ -144,6 +144,25 @@ def test_plotdata_missing_inputs(tmp_path, capsys):
     assert main(["plotdata", "--runs", str(tmp_path / "nope")]) == 3
 
 
+@pytest.mark.parametrize("summary", ["{}", "[1, 2]", "not json"])
+def test_plotdata_bad_summary_exits_three_and_names_it(tmp_path, capsys, summary):
+    (tmp_path / "summary.json").write_text(summary)
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(tmp_path), "--out", str(out)]) == 3
+    assert f"error: {tmp_path / 'summary.json'} is not a run summary" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plotdata_short_csv_row_exits_three_and_names_it(tmp_path, capsys):
+    assert main(["run", "--n-saddles", "2", "--out", str(tmp_path)]) == 0
+    csv_path = tmp_path / "run_seed0.csv"
+    lines = read(csv_path).splitlines()
+    csv_path.write_text("\n".join(lines[:2] + ["7,0.5,0.5"]) + "\n")
+    capsys.readouterr()
+    assert main(["plotdata", "--runs", str(tmp_path)]) == 3
+    assert f"error: {csv_path}:3: " in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("L = 1.5\nn-saddles = 3\nseeds = 2  # comment\n")
@@ -206,10 +225,17 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
     ["check", "--L", "nan"],
     ["run", "--eta", "nan"],
     ["run", "--algo", "sgd", "--noise-var", "nan"],
+    # finite parameters whose derived constants overflow or vanish
+    ["run", "--L", "1e308"],
+    ["check", "--tau", "1e160"],
+    ["run", "--tau", "1e160"],
+    ["sweep", "--tau", "1", "1e-300"],
 ])
 def test_non_finite_parameters_exit_two(tmp_path, capsys, argv):
-    assert main(argv + ["--n-saddles", "2", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--n-saddles", "2", "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_noisy_run_with_zero_stop_norm_ends_on_budget(tmp_path):
@@ -293,6 +319,10 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
     ("sweep", "jobs = 0", "--jobs must be >= 1, got 0"),
     ("run", "max_iter = 0", "max_iter must be >= 1, got 0"),
     ("check", "pairs = 0", "--pairs must be >= 1, got 0"),
+    ("run", "L = nan", "L must be finite and positive, got nan"),
+    ("sweep", "L = 1 nan", "L must be finite and positive, got nan"),
+    ("check", "tau = 0", "tau must be finite and positive, got 0.0"),
+    ("run", "n_saddles = 0", "n_saddles must be an integer >= 1, got 0"),
 ])
 def test_rejected_config_value_names_its_file_and_line(tmp_path, capsys, command, line,
                                                        message):
@@ -414,3 +444,20 @@ def test_readme_api_paragraph_names_the_exports():
     exports = {name for name in saddlescape.__all__
                if not inspect.ismodule(getattr(saddlescape, name))}
     assert named == exports
+
+
+def test_readme_python_examples_run():
+    # every Python block (the quick start, then the StreamObserver example)
+    # in one namespace, and the values the quick start's comments promise
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert any("StreamObserver" in block for block in blocks[1:])
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    promised = re.findall(r"^(lc\.\w+\(.*\))\s+# (.+)$", blocks[0], re.M)
+    assert len(promised) == 3
+    names = {"RegionId": saddlescape.RegionId, **saddlescape.RegionKind.__members__}
+    for expr, value in promised:
+        assert eval(expr, namespace) == eval(value, names), expr
+    assert namespace["report"].records

@@ -322,7 +322,7 @@ def test_noisy_repeat_at_a_corner_is_not_a_stall():
     positions = [it.position for it in traj.iterates]
     assert any(p == q for p, q in zip(positions, positions[1:]))
     assert traj.outcome is Outcome.BUDGET
-    assert ss.detect_stall(traj) is None
+    assert ss.replay(traj, dense=True).stall is None
     assert obs.stall is None
 
 

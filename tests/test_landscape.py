@@ -42,6 +42,14 @@ def test_nu_matches_exact_rational_evaluation(L, gamma, tau):
     {"n_saddles": 0}, {"n_saddles": -3},
     {"L": math.inf}, {"L": math.inf, "gamma": math.inf}, {"gamma": math.nan},
     {"tau": math.inf}, {"tau": math.nan}, {"n_saddles": 2.0}, {"n_saddles": True},
+    # each overflows or zeroes one derived value
+    {"L": 1e308},                                   # L2
+    {"tau": 1e160, "n_saddles": 2},                 # nu, and (tau/2)**2 raises
+    {"tau": 1e-300},                                # nu == 0
+    {"L": 1e-320, "gamma": 1e-320},                 # eta_default
+    {"L": 1e300, "gamma": 1e-300},                  # lower_bound_base
+    {"L": 1e-300, "gamma": 1e-300, "tau": 1e200},   # Lipschitz bound only
+    {"gamma": 1.0, "tau": 8e152, "n_saddles": 1000},  # final block offset only
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ValueError):
