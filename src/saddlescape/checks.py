@@ -9,16 +9,18 @@ all its samples from one stream and evaluates the seams in passes of about
 ring in one pass, so the number of numpy calls does not grow with the
 length of the chain.
 
-The global-minimum check and the Lipschitz report also work ``CHUNK``
-points at a time.  What they keep whole is 8 bytes per sampled point (its
-chain order) and 40 bytes per pair (the order and both points), so their
-peak memory is that plus a few ``CHUNK``-sized temporaries.  A seam scan
-with more than ``CHUNK`` samples per seam still evaluates a whole seam in
-one pass.
+The global-minimum check and the Lipschitz report draw, place and evaluate
+their samples ``CHUNK`` at a time and keep no sample past its pass, so
+their peak memory does not grow with the sample count.  Each reads the
+chain orders and the offsets of ``sample_points`` from copies of one
+seeded generator, each copy moved past the draws before its stream (see
+``_sample_passes``).  A seam scan with more than ``CHUNK`` samples per seam
+still evaluates a whole seam in one pass.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,16 +164,14 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
         for s in range(0, len(family), per_pass):
             labels, axis, level, lo, hi, order_a, order_b = zip(*family[s:s + per_pass])
             k = len(labels)
-            axis, level, lo, hi, order_a, order_b = (
-                np.repeat(v, m) for v in (axis, level, lo, hi, order_a, order_b))
-            t = lo + (hi - lo) * rng.random(k * m)
-            on_x1 = axis == 0
+            on_x1 = np.repeat(np.equal(axis, 0), m)
+            t = np.repeat(lo, m) + np.repeat(np.subtract(hi, lo), m) * rng.random(k * m)
+            level = np.repeat(level, m)
             xy = np.stack([np.where(on_x1, level, t), np.where(on_x1, t, level)], axis=1)
-            va, ga = landscape.eval_many(xy, order_a, branch)
-            vb, gb = landscape.eval_many(xy, order_b, -branch)
+            va, ga = landscape.eval_many(xy, np.repeat(order_a, m), branch)
+            vb, gb = landscape.eval_many(xy, np.repeat(order_b, m), -branch)
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
-            vp, vm = landscape.value_many(np.concatenate([xy + step, xy - step])).reshape(2, -1)
-            fd = (vp - vm) / (2 * off)
+            fd = (landscape.value_many(xy + step) - landscape.value_many(xy - step)) / (2 * off)
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             dg = np.abs(ga - gb)
             ag = np.abs(ga)
@@ -241,22 +241,44 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
                                      "probe_radius": r})
 
 
+def _sample_passes(seed: int, n: int, n_regions: int, n_offsets: int):
+    """The draws ``integers(0, n_regions, n)`` and then ``n_offsets`` times
+    ``random((n, 2))`` of ``default_rng(seed)``, yielded as (orders,
+    offsets, ...) one pass of at most ``CHUNK`` samples at a time.
+
+    Each offset stream is a copy of the generator moved past the draws
+    before it, by drawing and dropping them ``CHUNK`` at a time; drawn in
+    pieces, ``integers`` and ``random`` give the values and the final state
+    of one whole draw.
+    """
+    sizes = [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
+    streams = [np.random.default_rng(seed)]
+    for i in range(n_offsets):
+        g = copy.deepcopy(streams[-1])
+        for k in sizes:
+            if i == 0:
+                g.integers(0, n_regions, size=k)
+            else:
+                g.random((k, 2))
+        streams.append(g)
+    rng, *offsets = streams
+    for k in sizes:
+        yield rng.integers(0, n_regions, size=k), *(g.random((k, 2)) for g in offsets)
+
+
 def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> CheckReport:
     """The final-block center is the sampled global minimum over D.
 
-    The points are ``sample_points``' draws: all chain orders first, then
-    the offsets, drawn, placed and evaluated ``CHUNK`` points at a time.
+    The points are ``sample_points``' draws, drawn, placed and evaluated
+    ``CHUNK`` points at a time.
     """
     if n_points == 0:
         return _report("global_minimum", 0, 0.0, 0.0)
-    rng = np.random.default_rng(seed)
-    orders = rng.integers(0, len(landscape.regions), size=n_points)
     center = landscape.regions[-1].center
     fc = landscape.value(center)
     n_bad, sampled_min, witnesses = 0, np.inf, []
-    for s in range(0, n_points, CHUNK):
-        o = orders[s:s + CHUNK]
-        pts = landscape.place_in_regions(o, rng.random((len(o), 2)))
+    for o, r in _sample_passes(seed, n_points, len(landscape.regions), 1):
+        pts = landscape.place_in_regions(o, r)
         vals = landscape.value_many(pts)
         sampled_min = np.minimum(sampled_min, vals.min())
         at_or_below = np.flatnonzero(vals <= fc)
@@ -272,16 +294,14 @@ def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> 
 def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> CheckReport:
     """Max gradient-difference ratio over random same-region point pairs,
     against the documented bound ``gradient_lipschitz_bound()``.  The pairs
-    are drawn whole; gradients and ratios are taken ``CHUNK`` pairs at a time."""
+    are the draws of all orders, then all a offsets, then all b offsets;
+    they are drawn, placed and compared ``CHUNK`` pairs at a time."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    orders = rng.integers(0, len(landscape.regions), size=n_pairs)
-    a = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
-    b = landscape.place_in_regions(orders, rng.random((n_pairs, 2)))
     worst = -np.inf
-    for s in range(0, n_pairs, CHUNK):
-        o, pa, pb = orders[s:s + CHUNK], a[s:s + CHUNK], b[s:s + CHUNK]
+    for o, ra, rb in _sample_passes(seed, n_pairs, len(landscape.regions), 2):
+        pa = landscape.place_in_regions(o, ra)
+        pb = landscape.place_in_regions(o, rb)
         ga = landscape.gradient_many(pa, o)
         gb = landscape.gradient_many(pb, o)
         dist = np.linalg.norm(pa - pb, axis=1)

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import itertools
 import json
+import shutil
 import sys
 import time
 from datetime import datetime
@@ -179,20 +181,32 @@ def _params_grid(args) -> list[LandscapeParams]:
     return combos
 
 
-def _outdir(args) -> Path:
+@contextlib.contextmanager
+def _outdir(args):
+    """The output directory, made if missing and checked for writing.  When
+    the command fails inside the block, the directories it made are removed
+    with what they hold; a directory that existed before is left alone."""
     out = Path(args.out or _default_out())
+    made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as e:
-        raise IOError(f"output directory {out} is not writable: {e}") from e
-    return out
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            probe = out / ".write_probe"
+            probe.write_text("")
+            probe.unlink()
+        except OSError as e:
+            raise IOError(f"output directory {out} is not writable: {e}") from e
+        yield out
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _gd_config(args) -> GdConfig:
@@ -205,24 +219,24 @@ def _gd_config(args) -> GdConfig:
 
 def cmd_check(args) -> int:
     [params] = _params_grid(args)
-    out = _outdir(args)
-    landscape = Landscape(params)
-    t0 = time.perf_counter()
-    reports = checks.run_all_checks(
-        landscape, n_grad_samples=args.grad_samples,
-        samples_per_seam=args.seam_samples, n_min_points=args.min_points,
-        n_pairs=args.pairs, seed=args.seed)
-    elapsed = time.perf_counter() - t0
-    all_passed = all(r.passed for r in reports)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "params": dataclasses.asdict(params),
-        "derived": dataclasses.asdict(derive_constants(params)),
-        "seed": args.seed,
-        "checks": [dataclasses.asdict(r) for r in reports],
-        "passed": all_passed,
-    }
-    _write_json(out / "check_report.json", payload)
+    with _outdir(args) as out:
+        landscape = Landscape(params)
+        t0 = time.perf_counter()
+        reports = checks.run_all_checks(
+            landscape, n_grad_samples=args.grad_samples,
+            samples_per_seam=args.seam_samples, n_min_points=args.min_points,
+            n_pairs=args.pairs, seed=args.seed)
+        elapsed = time.perf_counter() - t0
+        all_passed = all(r.passed for r in reports)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "params": dataclasses.asdict(params),
+            "derived": dataclasses.asdict(derive_constants(params)),
+            "seed": args.seed,
+            "checks": [dataclasses.asdict(r) for r in reports],
+            "passed": all_passed,
+        }
+        _write_json(out / "check_report.json", payload)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: worst={r.worst_error:.3e} "
@@ -278,28 +292,27 @@ def cmd_run(args) -> int:
     config = _gd_config(args)
     algo = args.algo
     noise = NoiseConfig(variance=args.noise_var)
-    out = _outdir(args)
-    landscape = Landscape(params)
-
-    summaries = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        t0 = time.perf_counter()
-        trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise)
-        elapsed = time.perf_counter() - t0
-        _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
-        summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
-        print(f"seed {seed}: {trajectory.outcome.value} after "
-              f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "params": dataclasses.asdict(params),
-        "derived": dataclasses.asdict(derive_constants(params)),
-        "algo": algo,
-        "config": {**dataclasses.asdict(config),
-                   "noise_var": noise.variance if algo == "sgd" else None},
-        "runs": summaries,
-    }
-    _write_json(out / "summary.json", payload)
+    with _outdir(args) as out:
+        landscape = Landscape(params)
+        summaries = []
+        for seed in range(args.seed, args.seed + args.seeds):
+            t0 = time.perf_counter()
+            trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise)
+            elapsed = time.perf_counter() - t0
+            _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
+            summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
+            print(f"seed {seed}: {trajectory.outcome.value} after "
+                  f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "params": dataclasses.asdict(params),
+            "derived": dataclasses.asdict(derive_constants(params)),
+            "algo": algo,
+            "config": {**dataclasses.asdict(config),
+                       "noise_var": noise.variance if algo == "sgd" else None},
+            "runs": summaries,
+        }
+        _write_json(out / "summary.json", payload)
     print(f"outputs: {out}")
     return 0
 
@@ -331,31 +344,43 @@ def cmd_sweep(args) -> int:
     grid = _params_grid(args)
     config = _gd_config(args)
     noise = NoiseConfig(variance=args.noise_var)
-    out = _outdir(args)
-
     seeds = range(args.seed, args.seed + args.seeds)
     tasks = [(params, algo, seed, config, noise)
              for params in grid for algo in args.algo for seed in seeds]
-    t0 = time.perf_counter()
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    elapsed = time.perf_counter() - t0
+    with _outdir(args) as out:
+        t0 = time.perf_counter()
+        if args.jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_sweep_task, tasks))
+        else:
+            rows = [_sweep_task(t) for t in tasks]
+        elapsed = time.perf_counter() - t0
 
-    lines = ["L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"]
-    for r in rows:
-        gr = "" if r["growth_ratio"] is None else _fmt(r["growth_ratio"])
-        lines.append(f"{_fmt(r['L'])},{_fmt(r['gamma'])},{_fmt(r['tau'])},"
-                     f"{r['n_saddles']},{r['seed']},{r['algo']},{r['outcome']},"
-                     f"{r['total_iters']},{gr}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        lines = ["L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"]
+        for r in rows:
+            gr = "" if r["growth_ratio"] is None else _fmt(r["growth_ratio"])
+            lines.append(f"{_fmt(r['L'])},{_fmt(r['gamma'])},{_fmt(r['tau'])},"
+                         f"{r['n_saddles']},{r['seed']},{r['algo']},{r['outcome']},"
+                         f"{r['total_iters']},{gr}")
+        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"{len(rows)} runs -> {out / 'sweep.csv'} ({elapsed:.2f}s)")
     return 0
 
 
 # -- plotdata --------------------------------------------------------------------
+
+def _trajectory_rows(csv_path: Path):
+    """The fields of each data row of a ``run`` trajectory CSV, read one file
+    at a time.  A missing file or a row with fewer than 4 fields raises IOError."""
+    if not csv_path.exists():
+        raise IOError(f"missing trajectory file {csv_path}")
+    for lineno, row in enumerate(csv_path.read_text().splitlines()[1:], 2):
+        parts = row.split(",")
+        if len(parts) < 4:
+            raise IOError(f"{csv_path}:{lineno}: expected at least the 4 fields "
+                          f"iter,x1,x2,f, got {row!r}")
+        yield parts
+
 
 def cmd_plotdata(args) -> int:
     runs_dir = Path(args.runs)
@@ -371,19 +396,16 @@ def cmd_plotdata(args) -> int:
     except (ValueError, KeyError, TypeError) as e:
         raise IOError(f"{summary_path} is not a run summary: "
                       f"{type(e).__name__}: {e}") from e
+    csv_paths = [runs_dir / f"run_seed{seed}.csv" for seed, _ in runs]
+    for csv_path in csv_paths:      # every input is checked before any file is written
+        for _ in _trajectory_rows(csv_path):
+            pass
     out = Path(args.out) if args.out else runs_dir
     out.mkdir(parents=True, exist_ok=True)
-    for seed, records in runs:
-        csv_path = runs_dir / f"run_seed{seed}.csv"
-        if not csv_path.exists():
-            raise IOError(f"missing trajectory file {csv_path}")
+    for (seed, records), csv_path in zip(runs, csv_paths):
         f_lines = ["iter,f"]
         path_lines = ["iter,x1,x2"]
-        for lineno, row in enumerate(csv_path.read_text().splitlines()[1:], 2):
-            parts = row.split(",")
-            if len(parts) < 4:
-                raise IOError(f"{csv_path}:{lineno}: expected at least the 4 fields "
-                              f"iter,x1,x2,f, got {row!r}")
+        for parts in _trajectory_rows(csv_path):
             f_lines.append(f"{parts[0]},{parts[3]}")
             path_lines.append(f"{parts[0]},{parts[1]},{parts[2]}")
         (out / f"fseries_seed{seed}.csv").write_text("\n".join(f_lines) + "\n")

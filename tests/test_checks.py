@@ -401,14 +401,35 @@ def test_global_minimum_witnesses_keep_sample_order_across_passes():
     assert len(set(dips[:3] // CHUNK)) > 1      # the first three span passes
 
 
+@pytest.mark.parametrize("n_regions", [3, 201, 2001])
+@pytest.mark.parametrize("n_offsets", [1, 2])
+def test_sample_passes_match_whole_draws(n_regions, n_offsets):
+    n = CHUNK + 17
+    rng = np.random.default_rng(5)
+    whole = [rng.integers(0, n_regions, size=n)]
+    whole += [rng.random((n, 2)) for _ in range(n_offsets)]
+    passes = list(ss.checks._sample_passes(5, n, n_regions, n_offsets))
+    assert [len(p[0]) for p in passes] == [CHUNK, 17]
+    for stream, drawn in zip(zip(*passes), whole):
+        assert np.array_equal(np.concatenate(stream), drawn)
+
+
 # --- memory -----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("check, count, bound_mib", [
-    (ss.seam_scan, 1000, 8),
-    (ss.global_minimum_check, 1_000_000, 12),
-    (ss.lipschitz_report, 100_000, 8),
+# Peak traced MiB of one check at n=100, whatever its sample count.
+PEAK_MIB = {ss.seam_scan: 6, ss.global_minimum_check: 3, ss.lipschitz_report: 4}
+
+
+@pytest.mark.parametrize("check, count", [
+    (ss.seam_scan, 1000),
+    (ss.global_minimum_check, 1_000_000),
+    (ss.global_minimum_check, 4_000_000),
+    (ss.lipschitz_report, 100_000),
+    (ss.lipschitz_report, 400_000),
 ])
-def test_check_peak_memory_at_n100(check, count, bound_mib):
+def test_check_peak_memory_at_n100(check, count):
+    """The peak does not grow with the sample count: 4x the default counts
+    stay under the same bounds."""
     lc = Landscape(LandscapeParams(n_saddles=100))
     check(lc, 10)
     tracemalloc.start()
@@ -417,4 +438,4 @@ def test_check_peak_memory_at_n100(check, count, bound_mib):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+    assert peak <= PEAK_MIB[check] * 2**20

@@ -163,6 +163,21 @@ def test_plotdata_short_csv_row_exits_three_and_names_it(tmp_path, capsys):
     assert f"error: {csv_path}:3: " in capsys.readouterr().err
 
 
+def test_plotdata_checks_every_csv_before_writing(tmp_path, capsys):
+    rundir = tmp_path / "runs"
+    assert main(["run", "--n-saddles", "2", "--seeds", "2", "--out", str(rundir)]) == 0
+    csv_path = rundir / "run_seed1.csv"
+    csv_path.write_text(read(csv_path) + "0,1,2\n")
+    before = sorted(p.name for p in rundir.iterdir())
+    capsys.readouterr()
+    assert main(["plotdata", "--runs", str(rundir)]) == 3
+    assert f"error: {csv_path}:" in capsys.readouterr().err
+    assert sorted(p.name for p in rundir.iterdir()) == before
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(rundir), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("L = 1.5\nn-saddles = 3\nseeds = 2  # comment\n")
@@ -353,6 +368,28 @@ def test_bad_noise_var_rejected_under_gd_too(tmp_path, capsys, command, value):
                  "--noise-var", value, "--out", str(out)]) == 2
     assert "variance must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+ESCAPING_ARGS = {
+    "run": ["run", "--n-saddles", "2", "--eta", "10"],
+    "sweep": ["sweep", "--n-saddles", "2", "--eta", "10", "--seeds", "1", "--algo", "gd"],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_descent_leaving_d_removes_the_new_output_directory(tmp_path, capsys, command):
+    out = tmp_path / "new" / "D"
+    assert main([*ESCAPING_ARGS[command], "--out", str(out)]) == 2
+    assert "left D" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_descent_leaving_d_keeps_an_existing_output_directory(tmp_path, command):
+    keep = tmp_path / "keep.txt"
+    keep.write_text("x")
+    assert main([*ESCAPING_ARGS[command], "--out", str(tmp_path)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
 
 
 def test_sweep_has_no_record_every_flag(tmp_path):
