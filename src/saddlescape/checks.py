@@ -3,19 +3,24 @@
 Everything here treats the landscape as a black box and probes it with
 finite differences, seam comparisons, circle probes, and random pair
 sampling.  All checks are deterministic given a seed and fan out over
-numpy arrays, so the full parameter grid stays fast: the seam scan draws
-all its samples from one stream and evaluates the seams in passes of about
-``CHUNK`` points, and the stationary check probes every block center and
-ring in one pass, so the number of numpy calls does not grow with the
-length of the chain.
+numpy arrays in passes of about ``CHUNK`` points, so the number of numpy
+calls does not grow with the length of the chain, and each check holds
+one pass at a time, freeing its temporaries as it reduces them:
 
-The global-minimum check and the Lipschitz report draw, place and evaluate
-their samples ``CHUNK`` at a time and keep no sample past its pass, so
-their peak memory does not grow with the sample count.  Each reads the
-chain orders and the offsets of ``sample_points`` from copies of one
-seeded generator, each copy moved past the draws before its stream (see
-``_sample_passes``).  A seam scan with more than ``CHUNK`` samples per seam
-still evaluates a whole seam in one pass.
+* the gradient check draws ``CHUNK`` candidates per pass and compares the
+  seam-free ones; a failing check also keeps 8 bytes per sample to rank
+  its errors;
+* the seam scan evaluates max(1, CHUNK // samples_per_seam) seams per
+  pass, so one seam at a time when a seam has more than ``CHUNK`` samples;
+* the stationary check probes the rings of max(1, CHUNK // n_angles)
+  block centers per pass;
+* the global-minimum check and the Lipschitz report draw, place and
+  evaluate ``CHUNK`` samples per pass.
+
+The sampled checks read the chain orders and the offsets of
+``sample_points`` from copies of one seeded generator, each copy moved
+past the draws before its stream (see ``_sample_passes``), so their
+reports equal those of one whole draw.
 """
 
 from __future__ import annotations
@@ -64,37 +69,69 @@ def _seam_distance(landscape: Landscape, xy: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
+def _gradient_points(landscape: Landscape, n_samples: int, seed: int, h: float):
+    """gradient_check's points, yielded one pass of at most ``CHUNK`` at a time.
+
+    They are the seam-free ones, in draw order, of batches of ``2 *
+    n_samples`` draws of ``sample_points``; a batch starts where the
+    generator stood after the last one.
+    """
+    rng = np.random.default_rng(seed)
+    left = n_samples
+    while True:
+        for o, r in _sample_passes(rng, 2 * n_samples, len(landscape.regions), 1):
+            pts = landscape.place_in_regions(o, r)
+            pts = pts[_seam_distance(landscape, pts) > 10.0 * h][:left]
+            del o, r
+            if len(pts):
+                left -= len(pts)
+                yield pts
+                if not left:
+                    return
+
+
+def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
+    """Analytic and central-difference (step h) gradients at pts, and the
+    relative error of each point."""
+    grad = landscape.gradient_many(pts)
+    fd = np.empty_like(grad)
+    for axis, e in enumerate(np.diag([h, h])):
+        fd[:, axis] = landscape.value_many(pts + e)
+        fd[:, axis] -= landscape.value_many(pts - e)
+    fd /= 2 * h
+    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    return grad, fd, err
+
+
 def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> CheckReport:
     """Analytic gradient vs central differences (step h = 1e-5*tau) on
-    seam-free interior points; the relative error must stay within 1e-6."""
+    seam-free interior points; the relative error must stay within 1e-6.
+
+    The points are drawn and compared ``CHUNK`` at a time.  A failing check
+    draws them again to rank all its errors, and once more to evaluate its
+    three witnesses, the points with the largest errors.
+    """
     h, tol = 1e-5 * landscape.params.tau, 1e-6
     if n_samples == 0:
         return _report("gradient_check", 0, 0.0, tol)
-    rng = np.random.default_rng(seed)
-    pts = np.empty((0, 2))
-    while len(pts) < n_samples:
-        cand = landscape.sample_points(2 * n_samples, rng)
-        cand = cand[_seam_distance(landscape, cand) > 10.0 * h]
-        pts = np.vstack([pts, cand])
-    pts = pts[:n_samples]
-
-    grad = landscape.gradient_many(pts)
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    fd = np.empty_like(grad)
-    fd[:, 0] = (landscape.value_many(pts + e1) - landscape.value_many(pts - e1)) / (2 * h)
-    fd[:, 1] = (landscape.value_many(pts + e2) - landscape.value_many(pts - e2)) / (2 * h)
-    scale = np.maximum(1.0, np.abs(grad).max(axis=1))
-    err = np.abs(fd - grad).max(axis=1) / scale
-    worst = float(err.max())
+    worst = np.max([_gradient_errors(landscape, pts, h)[2].max()
+                    for pts in _gradient_points(landscape, n_samples, seed, h)])
     witnesses = []
     if worst > tol:
-        for i in np.argsort(err)[-3:][::-1]:
-            witnesses.append({"point": [float(pts[i, 0]), float(pts[i, 1])],
-                              "analytic": [float(g) for g in grad[i]],
-                              "fd": [float(g) for g in fd[i]],
-                              "rel_error": float(err[i])})
-    return _report("gradient_check", n_samples, worst, tol, witnesses,
+        err = np.concatenate([_gradient_errors(landscape, pts, h)[2]
+                              for pts in _gradient_points(landscape, n_samples, seed, h)])
+        top = np.argsort(err)[-3:][::-1]
+        del err
+        rows, start = {}, 0
+        for pts in _gradient_points(landscape, n_samples, seed, h):
+            hit = top[(top >= start) & (top < start + len(pts))]
+            for i, g, d, e in zip(hit, *_gradient_errors(landscape, pts[hit - start], h)):
+                rows[i] = {"point": [float(x) for x in pts[i - start]],
+                           "analytic": [float(x) for x in g], "fd": [float(x) for x in d],
+                           "rel_error": float(e)}
+            start += len(pts)
+        witnesses = [rows[i] for i in top]
+    return _report("gradient_check", n_samples, float(worst), tol, witnesses,
                    {"h": h, "seed": seed})
 
 
@@ -135,6 +172,13 @@ def _enumerate_seams(landscape: Landscape):
     return edges, lines
 
 
+def _seam_maxima(err: np.ndarray, k: int):
+    """The largest of each of k seams' equal runs of errors, and the index
+    of its first occurrence in err."""
+    err = err.reshape(k, -1)
+    return err.max(axis=1), err.argmax(axis=1) + err.shape[1] * np.arange(k)
+
+
 def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> CheckReport:
     """Branch agreement at every interior seam.
 
@@ -168,29 +212,35 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             t = np.repeat(lo, m) + np.repeat(np.subtract(hi, lo), m) * rng.random(k * m)
             level = np.repeat(level, m)
             xy = np.stack([np.where(on_x1, level, t), np.where(on_x1, t, level)], axis=1)
+            del t, level
+            w, at = {}, {}
             va, ga = landscape.eval_many(xy, np.repeat(order_a, m), branch)
             vb, gb = landscape.eval_many(xy, np.repeat(order_b, m), -branch)
-            step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
-            fd = (landscape.value_many(xy + step) - landscape.value_many(xy - step)) / (2 * off)
-            gn = np.where(on_x1, ga[:, 0], ga[:, 1])
-            dg = np.abs(ga - gb)
+            w["value"], at["value"] = _seam_maxima(
+                np.abs(va - vb) / np.maximum(1.0, np.abs(va)), k)
+            del va, vb
+            dg = np.abs(np.subtract(ga, gb, out=gb), out=gb)     # |ga - gb|, in gb
+            del gb
             ag = np.abs(ga)
-            errs = {
-                "value": np.abs(va - vb) / np.maximum(1.0, np.abs(va)),
-                "gradient": (np.maximum(dg[:, 0], dg[:, 1])
-                             / np.maximum(1.0, np.maximum(ag[:, 0], ag[:, 1]))),
-                "fd": np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)),
-            }
-            w, at, bad = {}, {}, np.zeros(k, dtype=bool)
-            for tag, err in errs.items():   # per-seam maxima, first argmax
-                err = err.reshape(k, m)
-                wmax = err.max(axis=1)
+            w["gradient"], at["gradient"] = _seam_maxima(
+                np.maximum(dg[:, 0], dg[:, 1]) / np.maximum(1.0, np.maximum(ag[:, 0], ag[:, 1])),
+                k)
+            del dg, ag
+            gn = np.where(on_x1, ga[:, 0], ga[:, 1])
+            del ga
+            step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
+            fd = landscape.value_many(xy + step)
+            fd -= landscape.value_many(xy - step)
+            fd /= 2 * off
+            w["fd"], at["fd"] = _seam_maxima(np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)), k)
+            del fd, gn
+            bad = np.zeros(k, dtype=bool)
+            for tag, wmax in w.items():
                 bad |= wmax > tols[tag]
                 w[tag] = wmax.tolist()
-                at[tag] = err.argmax(axis=1) + m * np.arange(k)
                 worst[tag] = max(worst[tag], *w[tag])
             for j in np.flatnonzero(bad):
-                for tag in errs:
+                for tag in tols:
                     if w[tag][j] > tols[tag]:
                         i = at[tag][j]
                         witnesses.append({"seam": labels[j], "kind": tag,
@@ -220,10 +270,17 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
     centers = np.array([reg.center for reg in blocks])
     g = landscape.gradient_many(centers, orders)
     fc = landscape.value_many(centers, orders)[:, None]
-    vals = landscape.value_many((centers[:, None, :] + ring).reshape(-1, 2))
-    vals = vals.reshape(len(blocks), n_angles)
-    higher = (vals > fc).all(axis=1)
-    mixed = (vals > fc).any(axis=1) & (vals < fc).any(axis=1)
+    higher = np.empty(len(blocks), dtype=bool)
+    mixed = np.empty(len(blocks), dtype=bool)
+    per_pass = max(1, CHUNK // max(1, n_angles))
+    for s in range(0, len(blocks), per_pass):
+        part = slice(s, s + per_pass)
+        c = centers[part]
+        vals = landscape.value_many((c[:, None, :] + ring).reshape(-1, 2))
+        vals = vals.reshape(len(c), n_angles)
+        above, below = vals > fc[part], vals < fc[part]
+        higher[part] = above.all(axis=1)
+        mixed[part] = above.any(axis=1) & below.any(axis=1)
     violations = []
     for j, reg in enumerate(blocks):
         o = reg.rid.order
@@ -241,7 +298,7 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
                                      "probe_radius": r})
 
 
-def _sample_passes(seed: int, n: int, n_regions: int, n_offsets: int):
+def _sample_passes(seed, n: int, n_regions: int, n_offsets: int):
     """The draws ``integers(0, n_regions, n)`` and then ``n_offsets`` times
     ``random((n, 2))`` of ``default_rng(seed)``, yielded as (orders,
     offsets, ...) one pass of at most ``CHUNK`` samples at a time.
@@ -249,7 +306,8 @@ def _sample_passes(seed: int, n: int, n_regions: int, n_offsets: int):
     Each offset stream is a copy of the generator moved past the draws
     before it, by drawing and dropping them ``CHUNK`` at a time; drawn in
     pieces, ``integers`` and ``random`` give the values and the final state
-    of one whole draw.
+    of one whole draw.  ``seed`` may be a Generator; once every pass is
+    drawn, it stands past all the draws, as after the whole draws.
     """
     sizes = [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
     streams = [np.random.default_rng(seed)]
@@ -264,6 +322,7 @@ def _sample_passes(seed: int, n: int, n_regions: int, n_offsets: int):
     rng, *offsets = streams
     for k in sizes:
         yield rng.integers(0, n_regions, size=k), *(g.random((k, 2)) for g in offsets)
+    rng.bit_generator.state = streams[-1].bit_generator.state
 
 
 def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> CheckReport:
@@ -303,11 +362,13 @@ def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> Check
         pa = landscape.place_in_regions(o, ra)
         pb = landscape.place_in_regions(o, rb)
         ga = landscape.gradient_many(pa, o)
-        gb = landscape.gradient_many(pb, o)
-        dist = np.linalg.norm(pa - pb, axis=1)
+        ga -= landscape.gradient_many(pb, o)
+        pa -= pb
+        dist = np.linalg.norm(pa, axis=1)
         keep = dist > 0
-        ratios = np.linalg.norm(ga[keep] - gb[keep], axis=1) / dist[keep]
-        worst = np.maximum(worst, ratios.max(initial=-np.inf))
+        ratios = np.linalg.norm(ga, axis=1)
+        np.divide(ratios, dist, out=ratios, where=keep)
+        worst = np.maximum(worst, ratios.max(where=keep, initial=-np.inf))
     return _report("gradient_lipschitz", n_pairs, float(worst),
                    landscape.gradient_lipschitz_bound(), details={"seed": seed})
 

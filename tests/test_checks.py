@@ -367,6 +367,65 @@ def _lipschitz_whole(landscape, n_pairs, seed=0):
                              landscape.gradient_lipschitz_bound(), details={"seed": seed})
 
 
+def _gradient_check_whole(landscape, n_samples, seed=0):
+    """gradient_check with all its candidates, points and errors in whole arrays."""
+    h, tol = 1e-5 * landscape.params.tau, 1e-6
+    rng = np.random.default_rng(seed)
+    pts = np.empty((0, 2))
+    while len(pts) < n_samples:
+        cand = landscape.sample_points(2 * n_samples, rng)
+        cand = cand[ss.checks._seam_distance(landscape, cand) > 10.0 * h]
+        pts = np.vstack([pts, cand])
+    pts = pts[:n_samples]
+    grad = landscape.gradient_many(pts)
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    fd = np.empty_like(grad)
+    fd[:, 0] = (landscape.value_many(pts + e1) - landscape.value_many(pts - e1)) / (2 * h)
+    fd[:, 1] = (landscape.value_many(pts + e2) - landscape.value_many(pts - e2)) / (2 * h)
+    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    worst = float(err.max())
+    witnesses = []
+    if worst > tol:
+        witnesses = [{"point": [float(pts[i, 0]), float(pts[i, 1])],
+                      "analytic": [float(g) for g in grad[i]],
+                      "fd": [float(g) for g in fd[i]], "rel_error": float(err[i])}
+                     for i in np.argsort(err)[-3:][::-1]]
+    return ss.checks._report("gradient_check", n_samples, worst, tol, witnesses,
+                             {"h": h, "seed": seed})
+
+
+def _stationary_whole(landscape, n_angles=256):
+    """stationary_check with every block's ring probed in one array."""
+    r = 1e-3 * landscape.params.tau
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
+    orders = np.array([reg.rid.order for reg in blocks])
+    centers = np.array([reg.center for reg in blocks])
+    g = landscape.gradient_many(centers, orders)
+    fc = landscape.value_many(centers, orders)[:, None]
+    vals = landscape.value_many((centers[:, None, :] + ring).reshape(-1, 2))
+    vals = vals.reshape(len(blocks), n_angles)
+    higher = (vals > fc).all(axis=1)
+    mixed = (vals > fc).any(axis=1) & (vals < fc).any(axis=1)
+    violations = []
+    for j, reg in enumerate(blocks):
+        o = reg.rid.order
+        if not (g[j, 0] == 0.0 and g[j, 1] == 0.0):
+            violations.append({"region": o, "kind": "nonzero_gradient",
+                               "gradient": [float(g[j, 0]), float(g[j, 1])]})
+        if reg.rid.kind is RegionKind.FINAL_BLOCK:
+            if not higher[j]:
+                violations.append({"region": o, "kind": "not_local_minimum"})
+        elif not mixed[j]:
+            violations.append({"region": o, "kind": "not_saddle"})
+    n_minima = sum(reg.rid.kind is RegionKind.FINAL_BLOCK for reg in blocks)
+    return ss.checks._report("stationary_check", len(blocks) * (1 + n_angles),
+                             float(len(violations)), 0.0, violations,
+                             {"saddles": len(blocks) - n_minima, "minima": n_minima,
+                              "probe_radius": r})
+
+
 class _RareDips(Landscape):
     """Sinks about two sampled points in CHUNK far below the minimum, so the
     first three global-minimum witnesses lie in different passes."""
@@ -401,6 +460,45 @@ def test_global_minimum_witnesses_keep_sample_order_across_passes():
     assert len(set(dips[:3] // CHUNK)) > 1      # the first three span passes
 
 
+STREAM_COUNTS = (CHUNK - 1, CHUNK + 1, 2 * CHUNK + 5)
+
+
+@pytest.mark.parametrize("params", GRID[::5])
+def test_gradient_check_matches_whole_array_check(params):
+    for lc in (Landscape(params), _CorruptedGradient(params)):
+        for n in (1, 7, *STREAM_COUNTS):
+            assert ss.gradient_check(lc, n, seed=4) == _gradient_check_whole(lc, n, seed=4)
+    assert not ss.gradient_check(lc, CHUNK + 1, seed=4).passed
+
+
+def test_gradient_check_second_candidate_batch_matches_whole_array_check(monkeypatch):
+    """With 3 in 10 candidates kept, 2 * n_samples draws fall short and a
+    second batch is drawn from where the first left the generator."""
+    seen, seam_distance = [], ss.checks._seam_distance
+
+    def sparse(landscape, xy):
+        seen.append(len(xy))
+        return np.where(np.modf(xy[:, 0] * 1e3)[0] < 0.3, seam_distance(landscape, xy), 0.0)
+
+    monkeypatch.setattr(ss.checks, "_seam_distance", sparse)
+    for lc in (Landscape(LandscapeParams(n_saddles=5)),
+               _CorruptedGradient(LandscapeParams(n_saddles=5))):
+        for n in (5, *STREAM_COUNTS):
+            seen.clear()
+            rep = _gradient_check_whole(lc, n, seed=6)
+            assert len(seen) >= 2           # one call per batch of 2 * n candidates
+            assert ss.gradient_check(lc, n, seed=6) == rep
+    assert rep.witnesses and not rep.passed
+
+
+@pytest.mark.parametrize("params", GRID[::5])
+def test_stationary_check_matches_whole_array_check(params):
+    for lc in (Landscape(params), _BrokenStationary(params)):
+        for n_angles in (0, 3, 5000, *STREAM_COUNTS):
+            assert ss.stationary_check(lc, n_angles) == _stationary_whole(lc, n_angles)
+    assert not ss.stationary_check(lc).passed
+
+
 @pytest.mark.parametrize("n_regions", [3, 201, 2001])
 @pytest.mark.parametrize("n_offsets", [1, 2])
 def test_sample_passes_match_whole_draws(n_regions, n_offsets):
@@ -412,16 +510,34 @@ def test_sample_passes_match_whole_draws(n_regions, n_offsets):
     assert [len(p[0]) for p in passes] == [CHUNK, 17]
     for stream, drawn in zip(zip(*passes), whole):
         assert np.array_equal(np.concatenate(stream), drawn)
+    # a generator passed in is left past all the draws
+    gen = np.random.default_rng(5)
+    assert len(list(ss.checks._sample_passes(gen, n, n_regions, n_offsets))) == 2
+    assert gen.bit_generator.state == rng.bit_generator.state
 
 
 # --- memory -----------------------------------------------------------------------------
 
-# Peak traced MiB of one check at n=100, whatever its sample count.
-PEAK_MIB = {ss.seam_scan: 6, ss.global_minimum_check: 3, ss.lipschitz_report: 4}
+# Peak traced MiB of any check at n=100, whatever its sample count.
+PEAK_MIB = 3
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("check, count", [
+    (ss.gradient_check, 10_000),
+    (ss.gradient_check, 40_000),
     (ss.seam_scan, 1000),
+    (ss.seam_scan, 4000),
+    (ss.stationary_check, 256),
+    (ss.stationary_check, 1024),
     (ss.global_minimum_check, 1_000_000),
     (ss.global_minimum_check, 4_000_000),
     (ss.lipschitz_report, 100_000),
@@ -429,13 +545,20 @@ PEAK_MIB = {ss.seam_scan: 6, ss.global_minimum_check: 3, ss.lipschitz_report: 4}
 ])
 def test_check_peak_memory_at_n100(check, count):
     """The peak does not grow with the sample count: 4x the default counts
-    stay under the same bounds."""
+    stay under the same bound."""
     lc = Landscape(LandscapeParams(n_saddles=100))
     check(lc, 10)
-    tracemalloc.start()
-    try:
-        check(lc, count)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= PEAK_MIB[check] * 2**20
+    assert _traced_peak(check, lc, count) <= PEAK_MIB * 2**20
+
+
+def test_stationary_check_peak_memory_at_n400():
+    """Nor with the length of the chain: the rings are probed in passes."""
+    lc = Landscape(LandscapeParams(n_saddles=400))
+    ss.stationary_check(lc, 3)
+    assert _traced_peak(ss.stationary_check, lc) <= PEAK_MIB * 2**20
+
+
+def test_run_all_checks_peak_memory_at_n100():
+    lc = Landscape(LandscapeParams(n_saddles=100))
+    ss.run_all_checks(lc, 10, 10, 10, 10)
+    assert _traced_peak(ss.run_all_checks, lc) <= PEAK_MIB * 2**20
