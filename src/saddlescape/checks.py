@@ -112,6 +112,8 @@ def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> Check
     three witnesses, the points with the largest errors.
     """
     h, tol = 1e-5 * landscape.params.tau, 1e-6
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
     if n_samples == 0:
         return _report("gradient_check", 0, 0.0, tol)
     worst = np.max([_gradient_errors(landscape, pts, h)[2].max()

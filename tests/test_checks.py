@@ -65,6 +65,11 @@ def test_gradient_check_zero_samples_vacuous(lc8):
     assert rep.passed and rep.samples == 0
 
 
+def test_gradient_check_rejects_negative_samples(lc8):
+    with pytest.raises(ValueError):
+        ss.gradient_check(lc8, n_samples=-1)
+
+
 class _CorruptedGradient(Landscape):
     """Negates the analytic gradient on the escape half of odd blocks."""
 
