@@ -280,27 +280,18 @@ class StreamObserver:
                 f"plain descent revisited region order {it.region.order} at t={it.t}", it)
         total, first_exceed = self.end, self.first_exceed
         n = self.landscape.params.n_blocks
+
+        def at(o):      # first t beyond chain order o; the first iterate sets at(-1) = 0
+            return first_exceed.get(o, total)
+
         records = []
-        for i in range(1, n + 1):
-            block_order = 2 * (i - 1)
-            start = 0 if i == 1 else first_exceed.get(block_order - 1)
-            if start is None:
-                break
-            mid = first_exceed.get(block_order)
-            end = first_exceed.get(block_order + 1) if i < n else None
-            t_block = (mid if mid is not None else total) - start
-            if i == n:
-                t_buf = 0
-                T = total
-                complete = False
-            else:
-                t_buf = (end if end is not None else total) - (mid if mid is not None else total)
-                T = end if end is not None else total
-                complete = end is not None
-            records.append(EscapeRecord(i, t_block, t_buf, T, complete))
+        for o in range(0, 2 * n - 2, 2):        # the saddle blocks' chain orders
+            complete = o + 1 in first_exceed
+            records.append(EscapeRecord(o // 2 + 1, at(o) - at(o - 1), at(o + 1) - at(o),
+                                        at(o + 1), complete))
             if not complete:
-                break
-        return records
+                return records
+        return records + [EscapeRecord(n, total - at(2 * n - 3), 0, total, False)]
 
     def containment(self, noisy: bool) -> TheoryCheck:
         """Plain descent from the valid start band never leaves D and is never

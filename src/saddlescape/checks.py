@@ -7,9 +7,9 @@ numpy arrays in passes of about ``CHUNK`` points, so the number of numpy
 calls does not grow with the length of the chain, and each check holds
 one pass at a time, freeing its temporaries as it reduces them:
 
-* the gradient check draws ``CHUNK`` candidates per pass and compares the
-  seam-free ones; a failing check also keeps 8 bytes per sample to rank
-  its errors;
+* the gradient check draws ``CHUNK`` candidates per pass, compares the
+  seam-free ones and keeps the rows of the three largest errors, so a
+  failing check also holds one pass (a tie goes to the later sample);
 * the seam scan evaluates max(1, CHUNK // samples_per_seam) seams per
   pass, so one seam at a time when a seam has more than ``CHUNK`` samples;
 * the stationary check probes the rings of max(1, CHUNK // n_angles)
@@ -17,7 +17,7 @@ one pass at a time, freeing its temporaries as it reduces them:
 * the global-minimum check and the Lipschitz report draw, place and
   evaluate ``CHUNK`` samples per pass.
 
-The sampled checks read the chain orders and the offsets of
+The sampled checks read the chain orders and the points of
 ``sample_points`` from copies of one seeded generator, each copy moved
 past the draws before its stream (see ``_sample_passes``), so their
 reports equal those of one whole draw.
@@ -69,72 +69,56 @@ def _seam_distance(landscape: Landscape, xy: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def _gradient_points(landscape: Landscape, n_samples: int, seed: int, h: float):
-    """gradient_check's points, yielded one pass of at most ``CHUNK`` at a time.
-
-    They are the seam-free ones, in draw order, of batches of ``2 *
-    n_samples`` draws of ``sample_points``; a batch starts where the
-    generator stood after the last one.
-    """
-    rng = np.random.default_rng(seed)
-    left = n_samples
-    while True:
-        for o, r in _sample_passes(rng, 2 * n_samples, len(landscape.regions), 1):
-            pts = landscape.place_in_regions(o, r)
-            pts = pts[_seam_distance(landscape, pts) > 10.0 * h][:left]
-            del o, r
-            if len(pts):
-                left -= len(pts)
-                yield pts
-                if not left:
-                    return
+def _central_difference(landscape: Landscape, xy: np.ndarray, step, h: float) -> np.ndarray:
+    """(f(xy + step) - f(xy - step)) / (2 h), one value per point."""
+    fd = landscape.value_many(xy + step)
+    fd -= landscape.value_many(xy - step)
+    fd /= 2 * h
+    return fd
 
 
 def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
-    """Analytic and central-difference (step h) gradients at pts, and the
-    relative error of each point."""
+    """Rows (error, point, analytic, fd) of the three largest relative errors,
+    in stable order, of the analytic against the central-difference gradient."""
     grad = landscape.gradient_many(pts)
-    fd = np.empty_like(grad)
-    for axis, e in enumerate(np.diag([h, h])):
-        fd[:, axis] = landscape.value_many(pts + e)
-        fd[:, axis] -= landscape.value_many(pts - e)
-    fd /= 2 * h
+    fd = np.stack([_central_difference(landscape, pts, e, h) for e in np.diag([h, h])], axis=1)
     err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
-    return grad, fd, err
+    top = np.argsort(err, kind="stable")[-3:]
+    return err[top], pts[top], grad[top], fd[top]
 
 
 def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> CheckReport:
     """Analytic gradient vs central differences (step h = 1e-5*tau) on
     seam-free interior points; the relative error must stay within 1e-6.
 
-    The points are drawn and compared ``CHUNK`` at a time.  A failing check
-    draws them again to rank all its errors, and once more to evaluate its
-    three witnesses, the points with the largest errors.
+    The points are the seam-free ones, in draw order, of batches of ``2 *
+    n_samples`` draws of ``sample_points``.  One walk compares them
+    ``CHUNK`` candidates at a time and keeps each pass's three largest
+    errors; a failing check reports the three largest overall as its
+    witnesses, largest (or NaN) first, a tie going to the later sample.
     """
     h, tol = 1e-5 * landscape.params.tau, 1e-6
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     if n_samples == 0:
         return _report("gradient_check", 0, 0.0, tol)
-    worst = np.max([_gradient_errors(landscape, pts, h)[2].max()
-                    for pts in _gradient_points(landscape, n_samples, seed, h)])
-    witnesses = []
-    if worst > tol:
-        err = np.concatenate([_gradient_errors(landscape, pts, h)[2]
-                              for pts in _gradient_points(landscape, n_samples, seed, h)])
-        top = np.argsort(err)[-3:][::-1]
-        del err
-        rows, start = {}, 0
-        for pts in _gradient_points(landscape, n_samples, seed, h):
-            hit = top[(top >= start) & (top < start + len(pts))]
-            for i, g, d, e in zip(hit, *_gradient_errors(landscape, pts[hit - start], h)):
-                rows[i] = {"point": [float(x) for x in pts[i - start]],
-                           "analytic": [float(x) for x in g], "fd": [float(x) for x in d],
-                           "rel_error": float(e)}
-            start += len(pts)
-        witnesses = [rows[i] for i in top]
-    return _report("gradient_check", n_samples, float(worst), tol, witnesses,
-                   {"h": h, "seed": seed})
+    rng = np.random.default_rng(seed)
+    left, kept = n_samples, []
+    while left:
+        for o, pts in _sample_passes(landscape, rng, 2 * n_samples, 1):
+            del o       # hold no orders while the pass is compared
+            pts = pts[_seam_distance(landscape, pts) > 10.0 * h][:left]
+            left -= len(pts)
+            kept.append(_gradient_errors(landscape, pts, h))
+            if not left:
+                break
+    err, pts, grad, fd = (np.concatenate(rows) for rows in zip(*kept))
+    top = np.argsort(err, kind="stable")[-3:][::-1]     # NaN sorts last
+    worst = float(err[top[0]])
+    witnesses = [] if worst <= tol else [
+        {"point": pts[i].tolist(), "analytic": grad[i].tolist(), "fd": fd[i].tolist(),
+         "rel_error": float(err[i])} for i in top]
+    return _report("gradient_check", n_samples, worst, tol, witnesses, {"h": h, "seed": seed})
 
 
 def _enumerate_seams(landscape: Landscape):
@@ -195,6 +179,8 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
     seam in seam order.  Seams are evaluated in passes of about ``CHUNK``
     points, max(1, CHUNK // samples_per_seam) seams at a time.
     """
+    if samples_per_seam < 0:
+        raise ValueError("samples_per_seam must be >= 0")
     if samples_per_seam == 0:
         return _report("seam_scan", 0, 0.0, 1.0)
     tol_value, tol_grad = 1e-9, 1e-5
@@ -231,9 +217,7 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             del ga
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
-            fd = landscape.value_many(xy + step)
-            fd -= landscape.value_many(xy - step)
-            fd /= 2 * off
+            fd = _central_difference(landscape, xy, step, off)
             w["fd"], at["fd"] = _seam_maxima(np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)), k)
             del fd, gn
             bad = np.zeros(k, dtype=bool)
@@ -300,10 +284,11 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
                                      "probe_radius": r})
 
 
-def _sample_passes(seed, n: int, n_regions: int, n_offsets: int):
+def _sample_passes(landscape: Landscape, seed, n: int, n_offsets: int):
     """The draws ``integers(0, n_regions, n)`` and then ``n_offsets`` times
     ``random((n, 2))`` of ``default_rng(seed)``, yielded as (orders,
-    offsets, ...) one pass of at most ``CHUNK`` samples at a time.
+    points, ...) one pass of at most ``CHUNK`` samples at a time, each
+    offset placed in the region of its order by ``place_in_regions``.
 
     Each offset stream is a copy of the generator moved past the draws
     before it, by drawing and dropping them ``CHUNK`` at a time; drawn in
@@ -311,6 +296,7 @@ def _sample_passes(seed, n: int, n_regions: int, n_offsets: int):
     of one whole draw.  ``seed`` may be a Generator; once every pass is
     drawn, it stands past all the draws, as after the whole draws.
     """
+    n_regions = len(landscape.regions)
     sizes = [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
     streams = [np.random.default_rng(seed)]
     for i in range(n_offsets):
@@ -322,8 +308,11 @@ def _sample_passes(seed, n: int, n_regions: int, n_offsets: int):
                 g.random((k, 2))
         streams.append(g)
     rng, *offsets = streams
-    for k in sizes:
-        yield rng.integers(0, n_regions, size=k), *(g.random((k, 2)) for g in offsets)
+
+    def placed(o):      # a pass; once yielded, only its consumer holds it
+        return o, *(landscape.place_in_regions(o, g.random((len(o), 2))) for g in offsets)
+
+    yield from (placed(rng.integers(0, n_regions, size=k)) for k in sizes)
     rng.bit_generator.state = streams[-1].bit_generator.state
 
 
@@ -333,13 +322,14 @@ def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> 
     The points are ``sample_points``' draws, drawn, placed and evaluated
     ``CHUNK`` points at a time.
     """
+    if n_points < 0:
+        raise ValueError("n_points must be >= 0")
     if n_points == 0:
         return _report("global_minimum", 0, 0.0, 0.0)
     center = landscape.regions[-1].center
     fc = landscape.value(center)
     n_bad, sampled_min, witnesses = 0, np.inf, []
-    for o, r in _sample_passes(seed, n_points, len(landscape.regions), 1):
-        pts = landscape.place_in_regions(o, r)
+    for _, pts in _sample_passes(landscape, seed, n_points, 1):
         vals = landscape.value_many(pts)
         sampled_min = np.minimum(sampled_min, vals.min())
         at_or_below = np.flatnonzero(vals <= fc)
@@ -360,9 +350,7 @@ def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> Check
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     worst = -np.inf
-    for o, ra, rb in _sample_passes(seed, n_pairs, len(landscape.regions), 2):
-        pa = landscape.place_in_regions(o, ra)
-        pb = landscape.place_in_regions(o, rb)
+    for o, pa, pb in _sample_passes(landscape, seed, n_pairs, 2):
         ga = landscape.gradient_many(pa, o)
         ga -= landscape.gradient_many(pb, o)
         pa -= pb

@@ -113,6 +113,11 @@ def test_seam_scan_zero_samples_vacuous(lc8):
     assert rep.passed and rep.samples == 0
 
 
+def test_seam_scan_rejects_negative_samples(lc8):
+    with pytest.raises(ValueError, match="samples_per_seam must be >= 0"):
+        ss.seam_scan(lc8, samples_per_seam=-2)
+
+
 def test_seam_scan_detects_missing_offset():
     lc = _without_offset(LandscapeParams(n_saddles=4))
     rep = ss.seam_scan(lc, samples_per_seam=50, seed=0)
@@ -150,6 +155,11 @@ def test_global_minimum_check(lc8):
     rep = ss.global_minimum_check(lc8, n_points=100_000, seed=0)
     assert rep.passed
     assert rep.details["sampled_min"] > rep.details["center_value"]
+
+
+def test_global_minimum_check_rejects_negative_points(lc8):
+    with pytest.raises(ValueError, match="n_points must be >= 0"):
+        ss.global_minimum_check(lc8, n_points=-5)
 
 
 def test_lipschitz_probe_single_pair(lc8):
@@ -496,6 +506,74 @@ def test_gradient_check_second_candidate_batch_matches_whole_array_check(monkeyp
     assert rep.witnesses and not rep.passed
 
 
+class _FlatOddBlocks(Landscape):
+    """Flat odd blocks whose analytic gradient is the constant (1, 0), so
+    every sample there has a relative gradient error of exactly 1."""
+
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        if code == 0:
+            return 0.0 * x1, (0.0 * x1 + 1.0, 0.0 * x2)
+        return super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
+
+
+class _NanFinalBlock(Landscape):
+    """A NaN analytic gradient throughout the final block."""
+
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        value, grad = super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
+        if want_grad and code == FINAL_CODE:
+            grad = (grad[0] * np.nan, grad[1])
+        return value, grad
+
+
+def _stable_top_points(landscape, n_samples, seed):
+    """The points of _gradient_check_whole's three largest errors, largest
+    first, ranked by a stable sort: NaN first, ties to the later sample."""
+    h = 1e-5 * landscape.params.tau
+    rng = np.random.default_rng(seed)
+    pts = np.empty((0, 2))
+    while len(pts) < n_samples:
+        cand = landscape.sample_points(2 * n_samples, rng)
+        pts = np.vstack([pts, cand[ss.checks._seam_distance(landscape, cand) > 10.0 * h]])
+    pts = pts[:n_samples]
+    grad = landscape.gradient_many(pts)
+    fd = np.stack([(landscape.value_many(pts + e) - landscape.value_many(pts - e)) / (2 * h)
+                   for e in np.diag([h, h])], axis=1)
+    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    return [[float(x) for x in pts[i]] for i in np.argsort(err, kind="stable")[-3:][::-1]]
+
+
+def test_gradient_check_witness_ties_go_to_the_later_sample():
+    lc = _FlatOddBlocks(LandscapeParams(n_saddles=5))
+    n = CHUNK + 17                          # two passes of candidates
+    rep = ss.gradient_check(lc, n, seed=3)
+    assert rep.worst_error == 1.0 and not rep.passed
+    assert [w["rel_error"] for w in rep.witnesses] == [1.0, 1.0, 1.0]
+    assert [w["point"] for w in rep.witnesses] == _stable_top_points(lc, n, seed=3)
+
+
+def test_gradient_check_fails_on_nan_with_nan_witnesses_first():
+    lc = _NanFinalBlock(LandscapeParams(n_saddles=5))
+    n = CHUNK + 17
+    rep = ss.gradient_check(lc, n, seed=3)
+    assert np.isnan(rep.worst_error) and not rep.passed
+    assert all(np.isnan(w["rel_error"]) for w in rep.witnesses)
+    assert [w["point"] for w in rep.witnesses] == _stable_top_points(lc, n, seed=3)
+    assert all(lc.classify(tuple(w["point"])).kind is RegionKind.FINAL_BLOCK
+               for w in rep.witnesses)
+
+
+def test_gradient_check_evaluates_each_pass_once():
+    """A failing check at n=100 with 40k samples takes three passes of
+    CHUNK candidates and one gradient_many call in each."""
+    bad = _CorruptedGradient(LandscapeParams(n_saddles=100))
+    calls, gradient_many = [], bad.gradient_many
+    bad.gradient_many = lambda xy, *args: calls.append(len(xy)) or gradient_many(xy, *args)
+    rep = ss.gradient_check(bad, 40_000, seed=0)
+    assert not rep.passed and len(rep.witnesses) == 3
+    assert len(calls) == 3 and sum(calls) == 40_000
+
+
 @pytest.mark.parametrize("params", GRID[::5])
 def test_stationary_check_matches_whole_array_check(params):
     for lc in (Landscape(params), _BrokenStationary(params)):
@@ -507,17 +585,20 @@ def test_stationary_check_matches_whole_array_check(params):
 @pytest.mark.parametrize("n_regions", [3, 201, 2001])
 @pytest.mark.parametrize("n_offsets", [1, 2])
 def test_sample_passes_match_whole_draws(n_regions, n_offsets):
+    lc = Landscape(LandscapeParams(n_saddles=(n_regions - 1) // 2))
+    assert len(lc.regions) == n_regions
     n = CHUNK + 17
     rng = np.random.default_rng(5)
-    whole = [rng.integers(0, n_regions, size=n)]
-    whole += [rng.random((n, 2)) for _ in range(n_offsets)]
-    passes = list(ss.checks._sample_passes(5, n, n_regions, n_offsets))
+    orders = rng.integers(0, len(lc.regions), size=n)
+    whole = [orders] + [lc.place_in_regions(orders, rng.random((n, 2)))
+                        for _ in range(n_offsets)]
+    passes = list(ss.checks._sample_passes(lc, 5, n, n_offsets))
     assert [len(p[0]) for p in passes] == [CHUNK, 17]
     for stream, drawn in zip(zip(*passes), whole):
         assert np.array_equal(np.concatenate(stream), drawn)
     # a generator passed in is left past all the draws
     gen = np.random.default_rng(5)
-    assert len(list(ss.checks._sample_passes(gen, n, n_regions, n_offsets))) == 2
+    assert len(list(ss.checks._sample_passes(lc, gen, n, n_offsets))) == 2
     assert gen.bit_generator.state == rng.bit_generator.state
 
 
@@ -554,6 +635,14 @@ def test_check_peak_memory_at_n100(check, count):
     lc = Landscape(LandscapeParams(n_saddles=100))
     check(lc, 10)
     assert _traced_peak(check, lc, count) <= PEAK_MIB * 2**20
+
+
+@pytest.mark.parametrize("count", [40_000, 640_000])
+def test_failing_gradient_check_peak_memory_at_n100(count):
+    """A failing check ranks its witnesses in the passes that measure them."""
+    bad = _CorruptedGradient(LandscapeParams(n_saddles=100))
+    assert not ss.gradient_check(bad, 10).passed
+    assert _traced_peak(ss.gradient_check, bad, count) <= PEAK_MIB * 2**20
 
 
 def test_stationary_check_peak_memory_at_n400():

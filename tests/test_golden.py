@@ -15,6 +15,7 @@ GOLDEN = {
     "check/check_report.json": "c1ae718a5dab2194637533cda8947eca9a71277c47ba48a9104f672c1b21b2b8",
     "check_L1.5/check_report.json": "ab3a131e9bbca0a034e52e97f715f8146d3a6881009936dd06a7a61cb71e83b8",
     "check_chunk/check_report.json": "ccae6a689916727e6b5d77bbaa2155be8b99837dda8804f17e065d69bba636fc",
+    "check_zero/check_report.json": "b9e61eedd2a1e3f7c65e424951cbd9b91b757c2b96e27cc494db6994b603ddc4",
     "plot_gd/blocks_seed0.csv": "f9cdc22b8ccca662e9fe468824e09c20acd76ac563d5537a4546eeaa2d6be288",
     "plot_gd/blocks_seed1.csv": "35a1badae7f55846aa3555a6e759e3bb2352ca38faa5b349801682a9d4e16c28",
     "plot_gd/blocks_seed2.csv": "2cfecf1f729dfdb9ecc086bf57f062ff10f9a1ad6e48106ece28a74e3a81f79e",
@@ -54,6 +55,9 @@ def _write_all(root: Path):
     assert main(["check", "--n-saddles", "5", "--seed", "0", "--grad-samples", "40000",
                  "--seam-samples", "20000", "--min-points", "50000", "--pairs", "40000",
                  "--out", str(root / "check_chunk")]) == 0
+    # zero counts make the sampled checks vacuous, with empty details
+    assert main(["check", "--n-saddles", "3", "--grad-samples", "0", "--seam-samples", "0",
+                 "--min-points", "0", "--out", str(root / "check_zero")]) == 0
     common = ["--n-saddles", "5", "--seeds", "3"]
     for algo in ("gd", "sgd"):
         runs = str(root / f"run_{algo}")
