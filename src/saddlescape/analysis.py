@@ -210,9 +210,6 @@ class TheoryReport:
         return d
 
 
-_CROSS_AXIS = {RegionKind.ODD_BLOCK: 1, RegionKind.EVEN_BLOCK: 0}
-
-
 class StreamObserver:
     """The one pass from iterates to residences, stall, containment and the
     first entry into the final block; exact for any record_every.
@@ -231,12 +228,12 @@ class StreamObserver:
         self.revisit: Iterate | None = None  # first step back to an earlier order
         self.stall: StallInfo | None = None
         self._hi = -1                   # highest chain order seen
-        # (axis, center) of the converging coordinate of each non-final
-        # block; the key None is the order of an outside iterate
-        self._cross: dict[int | None, tuple[int, float] | None] = {None: None}
-        for reg in landscape.regions:
-            axis = _CROSS_AXIS.get(reg.rid.kind)
-            self._cross[reg.rid.order] = None if axis is None else (axis, reg.center[axis])
+        # (axis, center) of the converging coordinate of each saddle block,
+        # None elsewhere; the key None is the order of an outside iterate
+        self._cross: dict[int | None, tuple[int, float] | None] = dict.fromkeys(
+            [None, *range(len(landscape.regions))])
+        for reg in landscape.regions[:-1:2]:    # the saddle blocks
+            self._cross[reg.rid.order] = (1 - reg.axis, reg.center[1 - reg.axis])
 
     def __call__(self, it: Iterate) -> None:
         order = it.region.order

@@ -83,7 +83,9 @@ def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
     grad = landscape.gradient_many(pts)
     fd = np.stack([_central_difference(landscape, pts, e, h) for e in np.diag([h, h])], axis=1)
     err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
-    top = np.argsort(err, kind="stable")[-3:]
+    cut = np.partition(err, -3)[-3] if len(err) > 3 else -np.inf     # the third largest
+    top = np.flatnonzero(~(err < cut))  # the candidates, NaN among them
+    top = top[np.argsort(err[top], kind="stable")[-3:]]
     return err[top], pts[top], grad[top], fd[top]
 
 
@@ -146,13 +148,8 @@ def _enumerate_seams(landscape: Landscape):
             edges.append((f"edge[{o[0]}|{o[1]}]", 1, a.bounds[3], lo, hi, *o))
         else:
             raise AssertionError("chain neighbours must share an edge")
-    for reg in regs:
-        kind, o = reg.rid.kind, reg.rid.order
-        if kind is RegionKind.FINAL_BLOCK:
-            continue
-        # odd blocks and the buffers into them branch on x1 = center,
-        # even blocks and the buffers into them on x2 = center
-        axis = 0 if kind in (RegionKind.ODD_BLOCK, RegionKind.EVEN_ODD_BUFFER) else 1
+    for reg in regs[:-1]:
+        o, axis = reg.rid.order, reg.axis
         lo, hi = reg.bounds[2 * (1 - axis):2 * (1 - axis) + 2]
         lines.append((f"branch[{o}]", axis, reg.center[axis], lo, hi, o, o))
     return edges, lines
@@ -221,19 +218,19 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             w["fd"], at["fd"] = _seam_maxima(np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)), k)
             del fd, gn
             bad = np.zeros(k, dtype=bool)
-            for tag, wmax in w.items():
-                bad |= wmax > tols[tag]
+            for tag, wmax in w.items():     # NaN is an error beyond any tolerance
+                bad |= ~(wmax <= tols[tag])
+                worst[tag] = float(np.maximum(worst[tag], wmax.max()))
                 w[tag] = wmax.tolist()
-                worst[tag] = max(worst[tag], *w[tag])
             for j in np.flatnonzero(bad):
                 for tag in tols:
-                    if w[tag][j] > tols[tag]:
+                    if not w[tag][j] <= tols[tag]:
                         i = at[tag][j]
                         witnesses.append({"seam": labels[j], "kind": tag,
                                           "point": [float(xy[i, 0]), float(xy[i, 1])],
                                           "error": w[tag][j]})
     worst_v, worst_g, worst_fd = worst.values()
-    score = max(worst_v / tol_value, worst_g / tol_grad, worst_fd / tol_grad)
+    score = float(np.max([worst_v / tol_value, worst_g / tol_grad, worst_fd / tol_grad]))
     return _report("seam_scan", m * (len(edges) + len(lines)), score, 1.0, witnesses,
                    {"worst_value_jump": worst_v, "worst_gradient_jump": worst_g,
                     "worst_fd_mismatch": worst_fd, "tol_value": tol_value,
@@ -332,7 +329,7 @@ def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> 
     for _, pts in _sample_passes(landscape, seed, n_points, 1):
         vals = landscape.value_many(pts)
         sampled_min = np.minimum(sampled_min, vals.min())
-        at_or_below = np.flatnonzero(vals <= fc)
+        at_or_below = np.flatnonzero(~(vals > fc))     # NaN counts as a violation
         n_bad += len(at_or_below)
         for i in at_or_below[:3 - len(witnesses)]:
             witnesses.append({"point": [float(pts[i, 0]), float(pts[i, 1])],

@@ -93,7 +93,7 @@ class LandscapeParams:
         except OverflowError:   # float ** raises where * would give inf
             bound = math.inf
         checked = (d.L2, d.nu, d.eta_default, d.lower_bound_base, offset, bound)
-        if d.nu == 0.0 or not all(map(math.isfinite, checked)):
+        if d.nu == 0 or not all(map(math.isfinite, checked)):
             raise ValueError(f"{self} gives a zero or non-finite derived constant: {d}, "
                              f"final block offset {offset}, gradient Lipschitz bound {bound}")
 
@@ -125,10 +125,10 @@ class DerivedConstants:
 def derive_constants(params: LandscapeParams) -> DerivedConstants:
     """Constants fixed by the construction: L2, the offset nu, default step."""
     L, g, tau = params.L, params.gamma, params.tau
-    L2 = 4.0 * L
+    L2 = 4 * L
     # nu = (1/4)*L*tau^2 - g1(2*tau); closed form (3/4)*(L+gamma)*tau^2
-    nu = 0.75 * (L + g) * tau * tau
-    return DerivedConstants(L2=L2, nu=nu, eta_default=1.0 / L2, lower_bound_base=L / g)
+    nu = 3 * (L + g) / 4 * tau * tau
+    return DerivedConstants(L2=L2, nu=nu, eta_default=1 / L2, lower_bound_base=L / g)
 
 
 def _ramp_value(u, params):
@@ -136,14 +136,14 @@ def _ramp_value(u, params):
     slope runs from -gamma*tau at the block exit to -L*tau at the next entry."""
     L, g, tau = params.L, params.gamma, params.tau
     # p(x) = 0.5*(gamma-L)*x^2 + (L-2*gamma)*tau*x, shifted by -p(tau) - gamma*tau^2/4
-    p_u = 0.5 * (g - L) * u * u + (L - 2.0 * g) * tau * u
-    p_tau = 0.5 * (g - L) * tau * tau + (L - 2.0 * g) * tau * tau
-    return p_u - p_tau - 0.25 * g * tau * tau
+    p_u = (g - L) / 2 * u * u + (L - 2 * g) * tau * u
+    p_tau = (g - L) / 2 * tau * tau + (L - 2 * g) * tau * tau
+    return p_u - p_tau - g / 4 * tau * tau
 
 
 def _ramp_slope(u, params):
     L, g, tau = params.L, params.gamma, params.tau
-    return (g - L) * u + (L - 2.0 * g) * tau
+    return (g - L) * u + (L - 2 * g) * tau
 
 
 def _blend_value(u, c1, c2, tau):
@@ -151,17 +151,17 @@ def _blend_value(u, c1, c2, tau):
     derivatives vanish, which keeps the gradient continuous across edges."""
     # normalized z = (u - 2*tau)/tau in [-1, 0]; explicit products keep the
     # scalar and vectorized paths bitwise identical and the endpoints exact
-    z = (u - 2.0 * tau) / tau
+    z = (u - 2 * tau) / tau
     z2 = z * z
     d = c1 - c2
-    return c2 - d * z2 * z * (10.0 + 15.0 * z + 6.0 * z2)
+    return c2 - d * z2 * z * (10 + 15 * z + 6 * z2)
 
 
 def _blend_slope(u, c1, c2, tau):
-    z = (u - 2.0 * tau) / tau
-    zp = z + 1.0
+    z = (u - 2 * tau) / tau
+    zp = z + 1
     d = c1 - c2
-    return -30.0 * d * z * z * zp * zp / tau
+    return -30 * d * z * z * zp * zp / tau
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,9 @@ class _Region:
     center: Point
     code: int                        # index of rid.kind in _KIND_BY_CODE
     base: float                      # value offset -index*nu
-    # buffers only:
-    u_base: float | None = None      # u = coord - u_base, in [tau, 2*tau]
-    into_final: bool = False         # buffer leading into the final block
+    u_base: float | None             # buffers: u = coord - u_base, in [tau, 2*tau]
+    axis: int                        # the branch line is x[axis] = center[axis]
+    sides: tuple[float, float]       # c on the wrong side (to the line), then the escape side
 
 
 def _cell(o):
@@ -194,23 +194,27 @@ def _cell(o):
 _KIND_BY_CODE = (RegionKind.ODD_BLOCK, RegionKind.ODD_EVEN_BUFFER,
                  RegionKind.EVEN_BLOCK, RegionKind.EVEN_ODD_BUFFER, RegionKind.FINAL_BLOCK)
 FINAL_CODE = 4
+# Branch axis by code: odd blocks and the buffers into them branch on x1,
+# even ones on x2.  The final block's two sides are equal.
+_AXIS_BY_CODE = (0, 1, 1, 0, 0)
 
 
 def _build_regions(params: LandscapeParams, nu: float) -> tuple[_Region, ...]:
     tau, last = params.tau, 2 * params.n_saddles
+    # (wrong side, escape side); L on both in the final block and the buffer into it
+    saddle, final = (derive_constants(params).L2, -params.gamma), (params.L, params.L)
     out = []
     for o in range(last + 1):
         a, b = _cell(o)
         bounds = (a * tau, (a + 1) * tau, b * tau, (b + 1) * tau)
-        center = (0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3]))
+        center = ((bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2)
         code = FINAL_CODE if o == last else o & 3
         index = o // 2 + 1
-        rid = RegionId(_KIND_BY_CODE[code], index, o)
-        if o & 1:   # a buffer, travelling along x1 (o mod 4 = 1) or x2 (o mod 4 = 3)
-            out.append(_Region(rid, bounds, center, code, -index * nu,
-                               ((b if o & 2 else a) - 1) * tau, o == last - 1))
-        else:
-            out.append(_Region(rid, bounds, center, code, -index * nu))
+        # a buffer travels along x1 (o mod 4 = 1) or x2 (o mod 4 = 3)
+        u_base = ((b if o & 2 else a) - 1) * tau if o & 1 else None
+        out.append(_Region(RegionId(_KIND_BY_CODE[code], index, o), bounds, center, code,
+                           -index * nu, u_base, _AXIS_BY_CODE[code],
+                           final if o >= last - 1 else saddle))
     return tuple(out)
 
 
@@ -280,17 +284,10 @@ class Landscape:
         return self.value_and_gradient_in(reg, p)[1]
 
     def value_and_gradient_in(self, reg: _Region, p: Point) -> tuple[float, Point]:
-        """Value and gradient of a specific region's closed form at p."""
-        x1, x2 = p
+        """Value and gradient of reg's closed form at p; the branch line takes the wrong side."""
         s1, s2 = reg.center
-        code = reg.code
-        if code == FINAL_CODE or reg.into_final:
-            c = self.params.L
-        elif (x1 > s1) if code in (0, 3) else (x2 > s2):   # the branch line's escape side
-            c = -self.params.gamma
-        else:
-            c = self.derived.L2
-        return self._form(code, x1, x2, s1, s2, reg.base, reg.u_base, c)
+        c = reg.sides[1] if p[reg.axis] > reg.center[reg.axis] else reg.sides[0]
+        return self._form(reg.code, p[0], p[1], s1, s2, reg.base, reg.u_base, c)
 
     def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
         """The closed form of region kind ``code`` at (x1, x2): the value
@@ -307,7 +304,7 @@ class Landscape:
             d1, d2 = x1 - s1, x2 - s2
             k1, k2 = (c, L) if code == 0 else (L, c)
             value = base + k1 * d1 * d1 + k2 * d2 * d2
-            return value, ((2.0 * k1 * d1, 2.0 * k2 * d2) if want_grad else None)
+            return value, ((2 * k1 * d1, 2 * k2 * d2) if want_grad else None)
         tau = self.params.tau
         if code == 1:   # u along travel in [tau, 2*tau], w centered across
             u, w = x1 - u_base, x2 - s2
@@ -318,7 +315,7 @@ class Landscape:
         if not want_grad:
             return value, None
         du = _ramp_slope(u, self.params) + _blend_slope(u, L, c, tau) * w * w
-        dw = 2.0 * blend * w
+        dw = 2 * blend * w
         return value, ((du, dw) if code == 1 else (dw, du))
 
     # -- vectorized evaluation (verification workloads) ----------------------
@@ -380,10 +377,9 @@ class Landscape:
         the branch on each region's branch line: +1 the escape side, -1 the
         wrong side, 0 the side the point lies on.  Each chunk of points is
         grouped by region kind; per-point region data (center, base, u_base,
-        into_final) follows from the chain order."""
-        L, g, L2 = self.params.L, self.params.gamma, self.derived.L2
+        the curvatures on the two sides) follows from the chain order."""
         last = len(self.regions) - 1
-        cx, cy, bases, u_bases = self._region_table
+        cx, cy, bases, u_bases, wrong, escape = self._region_table
         values = np.empty(len(xy))
         grads = np.empty_like(xy) if want_grad else None
         for s in range(0, len(xy), CHUNK):
@@ -402,14 +398,11 @@ class Landscape:
                 # np.take: row gathers by fancy indexing are several times slower
                 x1, x2 = np.take(p, idx, axis=0).T
                 s1, s2 = np.take(cx, om), np.take(cy, om)
-                if code == FINAL_CODE:
-                    c = L
-                elif branch:
-                    c = np.full(len(idx), -g if branch > 0 else L2)
-                else:   # the branch line's escape side
-                    c = np.where((x1 > s1) if code in (0, 3) else (x2 > s2), -g, L2)
-                if code & 1:
-                    np.copyto(c, L, where=om == last - 1)
+                if branch:
+                    c = np.take(escape if branch > 0 else wrong, om)
+                else:
+                    beyond = (x1 > s1) if _AXIS_BY_CODE[code] == 0 else (x2 > s2)
+                    c = np.where(beyond, np.take(escape, om), np.take(wrong, om))
                 v, gr = self._form(code, x1, x2, s1, s2, np.take(bases, om),
                                    np.take(u_bases, om), c, want_grad)
                 idx += s
@@ -420,13 +413,14 @@ class Landscape:
 
     @functools.cached_property
     def _region_table(self):
-        """Per-order region centers (x1 and x2), value offsets and buffer
-        u_base (NaN for blocks)."""
+        """Per-order region centers (x1 and x2), value offsets, buffer
+        u_base (NaN for blocks) and the curvatures on the two sides."""
         cx, cy = np.array([reg.center for reg in self.regions]).T.copy()
         base = np.array([reg.base for reg in self.regions])
         u_base = np.array([np.nan if reg.u_base is None else reg.u_base
                            for reg in self.regions])
-        return cx, cy, base, u_base
+        wrong, escape = np.array([reg.sides for reg in self.regions]).T.copy()
+        return cx, cy, base, u_base, wrong, escape
 
     # Kept: perfbench's tracer wraps it by name, and the per-seam test oracles call it.
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
@@ -464,5 +458,5 @@ class Landscape:
 
 
 def _lipschitz_bound(L2: float, g: float, tau: float) -> float:
-    return 2.0 * L2 + 30.0 * (L2 + g) * (tau / 2.0) ** 2 / tau
+    return 2 * L2 + 30 * (L2 + g) * (tau / 2) ** 2 / tau
 

@@ -162,6 +162,26 @@ def test_global_minimum_check_rejects_negative_points(lc8):
         ss.global_minimum_check(lc8, n_points=-5)
 
 
+class _NanOddBlocks(Landscape):
+    """NaN values throughout the odd blocks."""
+
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        value, grad = super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
+        return (value * np.nan if code == 0 else value), grad
+
+
+def test_nan_values_fail_global_minimum_and_seam_scan():
+    bad = _NanOddBlocks(LandscapeParams(n_saddles=5))
+    rep = ss.global_minimum_check(bad, n_points=10_000, seed=0)
+    assert not rep.passed and rep.worst_error > 0
+    assert len(rep.witnesses) == 3
+    assert all(np.isnan(w["value"]) for w in rep.witnesses)
+    rep = ss.seam_scan(bad, samples_per_seam=50, seed=0)
+    assert not rep.passed and np.isnan(rep.worst_error)
+    assert np.isnan(rep.details["worst_value_jump"])
+    assert {w["kind"] for w in rep.witnesses} >= {"value", "fd"}
+
+
 def test_lipschitz_probe_single_pair(lc8):
     est = ss.lipschitz_report(lc8, n_pairs=1, seed=0).worst_error
     assert np.isfinite(est) and est >= 0
@@ -171,6 +191,13 @@ def test_lipschitz_probe_within_documented_bound(lc8):
     rep = ss.lipschitz_report(lc8, n_pairs=50_000, seed=0)
     assert rep.passed
     assert rep.threshold == lc8.gradient_lipschitz_bound()
+
+
+@pytest.mark.xfail(strict=True, reason="at small tau the blend's cross term exceeds the bound: "
+                   "the probe reads 8.3727 against 8.3675")
+def test_lipschitz_probe_within_documented_bound_at_small_tau():
+    rep = ss.lipschitz_report(Landscape(LandscapeParams(gamma=0.9, tau=0.01)), 100_000, seed=0)
+    assert rep.passed
 
 
 def test_lipschitz_probe_rejects_zero_pairs(lc8):

@@ -237,7 +237,7 @@ def test_quintic_blend_derivative_matches_fd(rng):
 
 GRID = [LandscapeParams(L=L, gamma=L / div, tau=tau, n_saddles=n)
         for L in (1.0, 1.5) for div in (2.0, 3.0)
-        for tau in (0.5, 1.0, 2.0) for n in (1, 5)]
+        for tau in (0.5, 1.0, 2.0) for n in (1, 2, 5)]
 
 
 @pytest.mark.parametrize("params", GRID)
@@ -396,3 +396,20 @@ def test_scalar_and_vectorized_paths_bitwise_equal_on_grid(params):
     sub = [tuple(p) for p in pts.tolist()]
     assert np.array_equal(lc.value_many(pts), [lc.value(p) for p in sub])
     assert np.array_equal(lc.gradient_many(pts), [lc.gradient(p) for p in sub])
+
+
+@pytest.mark.parametrize("L,gamma,tau,n", [(1, Fraction(1, 2), 1, 3),
+                                           (Fraction(3, 2), Fraction(1, 2), Fraction(1, 4), 4),
+                                           (2, Fraction(1, 4), 2, 3)])
+def test_scalar_form_on_fractions_equals_float64_at_dyadic_points(L, gamma, tau, n):
+    # the closed form holds no float literal, so Fraction parameters give the
+    # exact rational value; at these dyadic points float64 rounds nowhere
+    exact = Landscape(LandscapeParams(Fraction(L), Fraction(gamma), Fraction(tau), n))
+    lc = Landscape(LandscapeParams(float(L), float(gamma), float(tau), n))
+    steps = [Fraction(i, 16) * exact.params.tau for i in range(16)]
+    for reg in exact.regions:
+        for p in ((reg.bounds[0] + s1, reg.bounds[2] + s2) for s1 in steps for s2 in steps):
+            v, g = exact.value_and_gradient(p)
+            assert all(type(x) is Fraction for x in (v, *g))
+            fv, fg = lc.value_and_gradient((float(p[0]), float(p[1])))
+            assert (v, *g) == tuple(map(Fraction, (fv, *fg)))
