@@ -173,10 +173,13 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     no projection, the same iterates as ``noise=None``.
     The observer sees every iterate; the stored trajectory keeps every
     record_every-th iterate plus all event-tagged ones and the last one.
-    Each iterate costs one ``locate``, one closed-form evaluation and one
-    step, none of which grows with the chain length; only the projection
-    of a noisy step scans the regions.  The kicks come from a generator
-    private to the run, ``KICK_BLOCK`` of them per draw.
+    Each iterate costs one closed-form evaluation and one step, and a
+    ``locate`` only when it leaves the open square of the previous one's
+    region: a point strictly inside one square lies in no other closed
+    square, so that region is the one ``locate`` would give.  None of this
+    grows with the chain length; only the projection of a noisy step scans
+    the regions.  The kicks come from a generator private to the run,
+    ``KICK_BLOCK`` of them per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
@@ -187,6 +190,8 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     if stop is None:
         stop = landscape.params.L * landscape.params.tau / 2.0 if noisy else 1e-10
     max_iter, record_every = config.max_iter, config.record_every
+    locate, evaluate, project, hypot = (landscape.locate, landscape.value_and_gradient_in,
+                                        project_to_domain, math.hypot)
 
     x = (float(start[0]), float(start[1]))
     kept: list[Iterate] = []
@@ -194,8 +199,8 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     arrived_by_projection = False
     t = 0
     while True:
-        val, g = landscape.value_and_gradient_in(reg, x)
-        gnorm = math.hypot(g[0], g[1])
+        val, (g1, g2) = evaluate(reg, x)
+        gnorm = hypot(g1, g2)
         in_final = reg.code == FINAL_CODE
 
         event = None
@@ -213,11 +218,11 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             terminal = Outcome.BUDGET
 
         if terminal is None:
-            nxt = (x[0] - eta * g[0], x[1] - eta * g[1])
+            nxt = (x[0] - eta * g1, x[1] - eta * g2)
             if noisy:
                 k1, k2 = next(kicks)
                 q = (nxt[0] + k1, nxt[1] + k2)
-                nxt = project_to_domain(landscape, q)
+                nxt = project(landscape, q)
                 arrived_by_projection = nxt != q
             elif nxt == x:
                 event, terminal = Event.STALLED, Outcome.STALLED
@@ -232,7 +237,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
         prev = reg
         x = nxt
-        reg = landscape.locate(x)
-        if reg is None:
-            raise OutsideDomainError(f"iterate left D at t={t + 1}: {x}")
+        a, b, c, d = reg.bounds
+        if not (a < x[0] < b and c < x[1] < d):
+            reg = locate(x)
+            if reg is None:
+                raise OutsideDomainError(f"iterate left D at t={t + 1}: {x}")
         t += 1

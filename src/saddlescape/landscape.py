@@ -131,21 +131,6 @@ def derive_constants(params: LandscapeParams) -> DerivedConstants:
     return DerivedConstants(L2=L2, nu=nu, eta_default=1 / L2, lower_bound_base=L / g)
 
 
-def _ramp_value(u, params):
-    """Along-travel buffer profile on u in [tau, 2*tau]: a quadratic ramp whose
-    slope runs from -gamma*tau at the block exit to -L*tau at the next entry."""
-    L, g, tau = params.L, params.gamma, params.tau
-    # p(x) = 0.5*(gamma-L)*x^2 + (L-2*gamma)*tau*x, shifted by -p(tau) - gamma*tau^2/4
-    p_u = (g - L) / 2 * u * u + (L - 2 * g) * tau * u
-    p_tau = (g - L) / 2 * tau * tau + (L - 2 * g) * tau * tau
-    return p_u - p_tau - g / 4 * tau * tau
-
-
-def _ramp_slope(u, params):
-    L, g, tau = params.L, params.gamma, params.tau
-    return (g - L) * u + (L - 2 * g) * tau
-
-
 def _blend_value(u, c1, c2, tau):
     """Quintic blend from c1 at u = tau to c2 at u = 2*tau; both endpoint
     derivatives vanish, which keeps the gradient continuous across edges."""
@@ -228,6 +213,11 @@ class Landscape:
         self.params = params
         self.derived = derive_constants(params)
         self.regions = _build_regions(params, self.derived.nu)
+        # parameter-only terms of the buffer ramp p(u) - p(tau) - gamma*tau^2/4 with
+        # p(x) = (gamma-L)/2*x^2 + (L-2*gamma)*tau*x, slope -gamma*tau at u = tau, -L*tau at 2*tau
+        L, g, tau = params.L, params.gamma, params.tau
+        half, lin = (g - L) / 2, (L - 2 * g) * tau
+        self._ramp = (half, lin, half * tau * tau + lin * tau, g / 4 * tau * tau, g - L)
 
     # -- region queries ----------------------------------------------------
 
@@ -310,11 +300,12 @@ class Landscape:
             u, w = x1 - u_base, x2 - s2
         else:
             u, w = x2 - u_base, x1 - s1
+        half, lin, p_tau, drop, curv = self._ramp
         blend = _blend_value(u, L, c, tau)
-        value = base + _ramp_value(u, self.params) + blend * w * w
+        value = base + (half * u * u + lin * u - p_tau - drop) + blend * w * w
         if not want_grad:
             return value, None
-        du = _ramp_slope(u, self.params) + _blend_slope(u, L, c, tau) * w * w
+        du = curv * u + lin + _blend_slope(u, L, c, tau) * w * w
         dw = 2 * blend * w
         return value, ((du, dw) if code == 1 else (dw, du))
 

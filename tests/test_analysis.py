@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -311,6 +312,17 @@ def test_theory_report_real_run_serializes(params5):
     assert rep.passed
     payload = json.dumps(rep.to_dict(), sort_keys=True)
     assert "buffer_bound" in payload
+    # the bytes of asdict of the whole report less its records, with and without
+    # a stall and a growth summary
+    lc = Landscape(params5)
+    short = ss.run(lc, GdConfig(max_iter=5), traj.iterates[0].position, NoiseConfig(0.1, 0))
+    noisy = ss.replay(short, dense=True).report(short.eta, short.is_noisy)
+    assert rep.stall is not None and rep.growth is not None
+    assert noisy.stall is None and noisy.growth is None
+    for report in (rep, noisy):
+        whole = dataclasses.asdict(report)
+        del whole["records"]
+        assert json.dumps(report.to_dict()) == json.dumps({**whole, "passed": report.passed})
 
 
 def test_theory_checks_pass_on_default_grid():

@@ -242,6 +242,15 @@ def test_run_budget_outcome(lc):
     assert traj.total_steps == 5
 
 
+def test_run_locates_a_step_onto_an_edge_shared_with_an_earlier_region(lc):
+    # from B2's outer edge, eta = 1/L mirrors x1 about B2's center onto the
+    # edge B2 shares with the buffer B1', and a shared edge belongs to the
+    # earlier region, so the step must not keep B2
+    traj = ss.run(lc, GdConfig(eta=1.0, max_iter=1), (3.0, 0.5))
+    assert [it.position for it in traj.iterates] == [(3.0, 0.5), (2.0, 0.5)]
+    assert [it.region.order for it in traj.iterates] == [2, 1]
+
+
 def test_run_start_outside_raises(lc):
     with pytest.raises(ss.OutsideDomainError):
         ss.run(lc, GdConfig(), (-5.0, 0.0))

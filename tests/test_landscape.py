@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
-from saddlescape.landscape import _blend_slope, _blend_value, _ramp_slope, _ramp_value
+from saddlescape.landscape import _blend_slope, _blend_value
 
 
 # --- parameters and derived constants -------------------------------------------
@@ -204,11 +206,40 @@ def _near_seam(landscape, p, dist):
 # --- buffer profile and blend ------------------------------------------------------
 
 def test_ramp_profile_endpoints():
-    params = LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=1)
-    assert _ramp_value(1.0, params) == -0.25 * 0.5  # -gamma*tau^2/4
-    assert _ramp_slope(1.0, params) == -0.5         # -gamma*tau
-    assert _ramp_slope(2.0, params) == -1.0         # -L*tau
-    assert _ramp_value(2.0, params) == 0.25 - 1.125  # L*tau^2/4 - nu
+    # the buffer after B1 spans x1 in [1, 2] (u = x1) and x2 in [0, 1]; at
+    # w = 0 the blend drops out, leaving the ramp's value and slope along x1
+    lc = Landscape(LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=1))
+    buf = lc.regions[1]
+    assert buf.rid.kind is RegionKind.ODD_EVEN_BUFFER and buf.u_base == 0.0
+    v, g = lc.value_and_gradient_in(buf, (1.0, 0.5))   # u = tau
+    assert v - buf.base == -0.25 * 0.5                 # -gamma*tau^2/4
+    assert g == (-0.5, 0.0)                             # -gamma*tau
+    v, g = lc.value_and_gradient_in(buf, (2.0, 0.5))   # u = 2*tau
+    assert g == (-1.0, 0.0)                             # -L*tau
+    assert v - buf.base == 0.25 - 1.125                 # L*tau^2/4 - nu
+
+
+def _ramp_reference(u, L, g, tau):
+    """The buffer ramp and its slope in the operand order that fixes their bits."""
+    p_u = (g - L) / 2 * u * u + (L - 2 * g) * tau * u
+    p_tau = (g - L) / 2 * tau * tau + (L - 2 * g) * tau * tau
+    return p_u - p_tau - g / 4 * tau * tau, (g - L) * u + (L - 2 * g) * tau
+
+
+def test_ramp_bits_match_the_reference_over_wide_parameters():
+    # at w = 0 the blend term adds a zero, so value - base and du are the ramp's
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        L, tau = math.exp(rng.uniform(-20, 20)), math.exp(rng.uniform(-20, 20))
+        g = L * rng.uniform(0.01, 1.0)
+        lc = Landscape(LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=2))
+        for buf in lc.regions[1:4:2]:   # one buffer along x1, one along x2
+            along = 0 if buf.code == 1 else 1
+            for x in buf.bounds[2 * along] + tau * rng.random(20):
+                p = (x, buf.center[1]) if along == 0 else (buf.center[0], x)
+                v, grad = lc.value_and_gradient_in(buf, p)
+                ramp, slope = _ramp_reference(x - buf.u_base, L, g, tau)
+                assert (v, grad[along]) == (buf.base + ramp, slope)
 
 
 def test_quintic_blend_endpoints_and_midpoint():
@@ -231,6 +262,26 @@ def test_quintic_blend_derivative_matches_fd(rng):
         vp = _blend_value(float(u) + h, 1.0, 4.0, 1.0)
         vm = _blend_value(float(u) - h, 1.0, 4.0, 1.0)
         assert s == pytest.approx((vp - vm) / (2 * h), rel=1e-5, abs=1e-6)
+
+
+EXACT_FORM = ("derive_constants", "_build_regions", "Landscape.__init__",
+              "Landscape.value_and_gradient_in", "Landscape._form", "_blend_value", "_blend_slope")
+
+
+def test_closed_form_holds_no_float_literal():
+    # a float literal such as 0.5 * ... turns a Fraction landscape's values into floats
+    tree = ast.parse(inspect.getsource(ss.landscape))
+    found = {}
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in defs:
+            if isinstance(fn, ast.FunctionDef) and prefix + fn.name in EXACT_FORM:
+                found[prefix + fn.name] = [(c.lineno, c.value) for c in ast.walk(fn)
+                                           if isinstance(c, ast.Constant)
+                                           and isinstance(c.value, float)]
+    assert set(found) == set(EXACT_FORM)
+    assert all(not floats for floats in found.values()), found
 
 
 # --- structural invariants ------------------------------------------------------------
@@ -326,6 +377,25 @@ def _edge_and_corner_points(lc):
     return np.stack([x1.ravel(), x2.ravel()], axis=1)
 
 
+def _with_float_neighbours(pts):
+    """An (N, 2) array of points, then each with x1 and then x2 also moved
+    one float down and up: (9N, 2)."""
+    out = np.asarray(pts, dtype=float)
+    for k in (0, 1):
+        lo, hi = out.copy(), out.copy()
+        lo[:, k] = np.nextafter(out[:, k], -np.inf)
+        hi[:, k] = np.nextafter(out[:, k], np.inf)
+        out = np.concatenate([out, lo, hi])
+    return out
+
+
+def _keep_or_locate(lc, prev, p):
+    """``run``'s rule for the next iterate's region: prev while p lies
+    strictly inside prev's square, else ``locate``."""
+    a, b, c, d = prev.bounds
+    return prev if a < p[0] < b and c < p[1] < d else lc.locate(p)
+
+
 def _non_finite_points(inside):
     """NaN and infinite coordinates next to a point inside D, and finite
     points whose quotient by tau can overflow."""
@@ -359,6 +429,18 @@ def test_locate_matches_scan_on_edges_corners_and_non_finite_points(params):
         assert lc.classify(p) is ss.OUTSIDE
         with pytest.raises(ss.OutsideDomainError):
             lc.value_and_gradient(p)
+    # the same-square rule, from every square whose closed bounds hold the point
+    near = _with_float_neighbours(pts)
+    x1, x2 = near.T
+    near = [tuple(p) for p in near.tolist()]
+    located = [lc.locate(p) for p in near]
+    kept = 0
+    for prev in lc.regions:
+        a, b, c, d = prev.bounds
+        held = np.flatnonzero((a <= x1) & (x1 <= b) & (c <= x2) & (x2 <= d))
+        assert all(_keep_or_locate(lc, prev, near[i]) is located[i] for i in held)
+        kept += sum(a < x1[i] < b and c < x2[i] < d for i in held)
+    assert kept   # some points lie strictly inside a square
 
 
 @pytest.mark.parametrize("params", GRID)
