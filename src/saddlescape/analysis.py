@@ -76,7 +76,10 @@ class TheoryCheck:
 
 def buffer_residence_bound(params: LandscapeParams, eta: float) -> int:
     """Upper bound on iterates spent inside any buffer: ceil(1/(eta*gamma))."""
-    return math.ceil(1.0 / (eta * params.gamma))
+    bound = 1.0 / (eta * params.gamma)
+    if math.isinf(bound):
+        raise ValueError(f"eta={eta!r} too small: 1/(eta*gamma) overflows, gamma={params.gamma!r}")
+    return math.ceil(bound)
 
 
 def check_buffer_bound(records: list[EscapeRecord], params: LandscapeParams,

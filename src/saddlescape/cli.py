@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, checks
-from .descent import GdConfig, NoiseConfig, init_sample, run
+from .descent import GdConfig, NoiseConfig, init_sample, run, step_settings
 from .landscape import Landscape, LandscapeParams, derive_constants
 
 SCHEMA_VERSION = 1
@@ -215,6 +215,15 @@ def _gd_config(args) -> GdConfig:
                        if getattr(args, f.name, None) is not None})
 
 
+def _check_step_size(grid: list[LandscapeParams], config: GdConfig, algos: list[str]):
+    """Raise ValueError naming --eta where plain descent's buffer residence bound overflows."""
+    for params in grid if "gd" in algos else ():
+        try:
+            analysis.buffer_residence_bound(params, step_settings(params, config, None)[0])
+        except ValueError as e:
+            raise ValueError(f"--eta: {e}") from e
+
+
 # -- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
@@ -292,6 +301,7 @@ def cmd_run(args) -> int:
     config = _gd_config(args)
     algo = args.algo
     noise = NoiseConfig(variance=args.noise_var)
+    _check_step_size([params], config, [algo])
     with _outdir(args) as out:
         landscape = Landscape(params)
         summaries = []
@@ -344,6 +354,7 @@ def cmd_sweep(args) -> int:
     grid = _params_grid(args)
     config = _gd_config(args)
     noise = NoiseConfig(variance=args.noise_var)
+    _check_step_size(grid, config, args.algo)
     seeds = range(args.seed, args.seed + args.seeds)
     tasks = [(params, algo, seed, config, noise)
              for params in grid for algo in args.algo for seed in seeds]

@@ -225,9 +225,8 @@ class Landscape:
         """First region in chain order whose closed square contains p.
 
         Shared edges therefore belong to the earlier region, which makes
-        classification total and deterministic without any epsilon.  The
-        rule and the O(1) chain arithmetic are those of ``classify_many``;
-        non-finite points give None.
+        classification total and deterministic without any epsilon.  This
+        is the only code that applies the rule.  Non-finite points give None.
         """
         x1, x2 = p
         regions = self.regions
@@ -239,7 +238,7 @@ class Landscape:
             a, b, c, d = regions[o].bounds
             if a < x1 < b and c < x2 < d:
                 return regions[o]
-        for reg in regions[max(o - 2, 0):max(o + 3, 0)]:
+        for reg in regions[max(o - 2, 0):max(o + 3, 0)]:   # each floor is off by one at most
             a, b, c, d = reg.bounds
             if a <= x1 <= b and c <= x2 <= d:
                 return reg
@@ -314,13 +313,11 @@ class Landscape:
     def classify_many(self, xy: np.ndarray) -> np.ndarray:
         """Chain orders for an (N, 2) array of points; -1 for outside.
 
-        The cell (floor(x1/tau), floor(x2/tau)) has chain order a + b, and
-        rounding moves each floor by at most one cell, so only the orders
-        o-2 .. o+2 can hold the point.  A point strictly inside the square
-        of order o lies in no other closed square and is accepted at once.
-        The rest try the candidates in ascending order against the exact
-        closed bounds, so a shared edge still belongs to the earlier
-        region, as in ``locate``.
+        A point strictly inside the square of its guessed order
+        floor(x1/tau) + floor(x2/tau) lies in no other closed square and is
+        decided here; every other point (on an edge, outside D, non-finite,
+        or guessed wrong by rounding) is handed to ``locate``, about 2 us
+        each.  ``check`` hands over none.
         """
         tau, last = self.params.tau, len(self.regions) - 1
         orders = np.full(len(xy), -1, dtype=np.int64)
@@ -328,27 +325,15 @@ class Landscape:
             x1, x2 = xy[s:s + CHUNK, 0], xy[s:s + CHUNK, 1]
             with np.errstate(invalid="ignore", over="ignore"):
                 guess = np.floor(x1 / tau) + np.floor(x2 / tau)
-            # non-finite points keep -1: none of their candidates is in range
-            guess = np.clip(np.nan_to_num(guess, nan=-3.0), -3, last + 3).astype(np.int64)
+            guess = np.clip(np.nan_to_num(guess, nan=-1.0), -1, last + 1).astype(np.int64)
             a, b = _cell(guess)
             inner = ((guess >= 0) & (guess <= last)
                      & (x1 > a * tau) & (x1 < (a + 1) * tau)
                      & (x2 > b * tau) & (x2 < (b + 1) * tau))
             orders[s:s + CHUNK][inner] = guess[inner]
-            idx = np.flatnonzero(~inner)
-            x1, x2, guess = x1[idx], x2[idx], guess[idx]
-            idx += s
-            for k in range(-2, 3):
-                if not len(idx):
-                    break
-                o = guess + k
-                a, b = _cell(o)
-                hit = ((o >= 0) & (o <= last)
-                       & (x1 >= a * tau) & (x1 <= (a + 1) * tau)
-                       & (x2 >= b * tau) & (x2 <= (b + 1) * tau))
-                orders[idx[hit]] = o[hit]
-                miss = ~hit   # a point leaves the candidate set at its first hit
-                idx, x1, x2, guess = idx[miss], x1[miss], x2[miss], guess[miss]
+            for i in np.flatnonzero(~inner).tolist():
+                reg = self.locate((float(x1[i]), float(x2[i])))
+                orders[s + i] = -1 if reg is None else reg.rid.order
         return orders
 
     def value_many(self, xy: np.ndarray, orders: np.ndarray | None = None) -> np.ndarray:
@@ -372,7 +357,7 @@ class Landscape:
         last = len(self.regions) - 1
         cx, cy, bases, u_bases, wrong, escape = self._region_table
         values = np.empty(len(xy))
-        grads = np.empty_like(xy) if want_grad else None
+        grads = np.empty((len(xy), 2)) if want_grad else None
         for s in range(0, len(xy), CHUNK):
             p = xy[s:s + CHUNK]
             o = self.classify_many(p) if orders is None else orders[s:s + CHUNK]

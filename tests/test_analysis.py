@@ -139,6 +139,11 @@ def test_buffer_bound_value(params5):
     assert ss.analysis.buffer_residence_bound(params5, 0.25) == 8
 
 
+def test_buffer_bound_rejects_a_step_whose_bound_overflows(params5):
+    with pytest.raises(ValueError, match="eta=1e-320 too small"):
+        ss.analysis.buffer_residence_bound(params5, 1e-320)
+
+
 def test_buffer_bound_on_real_runs(params5):
     for seed in range(5):
         _, traj = gd_run(5, seed)

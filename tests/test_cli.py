@@ -370,6 +370,26 @@ def test_bad_noise_var_rejected_under_gd_too(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--eta", "1e-320"],
+    ["sweep", "--algo", "gd", "--eta", "1e-320"],
+    ["sweep", "--eta", "1e-320"],
+    ["run", "--L", "1e10", "--gamma", "1e-298"],   # the default step 1/(4L)
+])
+def test_step_too_small_for_the_buffer_bound_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "new" / "D"
+    assert main(argv + ["--n-saddles", "1", "--max-iter", "10", "--out", str(out)]) == 2
+    assert "error: --eta: " in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_tiny_step_still_runs_noisy_descent(tmp_path, command):
+    # noisy descent claims no buffer bound, so its step is not checked against one
+    assert main([command, "--algo", "sgd", "--eta", "1e-320", "--n-saddles", "1",
+                 "--max-iter", "10", "--out", str(tmp_path)]) == 0
+
+
 ESCAPING_ARGS = {
     "run": ["run", "--n-saddles", "2", "--eta", "10"],
     "sweep": ["sweep", "--n-saddles", "2", "--eta", "10", "--seeds", "1", "--algo", "gd"],

@@ -456,6 +456,39 @@ def test_non_finite_points_are_outside(params):
             lc.gradient_many(xy)
 
 
+@pytest.mark.parametrize("params", GRID[::9])
+def test_classify_many_hands_points_to_locate_on_both_sides_of_a_chunk_seam(params):
+    # edge, corner, outside and non-finite points on both sides of index CHUNK,
+    # after interior points: the second chunk's hand-offs must land at their own index
+    lc = Landscape(params)
+    chunk = ss.landscape.CHUNK
+    rng = np.random.default_rng(5)
+    special = np.concatenate([_edge_and_corner_points(lc),
+                              _non_finite_points(lc.regions[0].center)])
+    special = special[rng.permutation(len(special))]
+    k = len(special) // 2
+    pts = lc.sample_points(chunk + k, rng)
+    pts[chunk - k:] = special[:2 * k]
+    orders = lc.classify_many(pts)
+    assert np.array_equal(orders, [_scan_order(lc, p) for p in pts.tolist()])
+    for side in (orders[chunk - k:chunk], orders[chunk:]):
+        assert (side < 0).any() and (side >= 0).any()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+def test_vectorized_paths_give_float64_for_any_input_dtype(dtype):
+    lc = Landscape(LandscapeParams(L=1.0, gamma=0.3, tau=1.0, n_saddles=2))
+    corners = np.array([[1, 0], [2, 1], [2, 2], [3, 3]])
+    pts = np.concatenate([corners, lc.sample_points(200, np.random.default_rng(2))])
+    xy = pts.astype(dtype)
+    ref = xy.astype(np.float64)
+    assert np.array_equal(lc.classify_many(xy), lc.classify_many(ref))
+    for many in (lc.value_many, lc.gradient_many):
+        got = many(xy)
+        assert got.dtype == np.float64 and np.array_equal(got, many(ref))
+    assert lc.gradient_many(xy)[:2].tolist() == [[-0.3, -1.0], [-0.9999999999999999, -0.3]]
+
+
 @pytest.mark.parametrize("params", GRID)
 def test_scalar_and_vectorized_paths_bitwise_equal_on_grid(params):
     lc = Landscape(params)
