@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .landscape import Landscape, LandscapeParams, Point, RegionKind
+from .landscape import Landscape, LandscapeParams, Point
 from .descent import Event, Iterate, Trajectory
 
 
@@ -225,7 +225,6 @@ class StreamObserver:
         self.landscape = landscape
         self.first_exceed: dict[int, int] = {}   # chain order -> first t beyond it
         self.end = 0                    # one past the last t seen
-        self.first_final: int | None = None
         self.projected: Iterate | None = None
         self.outside: Iterate | None = None
         self.revisit: Iterate | None = None  # first step back to an earlier order
@@ -249,8 +248,6 @@ class StreamObserver:
             for o in range(self._hi, order):
                 self.first_exceed[o] = t
             self._hi = order
-            if region.kind is RegionKind.FINAL_BLOCK:
-                self.first_final = t
         elif order < self._hi and self.revisit is None:
             self.revisit = it
         if self.stall is None:
@@ -267,6 +264,11 @@ class StreamObserver:
             self.stall = StallInfo(t, position, order, reason)
         elif event is Event.PROJECTED and self.projected is None:
             self.projected = it
+
+    @property
+    def first_final(self) -> int | None:
+        """The t of the first iterate in the final block (the first t beyond the last buffer)."""
+        return self.first_exceed.get(2 * self.landscape.params.n_blocks - 3)
 
     def records(self, noisy: bool) -> list[EscapeRecord]:
         """Escape records of every block reached; raises SegmentationError,

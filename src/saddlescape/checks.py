@@ -77,12 +77,20 @@ def _central_difference(landscape: Landscape, xy: np.ndarray, step, h: float) ->
     return fd
 
 
+def _rel_error(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|x - ref| / max(1, |ref|) per point, of the row maxima for (N, 2) arrays."""
+    err, scale = np.abs(x - ref), np.abs(ref)
+    if err.ndim == 2:
+        err, scale = np.maximum(err[:, 0], err[:, 1]), np.maximum(scale[:, 0], scale[:, 1])
+    return err / np.maximum(1.0, scale)
+
+
 def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
     """Rows (error, point, analytic, fd) of the three largest relative errors,
     in stable order, of the analytic against the central-difference gradient."""
     grad = landscape.gradient_many(pts)
     fd = np.stack([_central_difference(landscape, pts, e, h) for e in np.diag([h, h])], axis=1)
-    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    err = _rel_error(fd, grad)
     cut = np.partition(err, -3)[-3] if len(err) > 3 else -np.inf     # the third largest
     top = np.flatnonzero(~(err < cut))  # the candidates, NaN among them
     top = top[np.argsort(err[top], kind="stable")[-3:]]
@@ -201,21 +209,15 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             w, at = {}, {}
             va, ga = landscape.eval_many(xy, np.repeat(order_a, m), branch)
             vb, gb = landscape.eval_many(xy, np.repeat(order_b, m), -branch)
-            w["value"], at["value"] = _seam_maxima(
-                np.abs(va - vb) / np.maximum(1.0, np.abs(va)), k)
+            w["value"], at["value"] = _seam_maxima(_rel_error(vb, va), k)
             del va, vb
-            dg = np.abs(np.subtract(ga, gb, out=gb), out=gb)     # |ga - gb|, in gb
+            w["gradient"], at["gradient"] = _seam_maxima(_rel_error(gb, ga), k)
             del gb
-            ag = np.abs(ga)
-            w["gradient"], at["gradient"] = _seam_maxima(
-                np.maximum(dg[:, 0], dg[:, 1]) / np.maximum(1.0, np.maximum(ag[:, 0], ag[:, 1])),
-                k)
-            del dg, ag
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             del ga
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
             fd = _central_difference(landscape, xy, step, off)
-            w["fd"], at["fd"] = _seam_maxima(np.abs(fd - gn) / np.maximum(1.0, np.abs(gn)), k)
+            w["fd"], at["fd"] = _seam_maxima(_rel_error(fd, gn), k)
             del fd, gn
             bad = np.zeros(k, dtype=bool)
             for tag, wmax in w.items():     # NaN is an error beyond any tolerance
@@ -251,8 +253,7 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
     blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
     orders = np.array([reg.rid.order for reg in blocks])
     centers = np.array([reg.center for reg in blocks])
-    g = landscape.gradient_many(centers, orders)
-    fc = landscape.value_many(centers, orders)[:, None]
+    fc, g = landscape.eval_many(centers, orders)
     higher = np.empty(len(blocks), dtype=bool)
     mixed = np.empty(len(blocks), dtype=bool)
     per_pass = max(1, CHUNK // max(1, n_angles))
@@ -261,7 +262,7 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
         c = centers[part]
         vals = landscape.value_many((c[:, None, :] + ring).reshape(-1, 2))
         vals = vals.reshape(len(c), n_angles)
-        above, below = vals > fc[part], vals < fc[part]
+        above, below = vals > fc[part, None], vals < fc[part, None]
         higher[part] = above.all(axis=1)
         mixed[part] = above.any(axis=1) & below.any(axis=1)
     violations = []

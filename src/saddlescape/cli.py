@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis, checks
 from .descent import GdConfig, NoiseConfig, init_sample, run, step_settings
-from .landscape import Landscape, LandscapeParams, derive_constants
+from .landscape import Landscape, LandscapeParams
 
 SCHEMA_VERSION = 1
 
@@ -240,7 +240,7 @@ def cmd_check(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "params": dataclasses.asdict(params),
-            "derived": dataclasses.asdict(derive_constants(params)),
+            "derived": dataclasses.asdict(landscape.derived),
             "seed": args.seed,
             "checks": [dataclasses.asdict(r) for r in reports],
             "passed": all_passed,
@@ -316,7 +316,7 @@ def cmd_run(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "params": dataclasses.asdict(params),
-            "derived": dataclasses.asdict(derive_constants(params)),
+            "derived": dataclasses.asdict(landscape.derived),
             "algo": algo,
             "config": {**dataclasses.asdict(config),
                        "noise_var": noise.variance if algo == "sgd" else None},
@@ -335,18 +335,16 @@ def _landscape(params: LandscapeParams) -> Landscape:
     return Landscape(params)
 
 
-def _sweep_task(task):
-    """One row of sweep.csv."""
+SWEEP_HEADER = "L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"
+
+
+def _sweep_task(task) -> str:
+    """One row of sweep.csv, in the columns of ``SWEEP_HEADER``."""
     params, algo, seed, config, noise = task
     trajectory, report, _, _ = _run_one(_landscape(params), algo, seed, config, noise)
-    growth = report.growth
-    return {
-        "L": params.L, "gamma": params.gamma, "tau": params.tau,
-        "n_saddles": params.n_saddles, "seed": seed, "algo": algo,
-        "outcome": trajectory.outcome.value,
-        "total_iters": trajectory.total_steps,
-        "growth_ratio": growth.ratio if growth else None,
-    }
+    gr = "" if report.growth is None else _fmt(report.growth.ratio)
+    return (f"{_fmt(params.L)},{_fmt(params.gamma)},{_fmt(params.tau)},{params.n_saddles},"
+            f"{seed},{algo},{trajectory.outcome.value},{trajectory.total_steps},{gr}")
 
 
 def cmd_sweep(args) -> int:
@@ -366,14 +364,7 @@ def cmd_sweep(args) -> int:
         else:
             rows = [_sweep_task(t) for t in tasks]
         elapsed = time.perf_counter() - t0
-
-        lines = ["L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio"]
-        for r in rows:
-            gr = "" if r["growth_ratio"] is None else _fmt(r["growth_ratio"])
-            lines.append(f"{_fmt(r['L'])},{_fmt(r['gamma'])},{_fmt(r['tau'])},"
-                         f"{r['n_saddles']},{r['seed']},{r['algo']},{r['outcome']},"
-                         f"{r['total_iters']},{gr}")
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (out / "sweep.csv").write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
     print(f"{len(rows)} runs -> {out / 'sweep.csv'} ({elapsed:.2f}s)")
     return 0
 

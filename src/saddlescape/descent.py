@@ -127,12 +127,21 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
         a, b, c, d = reg.bounds
         px = min(max(x1, a), b)
         py = min(max(x2, c), d)
-        dd = (px - x1) ** 2 + (py - x2) ** 2
+        try:
+            dd = (px - x1) ** 2 + (py - x2) ** 2
+        except OverflowError:   # float ** raises where * would give inf
+            dd = math.inf
         if dd < best_d:
             best_d = dd
             best = (px, py)
             if dd == 0.0:
                 break
+    if best_d == math.inf and all(map(math.isfinite, p)):   # every square overflowed:
+        from fractions import Fraction  # compare exactly; imported here, off the startup path
+        f1, f2 = map(Fraction, p)
+        best = min(((min(max(x1, a), b), min(max(x2, c), d)) for a, b, c, d in
+                    (reg.bounds for reg in landscape.regions)),
+                   key=lambda q: (Fraction(q[0]) - f1) ** 2 + (Fraction(q[1]) - f2) ** 2)
     return best
 
 

@@ -222,23 +222,18 @@ class Landscape:
     # -- region queries ----------------------------------------------------
 
     def locate(self, p: Point) -> _Region | None:
-        """First region in chain order whose closed square contains p.
-
-        Shared edges therefore belong to the earlier region, which makes
-        classification total and deterministic without any epsilon.  This
-        is the only code that applies the rule.  Non-finite points give None.
-        """
+        """First region in chain order whose closed square contains p: the
+        orders two either side of floor(x1/tau) + floor(x2/tau) are tried,
+        earliest first.  Shared edges therefore belong to the earlier region,
+        which makes classification total and deterministic without any
+        epsilon.  This is the only code that applies the rule.  Non-finite
+        points give None."""
         x1, x2 = p
-        regions = self.regions
         try:
             o = math.floor(x1 / self.params.tau) + math.floor(x2 / self.params.tau)
         except (ValueError, OverflowError):   # NaN, or inf from the point or the division
             return None
-        if 0 <= o < len(regions):
-            a, b, c, d = regions[o].bounds
-            if a < x1 < b and c < x2 < d:
-                return regions[o]
-        for reg in regions[max(o - 2, 0):max(o + 3, 0)]:   # each floor is off by one at most
+        for reg in self.regions[max(o - 2, 0):max(o + 3, 0)]:   # each floor is off by one at most
             a, b, c, d = reg.bounds
             if a <= x1 <= b and c <= x2 <= d:
                 return reg

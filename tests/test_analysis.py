@@ -302,13 +302,35 @@ def test_detect_stall_pinned_center(lc5):
 
 # --- report assembly ---------------------------------------------------------------------------
 
+def _first_in_final(traj):
+    return next(it.t for it in traj.iterates if it.region.kind is RegionKind.FINAL_BLOCK)
+
+
 def test_first_final_entry():
     lc, traj = gd_run(1, 0)
-    t = ss.replay(traj).first_final
-    assert t is not None
-    assert traj.iterates[0].region.kind is not RegionKind.FINAL_BLOCK
+    assert ss.replay(traj).first_final == _first_in_final(traj) > 0
     _, stuck = gd_run(9, 0)
     assert ss.replay(stuck).first_final is None
+
+
+def test_first_final_entry_of_a_noisy_run():
+    # a stop norm of 0 keeps the run going after it arrives; it leaves the
+    # final block and comes back, and the first entry counts
+    lc = Landscape(LandscapeParams(n_saddles=2))
+    start = ss.init_sample(lc, np.random.default_rng([0, 0]))
+    obs = ss.StreamObserver(lc)
+    traj = ss.run(lc, GdConfig(max_iter=3000, stop_grad_norm=0.0), start,
+                  noise=NoiseConfig(variance=0.1, seed=0), observer=obs)
+    kinds = [it.region.kind is RegionKind.FINAL_BLOCK for it in traj.iterates]
+    assert kinds[-1] and not all(kinds[kinds.index(True):])
+    assert obs.first_final == ss.replay(traj).first_final == _first_in_final(traj)
+
+
+def test_first_final_entry_is_the_first_of_several(lc5):
+    last = len(lc5.regions) - 1
+    traj = make_trajectory(lc5, [0, 1, 2, last - 1, last, last, last - 1, 3, last, last])
+    assert ss.replay(traj).first_final == 4
+    assert ss.replay(make_trajectory(lc5, [last, last - 1, last])).first_final == 0
 
 
 def test_theory_report_real_run_serializes(params5):

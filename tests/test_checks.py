@@ -631,7 +631,10 @@ def test_sample_passes_match_whole_draws(n_regions, n_offsets):
 
 # --- memory -----------------------------------------------------------------------------
 
-# Peak traced MiB of any check at n=100, whatever its sample count.
+# Peak traced MiB of any check at n=100 at the counts below.  The seam scan
+# exceeds it at larger seam counts: a pass of 16384 points in one region kind
+# peaks at 3.93 MiB at n=2, and a pass holds at least one whole seam, so at
+# n=100 it peaks at 5.72 MiB at 32768 samples and 11.43 MiB at 100000.
 PEAK_MIB = 3
 
 
@@ -662,6 +665,14 @@ def test_check_peak_memory_at_n100(check, count):
     lc = Landscape(LandscapeParams(n_saddles=100))
     check(lc, 10)
     assert _traced_peak(check, lc, count) <= PEAK_MIB * 2**20
+
+
+@pytest.mark.xfail(strict=True, reason="one pass of 16384 seam points in one region kind "
+                   "peaks at 3.93 MiB")
+def test_seam_scan_peak_memory_at_many_samples():
+    lc = Landscape(LandscapeParams(n_saddles=2))
+    ss.seam_scan(lc, 10)
+    assert _traced_peak(ss.seam_scan, lc, 16384) <= PEAK_MIB * 2**20
 
 
 @pytest.mark.parametrize("count", [40_000, 640_000])

@@ -433,6 +433,14 @@ def test_noisy_run_reports_no_transient_pin_as_its_stall(tmp_path):
     assert run["theory"]["stall"] is None
 
 
+def test_huge_kicks_are_projected_into_d(tmp_path):
+    # kicks of about 1e154 square to inf; every iterate is projected into D
+    assert main(["run", "--algo", "sgd", "--noise-var", "1e308", "--n-saddles", "2",
+                 "--max-iter", "50", "--out", str(tmp_path)]) == 0
+    rows = read(tmp_path / "run_seed0.csv").splitlines()[1:]
+    assert len(rows) == 51 and all(row.split(",")[5] != "outside" for row in rows)
+
+
 def test_noisy_run_does_not_stall_on_a_zero_gradient(tmp_path):
     # at variance 1e-32 the kicks round away at the saddle (2.5, 2.5), whose
     # gradient is exactly zero at t=236; a noisy run goes on

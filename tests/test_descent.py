@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import saddlescape as ss
 from saddlescape import (GdConfig, Landscape, LandscapeParams, NoiseConfig,
                          Outcome, RegionKind)
 from saddlescape.descent import KICK_BLOCK, _kicks
+from test_landscape import GRID, _edge_and_corner_points
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,52 @@ def test_project_is_nearest_point(lc, rng):
         dq = math.hypot(q[0] - p[0], q[1] - p[1])
         dist = np.hypot(samples[:, 0] - p[0], samples[:, 1] - p[1])
         assert dq <= dist.min() + 1e-12
+
+
+def _clipped(reg, p):
+    a, b, c, d = reg.bounds
+    return min(max(p[0], a), b), min(max(p[1], c), d)
+
+
+def _float_scan(lc, p):
+    """The projection scan in float arithmetic, squares by ``** 2``, ties to the earlier region."""
+    best_d, best = math.inf, p
+    for q in (_clipped(reg, p) for reg in lc.regions):
+        dd = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+        if dd < best_d:
+            best_d, best = dd, q
+    return best
+
+
+def _exact_scan(lc, p):
+    """The projection scan with exact squared distances, ties to the earlier region."""
+    best_d, best = None, None
+    for q in (_clipped(reg, p) for reg in lc.regions):
+        dd = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(q, p))
+        if best_d is None or dd < best_d:
+            best_d, best = dd, q
+    return best
+
+
+@pytest.mark.parametrize("p, nearest", [
+    ((1e200, 1e200), (3.0, 3.0)),
+    ((1.2e154, 1.2e154), (3.0, 3.0)),     # each square finite, their sum not
+    ((-1e200, 5.0), (0.0, 1.0)),
+    ((1.7e308, -1.7e308), (3.0, 0.0)),
+])
+def test_project_huge_points_to_the_exact_nearest(p, nearest):
+    lc2 = Landscape(LandscapeParams(n_saddles=2))
+    assert ss.project_to_domain(lc2, p) == _exact_scan(lc2, p) == nearest
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_project_keeps_the_float_scan_where_distances_are_finite(params):
+    lc = Landscape(params)
+    rng = np.random.default_rng(4)
+    edges = _edge_and_corner_points(lc)
+    kicked = edges[rng.integers(0, len(edges), 2000)] + rng.normal(0, params.tau, (2000, 2))
+    for p in map(tuple, np.concatenate([edges, kicked]).tolist()):
+        assert ss.project_to_domain(lc, p) == _float_scan(lc, p)
 
 
 # --- noisy steps -------------------------------------------------------------------------
