@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .landscape import Landscape, LandscapeParams, Point
-from .descent import Event, Iterate, Trajectory
+from .landscape import Landscape, LandscapeParams, Point, derive_constants
+from .descent import Event, GdConfig, Iterate, NoiseConfig, Trajectory, step_settings
 
 
 class SegmentationError(ValueError):
@@ -47,20 +47,10 @@ class EscapeRecord:
     complete: bool
 
 
-def replay(trajectory: Trajectory, dense: bool = False) -> "StreamObserver":
-    """A fresh observer fed every stored iterate.  Containment and the first
-    final entry are exact at any record_every; records, stall and report
-    need every iterate, so ``dense`` first raises SegmentationError on a
-    thinned trajectory."""
-    its = trajectory.iterates
-    if dense:
-        for a, b in zip(its, its[1:]):
-            if b.t != a.t + 1:
-                raise SegmentationError(
-                    f"trajectory is thinned (gap {a.t} -> {b.t}); segmentation needs "
-                    "record_every == 1 or a streaming observer", b)
-    observer = StreamObserver(Landscape(trajectory.params))
-    for it in its:
+def replay(trajectory: Trajectory) -> "StreamObserver":
+    """A fresh observer of the trajectory's run, fed every stored iterate."""
+    observer = StreamObserver(Landscape(trajectory.params), trajectory.config, trajectory.noise)
+    for it in trajectory.iterates:
         observer(it)
     return observer
 
@@ -100,6 +90,12 @@ def check_buffer_bound(records: list[EscapeRecord], params: LandscapeParams,
                        witnesses=witnesses)
 
 
+def _recurrence_constants(params: LandscapeParams) -> tuple[float, float | None]:
+    """L/gamma and, where L > gamma, the shift 4L/(L - gamma) of the escape-time recurrence."""
+    L, g = params.L, params.gamma
+    return derive_constants(params).lower_bound_base, (4.0 * L / (L - g) if L > g else None)
+
+
 def check_escape_recurrence(records: list[EscapeRecord], params: LandscapeParams,
                             eta: float) -> TheoryCheck:
     """Escape times of consecutive completed saddle blocks grow by at least
@@ -108,9 +104,8 @@ def check_escape_recurrence(records: list[EscapeRecord], params: LandscapeParams
     L, g = params.L, params.gamma
     if L < 2.0 * g:
         raise ValueError(f"recurrence check requires L >= 2*gamma, got L={L} gamma={g}")
-    ratio = L / g
+    ratio, shift = _recurrence_constants(params)
     slack = 1.0 / (eta * g)
-    shift = 4.0 * L / (L - g)
     first_floor = 4.0 * L / g
 
     saddles = {rec.index: rec for rec in records
@@ -168,12 +163,10 @@ def growth_summary(records: list[EscapeRecord], params: LandscapeParams) -> Grow
              / sum((k - kbar) ** 2 for k in ks))
     ratio = math.exp(slope)
 
-    L, g = params.L, params.gamma
-    r = L / g
+    r, c = _recurrence_constants(params)
     t0 = fit[0][1]
     span = fit[-1][0] - fit[0][0] + 1
-    if L > g:
-        c = 4.0 * L / (L - g)
+    if c is not None:
         floor = sum((t0 - c) * r**j + c for j in range(span))
     else:
         floor = float(t0 * span)
@@ -215,20 +208,23 @@ class TheoryReport:
 
 class StreamObserver:
     """The one pass from iterates to residences, stall, containment and the
-    first entry into the final block; exact for any record_every.
+    first entry into the final block of one run, whose step size and
+    noisiness it holds; every analysis but ``stall`` is exact on a thinned stream.
 
     Feed it to ``run`` as the observer; it keeps the first step past each
     chain order and a few first-occurrence markers, never every iterate.
     """
 
-    def __init__(self, landscape: Landscape):
+    def __init__(self, landscape: Landscape, config: GdConfig, noise: NoiseConfig | None = None):
         self.landscape = landscape
+        self.eta, self.noisy = step_settings(landscape.params, config, noise)
         self.first_exceed: dict[int, int] = {}   # chain order -> first t beyond it
         self.end = 0                    # one past the last t seen
+        self.gap: Iterate | None = None  # first iterate whose t is not one past the last
         self.projected: Iterate | None = None
         self.outside: Iterate | None = None
         self.revisit: Iterate | None = None  # first step back to an earlier order
-        self.stall: StallInfo | None = None
+        self._stall: StallInfo | None = None
         self._hi = -1                   # highest chain order seen
         # (axis, center) of the converging coordinate of each saddle block,
         # None elsewhere; the key None is the order of an outside iterate
@@ -239,8 +235,10 @@ class StreamObserver:
 
     def __call__(self, it: Iterate) -> None:
         t, position, _, grad_norm, region, event = it
-        order = region.order
+        if t != self.end and self.gap is None:
+            self.gap = it
         self.end = t + 1
+        order = region.order
         if order is None:
             if self.outside is None:
                 self.outside = it
@@ -250,34 +248,44 @@ class StreamObserver:
             self._hi = order
         elif order < self._hi and self.revisit is None:
             self.revisit = it
-        if self.stall is None:
+        if self._stall is None:
             # numerically doomed: the cross coordinate sits exactly on a
             # non-final block's center line, or run stopped as stalled
             # (zero gradient or a noise-free fixed point)
             cross = self._cross[order]
             if cross is not None and position[cross[0]] == cross[1]:
-                self.stall = StallInfo(t, position, order, "cross_pinned")
+                self._stall = StallInfo(t, position, order, "cross_pinned")
         if event is None:   # most iterates; an Event member lookup costs ~0.1 us on Python 3.11
             return
-        if event is Event.STALLED and self.stall is None:
+        if event is Event.STALLED and self._stall is None:
             reason = "zero_gradient" if grad_norm == 0.0 else "fixed_point"
-            self.stall = StallInfo(t, position, order, reason)
+            self._stall = StallInfo(t, position, order, reason)
         elif event is Event.PROJECTED and self.projected is None:
             self.projected = it
+
+    @property
+    def stall(self) -> StallInfo | None:
+        """The first exact pin or stalled iterate; on a thinned stream, which
+        may hide it, raises SegmentationError carrying the first iterate after a gap."""
+        if self.gap is not None:
+            raise SegmentationError(f"stream is thinned at t={self.gap.t}; the stall needs "
+                                    "every iterate: record_every == 1 or a streaming observer",
+                                    self.gap)
+        return self._stall
 
     @property
     def first_final(self) -> int | None:
         """The t of the first iterate in the final block (the first t beyond the last buffer)."""
         return self.first_exceed.get(2 * self.landscape.params.n_blocks - 3)
 
-    def records(self, noisy: bool) -> list[EscapeRecord]:
+    def records(self) -> list[EscapeRecord]:
         """Escape records of every block reached; raises SegmentationError,
         carrying the iterate, on an outside iterate or a plain-descent revisit."""
         if not self.end:
             raise SegmentationError("empty trajectory")
         if self.outside is not None:
             raise SegmentationError(f"iterate {self.outside.t} is outside D", self.outside)
-        if not noisy and self.revisit is not None:
+        if not self.noisy and self.revisit is not None:
             it = self.revisit
             raise SegmentationError(
                 f"plain descent revisited region order {it.region.order} at t={it.t}", it)
@@ -296,11 +304,11 @@ class StreamObserver:
                 return records
         return records + [EscapeRecord(n, total - at(2 * n - 3), 0, total, False)]
 
-    def containment(self, noisy: bool) -> TheoryCheck:
+    def containment(self) -> TheoryCheck:
         """Plain descent from the valid start band never leaves D and is never
         projected; witnesses are the first projected and the first outside
         iterate.  Skipped for noisy descent, where no such claim holds."""
-        if noisy:
+        if self.noisy:
             return TheoryCheck("containment", passed=True, skipped=True,
                                details={"reason": "no containment claim for noisy descent"})
         witnesses = [{"t": it.t, "kind": kind, "position": list(it.position)}
@@ -308,11 +316,12 @@ class StreamObserver:
                      if it is not None]
         return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
 
-    def report(self, eta: float, noisy: bool) -> TheoryReport:
+    def report(self) -> TheoryReport:
         """Every theory check that applies, on one segmentation.  A noisy
-        run reports no stall: a later kick frees any pin it met."""
-        params = self.landscape.params
-        records = self.records(noisy)
+        run reports no stall, since a later kick frees any pin it met, so
+        only a plain run's report needs every iterate."""
+        params, eta, noisy = self.landscape.params, self.eta, self.noisy
+        records = self.records()
         if noisy:
             buffer_bound = TheoryCheck("buffer_residence_bound", passed=True, skipped=True,
                                        details={"reason": "bound claimed for plain descent only"})
@@ -330,5 +339,5 @@ class StreamObserver:
         except InsufficientDataError:
             growth = None
         return TheoryReport(records=records, buffer_bound=buffer_bound,
-                            containment=self.containment(noisy), recurrence=recurrence,
+                            containment=self.containment(), recurrence=recurrence,
                             growth=growth, stall=None if noisy else self.stall)

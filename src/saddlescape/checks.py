@@ -12,8 +12,8 @@ one pass at a time, freeing its temporaries as it reduces them:
   failing check also holds one pass (a tie goes to the later sample);
 * the seam scan evaluates max(1, CHUNK // samples_per_seam) seams per
   pass, so one seam at a time when a seam has more than ``CHUNK`` samples;
-* the stationary check probes the rings of max(1, CHUNK // n_angles)
-  block centers per pass;
+* the stationary check probes the rings of CHUNK // N_ANGLES block
+  centers per pass;
 * the global-minimum check and the Lipschitz report draw, place and
   evaluate ``CHUNK`` samples per pass.
 
@@ -37,6 +37,7 @@ N_GRAD_SAMPLES = 10_000
 SAMPLES_PER_SEAM = 1000
 N_MIN_POINTS = 1_000_000
 N_PAIRS = 100_000
+N_ANGLES = 256      # the points on each block center's probe circle in stationary_check
 
 
 @dataclass
@@ -193,8 +194,8 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
     m = samples_per_seam
     per_pass = max(1, CHUNK // m)
     off = 1e-7 * landscape.params.tau
-    worst = {"value": 0.0, "gradient": 0.0, "fd": 0.0}
-    tols = {"value": tol_value, "gradient": tol_grad, "fd": tol_grad}
+    kinds, tols = ("value", "gradient", "fd"), np.array([tol_value, tol_grad, tol_grad])
+    worst = np.zeros(3)
     witnesses = []
     edges, lines = _enumerate_seams(landscape)
     for branch, family in ((0, edges), (1, lines)):
@@ -206,48 +207,43 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             level = np.repeat(level, m)
             xy = np.stack([np.where(on_x1, level, t), np.where(on_x1, t, level)], axis=1)
             del t, level
-            w, at = {}, {}
+            # each seam's largest value, gradient and fd error, and where it sits in xy
+            err, at = np.empty((3, k)), np.empty((3, k), dtype=np.intp)
             va, ga = landscape.eval_many(xy, np.repeat(order_a, m), branch)
             vb, gb = landscape.eval_many(xy, np.repeat(order_b, m), -branch)
-            w["value"], at["value"] = _seam_maxima(_rel_error(vb, va), k)
+            err[0], at[0] = _seam_maxima(_rel_error(vb, va), k)
             del va, vb
-            w["gradient"], at["gradient"] = _seam_maxima(_rel_error(gb, ga), k)
+            err[1], at[1] = _seam_maxima(_rel_error(gb, ga), k)
             del gb
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             del ga
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
             fd = _central_difference(landscape, xy, step, off)
-            w["fd"], at["fd"] = _seam_maxima(_rel_error(fd, gn), k)
+            err[2], at[2] = _seam_maxima(_rel_error(fd, gn), k)
             del fd, gn
-            bad = np.zeros(k, dtype=bool)
-            for tag, wmax in w.items():     # NaN is an error beyond any tolerance
-                bad |= ~(wmax <= tols[tag])
-                worst[tag] = float(np.maximum(worst[tag], wmax.max()))
-                w[tag] = wmax.tolist()
-            for j in np.flatnonzero(bad):
-                for tag in tols:
-                    if not w[tag][j] <= tols[tag]:
-                        i = at[tag][j]
-                        witnesses.append({"seam": labels[j], "kind": tag,
-                                          "point": [float(xy[i, 0]), float(xy[i, 1])],
-                                          "error": w[tag][j]})
-    worst_v, worst_g, worst_fd = worst.values()
-    score = float(np.max([worst_v / tol_value, worst_g / tol_grad, worst_fd / tol_grad]))
+            worst = np.maximum(worst, err.max(axis=1))
+            # NaN is an error beyond any tolerance; seam first, then kind
+            for j, c in np.argwhere(~(err.T <= tols)):
+                i = at[c, j]
+                witnesses.append({"seam": labels[j], "kind": kinds[c],
+                                  "point": [float(xy[i, 0]), float(xy[i, 1])],
+                                  "error": float(err[c, j])})
+    worst_v, worst_g, worst_fd = worst.tolist()
+    score = float(np.max(worst / tols))
     return _report("seam_scan", m * (len(edges) + len(lines)), score, 1.0, witnesses,
                    {"worst_value_jump": worst_v, "worst_gradient_jump": worst_g,
                     "worst_fd_mismatch": worst_fd, "tol_value": tol_value,
                     "tol_grad": tol_grad, "offset": off, "seed": seed})
 
 
-def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
+def stationary_check(landscape: Landscape) -> CheckReport:
     """Exact zero gradient at every block center plus curvature signatures.
 
     Saddle centers must see both strictly lower and strictly higher values
-    on a circle of radius 1e-3*tau; the final center only higher ones.
-    worst_error counts violated assertions.
+    on a circle of radius 1e-3*tau, probed at ``N_ANGLES`` points; the
+    final center only higher ones.  worst_error counts violated assertions.
     """
-    tau = landscape.params.tau
-    r = 1e-3 * tau
+    n_angles, r = N_ANGLES, 1e-3 * landscape.params.tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
@@ -256,7 +252,7 @@ def stationary_check(landscape: Landscape, n_angles: int = 256) -> CheckReport:
     fc, g = landscape.eval_many(centers, orders)
     higher = np.empty(len(blocks), dtype=bool)
     mixed = np.empty(len(blocks), dtype=bool)
-    per_pass = max(1, CHUNK // max(1, n_angles))
+    per_pass = CHUNK // n_angles
     for s in range(0, len(blocks), per_pass):
         part = slice(s, s + per_pass)
         c = centers[part]

@@ -260,10 +260,9 @@ def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise
     """One seeded run; an sgd run draws its kicks from ``noise`` reseeded with ``seed``."""
     noise = dataclasses.replace(noise, seed=seed) if algo == "sgd" else None
     start = init_sample(landscape, np.random.default_rng([seed, 0]))
-    observer = analysis.StreamObserver(landscape)
+    observer = analysis.StreamObserver(landscape, config, noise)
     trajectory = run(landscape, config, start, noise=noise, observer=observer)
-    report = observer.report(trajectory.eta, trajectory.is_noisy)
-    return trajectory, report, observer, start
+    return trajectory, observer.report(), observer, start
 
 
 def _summarize_run(seed, algo, trajectory, report, observer, start):

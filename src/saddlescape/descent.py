@@ -93,14 +93,6 @@ class Trajectory:
     def total_steps(self) -> int:
         return self.iterates[-1].t
 
-    @property
-    def eta(self) -> float:
-        return step_settings(self.params, self.config, self.noise)[0]
-
-    @property
-    def is_noisy(self) -> bool:
-        return step_settings(self.params, self.config, self.noise)[1]
-
 
 def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
     """Start point in the first block: x1 within the narrow band around the

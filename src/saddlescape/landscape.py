@@ -184,10 +184,10 @@ FINAL_CODE = 4
 _AXIS_BY_CODE = (0, 1, 1, 0, 0)
 
 
-def _build_regions(params: LandscapeParams, nu: float) -> tuple[_Region, ...]:
-    tau, last = params.tau, 2 * params.n_saddles
+def _build_regions(params: LandscapeParams, derived: DerivedConstants) -> tuple[_Region, ...]:
+    tau, last, nu = params.tau, 2 * params.n_saddles, derived.nu
     # (wrong side, escape side); L on both in the final block and the buffer into it
-    saddle, final = (derive_constants(params).L2, -params.gamma), (params.L, params.L)
+    saddle, final = (derived.L2, -params.gamma), (params.L, params.L)
     out = []
     for o in range(last + 1):
         a, b = _cell(o)
@@ -212,7 +212,7 @@ class Landscape:
     def __init__(self, params: LandscapeParams):
         self.params = params
         self.derived = derive_constants(params)
-        self.regions = _build_regions(params, self.derived.nu)
+        self.regions = _build_regions(params, self.derived)
         # parameter-only terms of the buffer ramp p(u) - p(tau) - gamma*tau^2/4 with
         # p(x) = (gamma-L)/2*x^2 + (L-2*gamma)*tau*x, slope -gamma*tau at u = tau, -L*tau at 2*tau
         L, g, tau = params.L, params.gamma, params.tau

@@ -39,7 +39,7 @@ def grid_runs():
         n = 3 + seed % 7
         params = LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=n)
         lc, traj = _gd_run(params, seed)
-        runs.append((params, seed, traj, ss.replay(traj, dense=True).records(traj.is_noisy)))
+        runs.append((params, seed, traj, ss.replay(traj).records()))
     return runs
 
 
@@ -54,7 +54,7 @@ def growth_runs():
             t0 = time.perf_counter()
             lc, traj = _gd_run(params, seed)
             elapsed = time.perf_counter() - t0
-            growth = ss.growth_summary(ss.replay(traj, dense=True).records(traj.is_noisy), params)
+            growth = ss.growth_summary(ss.replay(traj).records(), params)
             per_seed.append((seed, traj, growth, elapsed))
         out[L] = per_seed
     return out
@@ -122,7 +122,7 @@ def test_criterion_4_containment(grid_runs):
                 n_outside += 1
             if it.event is ss.Event.PROJECTED:
                 n_projected += 1
-        assert ss.replay(traj).containment(traj.is_noisy).passed, seed
+        assert ss.replay(traj).containment().passed, seed
     ok = n_outside == 0 and n_projected == 0
     conclude(4, "containment", ok,
              f"{len(grid_runs)} runs, {n_outside} outside iterates, "
@@ -174,9 +174,10 @@ def test_criterion_7_noisy_descent_efficiency(growth_runs):
     sgd_entries = []
     for seed in range(20):
         start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
-        obs = ss.StreamObserver(lc)
-        ss.run(lc, GdConfig(max_iter=100_000, stop_grad_norm=params.L * params.tau / 2),
-               start, noise=NoiseConfig(variance=0.1, seed=seed), observer=obs)
+        config = GdConfig(max_iter=100_000, stop_grad_norm=params.L * params.tau / 2)
+        noise = NoiseConfig(variance=0.1, seed=seed)
+        obs = ss.StreamObserver(lc, config, noise)
+        ss.run(lc, config, start, noise=noise, observer=obs)
         sgd_entries.append(obs.first_final)
     gd_entries = [ss.replay(traj).first_final for _, traj, _, _ in growth_runs[1.0]]
 
@@ -203,7 +204,7 @@ def test_criterion_8_numerical_sticking():
         if traj.iterates[-1].region.order >= final_order:
             continue
         stalled += 1
-        info = ss.replay(traj, dense=True).stall
+        info = ss.replay(traj).stall
         if info is not None and info.reason == "cross_pinned":
             pinned += 1
     ok = stalled >= 1 and pinned >= 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -48,7 +49,7 @@ def gd_run(n_saddles, seed):
 
 def test_segment_synthetic_counts(lc5):
     traj = make_trajectory(lc5, [0] * 5 + [1] * 3 + [2] * 7)
-    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
+    recs = ss.replay(traj).records()
     assert [(r.index, r.t, r.t_prime, r.complete) for r in recs] == [
         (1, 5, 3, True), (2, 7, 0, False)]
     assert recs[0].T == 8
@@ -57,7 +58,7 @@ def test_segment_synthetic_counts(lc5):
 
 def test_segment_single_region(lc5):
     traj = make_trajectory(lc5, [0] * 9)
-    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
+    recs = ss.replay(traj).records()
     assert [(r.index, r.t, r.t_prime, r.T, r.complete) for r in recs] == [
         (1, 9, 0, 9, False)]
 
@@ -65,7 +66,7 @@ def test_segment_single_region(lc5):
 def test_segment_t_recurrence_and_conservation():
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        recs = ss.replay(traj, dense=True).records(traj.is_noisy)
+        recs = ss.replay(traj).records()
         prev_T = 0
         for rec in recs:
             assert rec.T == prev_T + rec.t + rec.t_prime
@@ -74,36 +75,41 @@ def test_segment_t_recurrence_and_conservation():
 
 
 def test_segment_rejects_thinned(lc5):
+    # a thinned plain run's records are exact; its stall and report raise,
+    # carrying the first iterate after the first gap
     start = ss.init_sample(lc5, np.random.default_rng(0))
     traj = ss.run(lc5, GdConfig(record_every=10), start)
-    with pytest.raises(ss.SegmentationError):
-        ss.replay(traj, dense=True)
+    replayed = ss.replay(traj)
+    assert replayed.records() == ss.replay(ss.run(lc5, GdConfig(), start)).records()
+    for analysis in (lambda: replayed.stall, replayed.report):
+        with pytest.raises(ss.SegmentationError) as err:
+            analysis()
+        assert err.value.iterate is traj.iterates[1] and traj.iterates[1].t == 10
 
 
 def test_segment_rejects_gd_revisit(lc5):
     traj = make_trajectory(lc5, [0, 1, 0, 1, 2])
     with pytest.raises(ss.SegmentationError) as err:
-        ss.replay(traj, dense=True).records(traj.is_noisy)
+        ss.replay(traj).records()
     assert err.value.iterate.t == 2
 
 
 def test_segment_sgd_first_passage(lc5):
     traj = make_trajectory(lc5, [0, 1, 0, 1, 2], noise=NoiseConfig(variance=0.1))
-    recs = ss.replay(traj, dense=True).records(traj.is_noisy)
+    recs = ss.replay(traj).records()
     assert [(r.index, r.t, r.t_prime, r.T, r.complete) for r in recs] == [
         (1, 1, 3, 4, True), (2, 1, 0, 5, False)]
 
 
 def test_segment_empty_raises(lc5):
     with pytest.raises(ss.SegmentationError):
-        ss.replay(Trajectory(lc5.params, GdConfig(), None, (), Outcome.BUDGET),
-                  dense=True).records(False)
+        ss.replay(Trajectory(lc5.params, GdConfig(), None, (), Outcome.BUDGET)).records()
 
 
 def test_segment_outside_iterate_raises(lc5):
     traj = make_trajectory(lc5, [0, None, 1])
     with pytest.raises(ss.SegmentationError):
-        ss.replay(traj, dense=True).records(traj.is_noisy)
+        ss.replay(traj).records()
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -115,19 +121,21 @@ def test_stream_observer_matches_segment(algo, n, seed, record_every):
     lc = Landscape(LandscapeParams(n_saddles=n))
     start = ss.init_sample(lc, np.random.default_rng(seed))
     noise = NoiseConfig(variance=0.1, seed=seed) if algo == "sgd" else None
-    obs = ss.StreamObserver(lc)
-    traj = ss.run(lc, GdConfig(record_every=record_every), start, noise=noise, observer=obs)
+    config = GdConfig(record_every=record_every)
+    obs = ss.StreamObserver(lc, config, noise)
+    traj = ss.run(lc, config, start, noise=noise, observer=obs)
     dense = traj
     if record_every > 1:
         dense = ss.run(lc, GdConfig(), start, noise=noise)
         assert len(traj.iterates) < len(dense.iterates)
         with pytest.raises(ss.SegmentationError):
-            ss.replay(traj, dense=True)
-    replayed = ss.replay(dense, dense=True)
-    assert obs.records(traj.is_noisy) == replayed.records(dense.is_noisy)
-    report = obs.report(traj.eta, traj.is_noisy)
-    assert report.to_dict() == replayed.report(dense.eta, dense.is_noisy).to_dict()
-    assert report.records == replayed.records(dense.is_noisy)
+            ss.replay(traj).stall
+    replayed = ss.replay(dense)
+    assert obs.gap is None and replayed.gap is None
+    assert obs.records() == replayed.records() == ss.replay(traj).records()
+    report = obs.report()
+    assert report.to_dict() == replayed.report().to_dict()
+    assert report.records == replayed.records()
     assert obs.stall == replayed.stall
     assert obs.first_final == replayed.first_final == ss.replay(traj).first_final
     assert len(obs.first_exceed) <= 2 * n + 2
@@ -147,7 +155,7 @@ def test_buffer_bound_rejects_a_step_whose_bound_overflows(params5):
 def test_buffer_bound_on_real_runs(params5):
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        records = ss.replay(traj, dense=True).records(traj.is_noisy)
+        records = ss.replay(traj).records()
         res = ss.check_buffer_bound(records, params5, 0.25)
         assert res.passed
         assert all(m["t_prime"] <= 8 for m in res.details["margins"])
@@ -169,30 +177,30 @@ def test_buffer_bound_synthetic_violation(params5):
 
 def test_containment_on_real_run(params5):
     _, traj = gd_run(5, 1)
-    assert ss.replay(traj).containment(traj.is_noisy).passed
+    assert ss.replay(traj).containment().passed
 
 
 def test_containment_skipped_for_sgd(lc5):
     traj = make_trajectory(lc5, [0, 1], noise=NoiseConfig(variance=0.1))
-    res = ss.replay(traj).containment(traj.is_noisy)
+    res = ss.replay(traj).containment()
     assert res.passed and res.skipped
 
 
 def test_containment_fails_on_outside_iterate(lc5):
     # the first outside iterate is both the witness and the segmentation error
     traj = make_trajectory(lc5, [0, 0, None, 1, None, 2])
-    res = ss.replay(traj).containment(traj.is_noisy)
+    res = ss.replay(traj).containment()
     assert not res.passed
     assert res.witnesses == [{"t": 2, "kind": "outside", "position": [-1.0, -1.0]}]
     with pytest.raises(ss.SegmentationError) as err:
-        ss.replay(traj, dense=True).records(traj.is_noisy)
+        ss.replay(traj).records()
     assert err.value.iterate is traj.iterates[2]
 
 
 def test_containment_fails_on_projection(lc5):
     traj = make_trajectory(lc5, [0, 1, 1],
                            events=[None, ss.Event.PROJECTED, ss.Event.PROJECTED])
-    res = ss.replay(traj).containment(traj.is_noisy)
+    res = ss.replay(traj).containment()
     assert not res.passed
     assert res.witnesses == [{"t": 1, "kind": "projected",
                               "position": list(traj.iterates[1].position)}]
@@ -209,7 +217,7 @@ def test_recurrence_rejects_small_ratio():
 def test_recurrence_on_real_runs(params5):
     for seed in range(5):
         _, traj = gd_run(5, seed)
-        records = ss.replay(traj, dense=True).records(traj.is_noisy)
+        records = ss.replay(traj).records()
         res = ss.check_escape_recurrence(records, params5, 0.25)
         assert res.passed
         assert res.details["t1"] > 8  # 4L/gamma
@@ -267,7 +275,7 @@ def test_growth_skips_incomplete_tail(params5):
 
 def test_growth_on_real_run(params5):
     _, traj = gd_run(5, 0)
-    s = ss.growth_summary(ss.replay(traj, dense=True).records(traj.is_noisy), params5)
+    s = ss.growth_summary(ss.replay(traj).records(), params5)
     assert s.ratio > 1.8
     assert s.exceeds_floor
     assert s.total_iterations == len(traj.iterates)
@@ -277,7 +285,7 @@ def test_growth_on_real_run(params5):
 
 def test_detect_stall_on_long_chain():
     lc, traj = gd_run(9, 0)
-    info = ss.replay(traj, dense=True).stall
+    info = ss.replay(traj).stall
     assert info is not None
     assert info.reason == "cross_pinned"
     # pinned strictly before the final block
@@ -290,13 +298,13 @@ def test_detect_stall_on_long_chain():
 
 def test_detect_stall_none_for_short_run():
     _, traj = gd_run(1, 0)
-    assert ss.replay(traj, dense=True).stall is None
+    assert ss.replay(traj).stall is None
 
 
 def test_detect_stall_pinned_center(lc5):
     center = lc5.regions[2].center  # block 2
     traj = make_trajectory(lc5, [2], positions=[center])
-    info = ss.replay(traj, dense=True).stall
+    info = ss.replay(traj).stall
     assert info is not None and info.t == 0
 
 
@@ -318,9 +326,9 @@ def test_first_final_entry_of_a_noisy_run():
     # final block and comes back, and the first entry counts
     lc = Landscape(LandscapeParams(n_saddles=2))
     start = ss.init_sample(lc, np.random.default_rng([0, 0]))
-    obs = ss.StreamObserver(lc)
-    traj = ss.run(lc, GdConfig(max_iter=3000, stop_grad_norm=0.0), start,
-                  noise=NoiseConfig(variance=0.1, seed=0), observer=obs)
+    config, noise = GdConfig(max_iter=3000, stop_grad_norm=0.0), NoiseConfig(variance=0.1, seed=0)
+    obs = ss.StreamObserver(lc, config, noise)
+    traj = ss.run(lc, config, start, noise=noise, observer=obs)
     kinds = [it.region.kind is RegionKind.FINAL_BLOCK for it in traj.iterates]
     assert kinds[-1] and not all(kinds[kinds.index(True):])
     assert obs.first_final == ss.replay(traj).first_final == _first_in_final(traj)
@@ -335,7 +343,7 @@ def test_first_final_entry_is_the_first_of_several(lc5):
 
 def test_theory_report_real_run_serializes(params5):
     _, traj = gd_run(5, 2)
-    rep = ss.replay(traj, dense=True).report(traj.eta, traj.is_noisy)
+    rep = ss.replay(traj).report()
     assert rep.passed
     payload = json.dumps(rep.to_dict(), sort_keys=True)
     assert "buffer_bound" in payload
@@ -343,7 +351,7 @@ def test_theory_report_real_run_serializes(params5):
     # a stall and a growth summary
     lc = Landscape(params5)
     short = ss.run(lc, GdConfig(max_iter=5), traj.iterates[0].position, NoiseConfig(0.1, 0))
-    noisy = ss.replay(short, dense=True).report(short.eta, short.is_noisy)
+    noisy = ss.replay(short).report()
     assert rep.stall is not None and rep.growth is not None
     assert noisy.stall is None and noisy.growth is None
     for report in (rep, noisy):
@@ -363,9 +371,9 @@ def test_theory_checks_pass_on_default_grid():
             for seed in range(20):
                 start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
                 traj = ss.run(lc, GdConfig(), start)
-                records = ss.replay(traj, dense=True).records(traj.is_noisy)
+                records = ss.replay(traj).records()
                 assert ss.check_buffer_bound(records, params, eta).passed
-                assert ss.replay(traj).containment(traj.is_noisy).passed
+                assert ss.replay(traj).containment().passed
                 assert ss.check_escape_recurrence(records, params, eta).passed
 
 
@@ -374,7 +382,7 @@ def test_theory_report_skips_for_sgd():
     start = ss.init_sample(lc9, np.random.default_rng(0))
     traj = ss.run(lc9, GdConfig(stop_grad_norm=0.5, max_iter=50_000), start,
                   noise=NoiseConfig(variance=0.1, seed=0))
-    rep = ss.replay(traj, dense=True).report(traj.eta, traj.is_noisy)
+    rep = ss.replay(traj).report()
     assert rep.buffer_bound.skipped
     assert rep.containment.skipped
     assert rep.recurrence.skipped
@@ -386,9 +394,40 @@ def test_detect_stall_rejects_thinned():
     # first kept pinned one is t=70
     lc = Landscape(LandscapeParams(n_saddles=9))
     start = ss.init_sample(lc, np.random.default_rng([0, 0]))
-    obs = ss.StreamObserver(lc)
-    traj = ss.run(lc, GdConfig(record_every=7), start, observer=obs)
+    config = GdConfig(record_every=7)
+    obs = ss.StreamObserver(lc, config)
+    traj = ss.run(lc, config, start, observer=obs)
     assert obs.stall.t == 68
-    with pytest.raises(ss.SegmentationError):
-        ss.replay(traj, dense=True)
-    assert ss.replay(ss.run(lc, GdConfig(), start), dense=True).stall == obs.stall
+    with pytest.raises(ss.SegmentationError) as err:
+        ss.replay(traj).stall
+    assert err.value.iterate is traj.iterates[1] and traj.iterates[1].t == 7
+    assert ss.replay(ss.run(lc, GdConfig(), start)).stall == obs.stall
+
+
+# --- thinned replays --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("record_every", [2, 7, 50])
+@pytest.mark.parametrize("algo", ["gd", "sgd"])
+def test_thinned_replay_matches_dense_replay(algo, record_every):
+    # a run keeps every region entry and projection, so every analysis but
+    # the stall is exact on a thinned trajectory: a plain run's stall and
+    # report raise there, and a noisy run's report, which has no stall, holds
+    for n, seed in itertools.product((3, 5, 9), range(4)):
+        lc = Landscape(LandscapeParams(n_saddles=n))
+        start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+        noise = NoiseConfig(variance=0.1, seed=seed) if algo == "sgd" else None
+        thinned = ss.run(lc, GdConfig(record_every=record_every), start, noise=noise)
+        a, b = ss.replay(thinned), ss.replay(ss.run(lc, GdConfig(), start, noise=noise))
+        its = thinned.iterates
+        assert a.gap is next(y for x, y in zip(its, its[1:]) if y.t != x.t + 1)
+        assert b.gap is None
+        assert a.records() == b.records()
+        assert a.containment() == b.containment()
+        assert (a.first_final, a.revisit, a.projected) == (b.first_final, b.revisit, b.projected)
+        if algo == "sgd":
+            assert a.report() == b.report()
+            continue
+        for analysis in (lambda: a.stall, a.report):
+            with pytest.raises(ss.SegmentationError) as err:
+                analysis()
+            assert err.value.iterate is a.gap

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ def _without_offset(params):
     """A landscape whose regions were all built with nu = 0, which kills the
     telescoping offset: block->buffer seams now jump."""
     lc = Landscape(params)
-    lc.regions = _build_regions(params, 0.0)
+    lc.regions = _build_regions(params, dataclasses.replace(lc.derived, nu=0.0))
     return lc
 
 
@@ -277,9 +278,9 @@ def _assert_seam_scan_matches_loop(landscape, samples_per_seam, seed=0):
     return rep
 
 
-def _stationary_loop(landscape, n_angles=256):
-    """stationary_check as one scalar probe and one ring per block."""
-    r = 1e-3 * landscape.params.tau
+def _stationary_loop(landscape):
+    """stationary_check as one scalar probe and one ring of 256 per block."""
+    n_angles, r = 256, 1e-3 * landscape.params.tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     violations, samples = [], 0
@@ -301,9 +302,9 @@ def _stationary_loop(landscape, n_angles=256):
     return samples, violations
 
 
-def _assert_stationary_matches_loop(landscape, n_angles=256):
-    rep = ss.stationary_check(landscape, n_angles)
-    samples, violations = _stationary_loop(landscape, n_angles)
+def _assert_stationary_matches_loop(landscape):
+    rep = ss.stationary_check(landscape)
+    samples, violations = _stationary_loop(landscape)
     assert rep.samples == samples
     assert rep.witnesses == violations
     assert rep.worst_error == float(len(violations))
@@ -338,10 +339,7 @@ def test_seam_scan_matches_per_seam_loop_on_corrupted_landscapes():
 
 @pytest.mark.parametrize("params", GRID)
 def test_stationary_check_matches_per_block_loop(params):
-    lc = Landscape(params)
-    for n_angles in (0, 3, 256):
-        _assert_stationary_matches_loop(lc, n_angles)
-    assert _assert_stationary_matches_loop(lc).passed
+    assert _assert_stationary_matches_loop(Landscape(params)).passed
 
 
 class _BrokenStationary(Landscape):
@@ -369,8 +367,7 @@ def test_stationary_check_matches_per_block_loop_on_corrupted_landscapes():
     lc = _without_offset(LandscapeParams(n_saddles=5))
     assert _assert_stationary_matches_loop(lc).passed
     bad = _BrokenStationary(LandscapeParams(n_saddles=5, tau=0.7))
-    for n_angles in (3, 256):
-        rep = _assert_stationary_matches_loop(bad, n_angles)
+    rep = _assert_stationary_matches_loop(bad)
     assert not rep.passed
     assert {w["kind"] for w in rep.witnesses} == {"nonzero_gradient", "not_saddle",
                                                   "not_local_minimum"}
@@ -436,9 +433,9 @@ def _gradient_check_whole(landscape, n_samples, seed=0):
                              {"h": h, "seed": seed})
 
 
-def _stationary_whole(landscape, n_angles=256):
-    """stationary_check with every block's ring probed in one array."""
-    r = 1e-3 * landscape.params.tau
+def _stationary_whole(landscape):
+    """stationary_check with every block's ring of 256 probed in one array."""
+    n_angles, r = 256, 1e-3 * landscape.params.tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
@@ -601,11 +598,11 @@ def test_gradient_check_evaluates_each_pass_once():
     assert len(calls) == 3 and sum(calls) == 40_000
 
 
-@pytest.mark.parametrize("params", GRID[::5])
+# n_saddles=100: 101 blocks make two passes of CHUNK // N_ANGLES = 64 rings
+@pytest.mark.parametrize("params", [*GRID[::5], LandscapeParams(n_saddles=100)])
 def test_stationary_check_matches_whole_array_check(params):
     for lc in (Landscape(params), _BrokenStationary(params)):
-        for n_angles in (0, 3, 5000, *STREAM_COUNTS):
-            assert ss.stationary_check(lc, n_angles) == _stationary_whole(lc, n_angles)
+        assert ss.stationary_check(lc) == _stationary_whole(lc)
     assert not ss.stationary_check(lc).passed
 
 
@@ -659,12 +656,16 @@ def _traced_peak(fn, *args):
     (ss.lipschitz_report, 100_000),
     (ss.lipschitz_report, 400_000),
 ])
-def test_check_peak_memory_at_n100(check, count):
+def test_check_peak_memory_at_n100(check, count, monkeypatch):
     """The peak does not grow with the sample count: 4x the default counts
     stay under the same bound."""
     lc = Landscape(LandscapeParams(n_saddles=100))
-    check(lc, 10)
-    assert _traced_peak(check, lc, count) <= PEAK_MIB * 2**20
+    warm, counts = (10,), (count,)
+    if check is ss.stationary_check:    # its count is the module's ring size
+        monkeypatch.setattr(ss.checks, "N_ANGLES", count)
+        warm = counts = ()
+    check(lc, *warm)
+    assert _traced_peak(check, lc, *counts) <= PEAK_MIB * 2**20
 
 
 @pytest.mark.xfail(strict=True, reason="one pass of 16384 seam points in one region kind "
@@ -686,7 +687,7 @@ def test_failing_gradient_check_peak_memory_at_n100(count):
 def test_stationary_check_peak_memory_at_n400():
     """Nor with the length of the chain: the rings are probed in passes."""
     lc = Landscape(LandscapeParams(n_saddles=400))
-    ss.stationary_check(lc, 3)
+    ss.stationary_check(lc)
     assert _traced_peak(ss.stationary_check, lc) <= PEAK_MIB * 2**20
 
 

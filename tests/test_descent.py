@@ -168,7 +168,7 @@ def test_sgd_step_zero_variance_is_gd():
         plain = ss.run(lc2, GdConfig(), start)
         zero = ss.run(lc2, GdConfig(), start, noise=NoiseConfig(variance=0.0, seed=seed))
         assert zero.iterates == plain.iterates and zero.outcome is plain.outcome
-        assert plain.outcome is Outcome.REACHED_MINIMUM and not zero.is_noisy
+        assert plain.outcome is Outcome.REACHED_MINIMUM and not ss.replay(zero).noisy
 
 
 def test_sgd_noise_statistics():
@@ -373,13 +373,13 @@ def test_noisy_repeat_at_a_corner_is_not_a_stall():
     # next kick moves on, so the run must go on to its budget
     lc9 = Landscape(LandscapeParams(n_saddles=9))
     start = ss.init_sample(lc9, np.random.default_rng([0, 0]))
-    obs = ss.StreamObserver(lc9)
-    traj = ss.run(lc9, GdConfig(stop_grad_norm=0.0, max_iter=3500), start,
-                  noise=NoiseConfig(variance=0.1, seed=0), observer=obs)
+    config, noise = GdConfig(stop_grad_norm=0.0, max_iter=3500), NoiseConfig(variance=0.1, seed=0)
+    obs = ss.StreamObserver(lc9, config, noise)
+    traj = ss.run(lc9, config, start, noise=noise, observer=obs)
     positions = [it.position for it in traj.iterates]
     assert any(p == q for p, q in zip(positions, positions[1:]))
     assert traj.outcome is Outcome.BUDGET
-    assert ss.replay(traj, dense=True).stall is None
+    assert ss.replay(traj).stall is None
     assert obs.stall is None
 
 
