@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import itertools
@@ -204,9 +205,7 @@ def _outdir(args):
 
 
 def _write_json(path: Path, payload: dict):
-    with path.open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _gd_config(args) -> GdConfig:
@@ -228,6 +227,11 @@ def _check_step_size(grid: list[LandscapeParams], config: GdConfig, algos: list[
 
 def cmd_check(args) -> int:
     [params] = _params_grid(args)
+    # fixed glibc malloc thresholds let each check pass reuse the heap the last one freed; the
+    # moving defaults made it fault 0.5k to 36k pages back in per n=100 call, by allocation history
+    with contextlib.suppress(AttributeError, OSError, TypeError):   # no mallopt without glibc
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20), libc.mallopt(-1, 64 << 20)  # M_MMAP_, M_TRIM_THRESHOLD
     with _outdir(args) as out:
         landscape = Landscape(params)
         t0 = time.perf_counter()
@@ -247,8 +251,7 @@ def cmd_check(args) -> int:
         }
         _write_json(out / "check_report.json", payload)
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: worst={r.worst_error:.3e} "
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: worst={r.worst_error:.3e} "
               f"threshold={r.threshold:.3e} samples={r.samples}")
     print(f"report: {out / 'check_report.json'} ({elapsed:.2f}s)")
     return 0 if all_passed else 1
