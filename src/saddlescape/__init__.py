@@ -8,7 +8,6 @@ from .landscape import (
     Point,
     RegionId,
     RegionKind,
-    OUTSIDE,
     derive_constants,
 )
 from .descent import (

@@ -222,14 +222,12 @@ class StreamObserver:
         self.end = 0                    # one past the last t seen
         self.gap: Iterate | None = None  # first iterate whose t is not one past the last
         self.projected: Iterate | None = None
-        self.outside: Iterate | None = None
         self.revisit: Iterate | None = None  # first step back to an earlier order
         self._stall: StallInfo | None = None
         self._hi = -1                   # highest chain order seen
-        # (axis, center) of the converging coordinate of each saddle block,
-        # None elsewhere; the key None is the order of an outside iterate
-        self._cross: dict[int | None, tuple[int, float] | None] = dict.fromkeys(
-            [None, *range(len(landscape.regions))])
+        # by chain order, (axis, center) of the converging coordinate of
+        # each saddle block, None elsewhere
+        self._cross: list[tuple[int, float] | None] = [None] * len(landscape.regions)
         for reg in landscape.regions[:-1:2]:    # the saddle blocks
             self._cross[reg.rid.order] = (1 - reg.axis, reg.center[1 - reg.axis])
 
@@ -239,10 +237,7 @@ class StreamObserver:
             self.gap = it
         self.end = t + 1
         order = region.order
-        if order is None:
-            if self.outside is None:
-                self.outside = it
-        elif order > self._hi:
+        if order > self._hi:
             for o in range(self._hi, order):
                 self.first_exceed[o] = t
             self._hi = order
@@ -280,11 +275,9 @@ class StreamObserver:
 
     def records(self) -> list[EscapeRecord]:
         """Escape records of every block reached; raises SegmentationError,
-        carrying the iterate, on an outside iterate or a plain-descent revisit."""
+        carrying the iterate, on a plain-descent revisit."""
         if not self.end:
             raise SegmentationError("empty trajectory")
-        if self.outside is not None:
-            raise SegmentationError(f"iterate {self.outside.t} is outside D", self.outside)
         if not self.noisy and self.revisit is not None:
             it = self.revisit
             raise SegmentationError(
@@ -305,15 +298,15 @@ class StreamObserver:
         return records + [EscapeRecord(n, total - at(2 * n - 3), 0, total, False)]
 
     def containment(self) -> TheoryCheck:
-        """Plain descent from the valid start band never leaves D and is never
-        projected; witnesses are the first projected and the first outside
+        """Plain descent from the valid start band is never projected (and
+        ``run`` raises where it leaves D); the witness is the first projected
         iterate.  Skipped for noisy descent, where no such claim holds."""
         if self.noisy:
             return TheoryCheck("containment", passed=True, skipped=True,
                                details={"reason": "no containment claim for noisy descent"})
-        witnesses = [{"t": it.t, "kind": kind, "position": list(it.position)}
-                     for kind, it in (("projected", self.projected), ("outside", self.outside))
-                     if it is not None]
+        it = self.projected
+        witnesses = [] if it is None else [{"t": it.t, "kind": "projected",
+                                            "position": list(it.position)}]
         return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
 
     def report(self) -> TheoryReport:

@@ -53,8 +53,12 @@ def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
     read and checked, so a bad value is reported with its file and line."""
     path = args.config
     known = [k for k in vars(args) if k not in ("command", "config")]
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not a UTF-8 text file: {e}") from e
     tokens = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -290,11 +294,10 @@ def _summarize_run(seed, algo, trajectory, report, observer, start):
 def _write_trajectory_csv(path: Path, trajectory):
     lines = ["iter,x1,x2,f,grad_norm,region_kind,region_index,event"]
     for it in trajectory.iterates:
-        idx = "" if it.region.index is None else str(it.region.index)
         ev = it.event.value if it.event else ""
         lines.append(f"{it.t},{_fmt(it.position[0])},{_fmt(it.position[1])},"
                      f"{_fmt(it.f_value)},{_fmt(it.grad_norm)},"
-                     f"{it.region.kind.value},{idx},{ev}")
+                     f"{it.region.kind.value},{it.region.index},{ev}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -375,10 +378,15 @@ def cmd_sweep(args) -> int:
 
 def _trajectory_rows(csv_path: Path):
     """The fields of each data row of a ``run`` trajectory CSV, read one file
-    at a time.  A missing file or a row with fewer than 4 fields raises IOError."""
+    at a time.  A missing or undecodable file, or a row with fewer than 4
+    fields, raises IOError."""
     if not csv_path.exists():
         raise IOError(f"missing trajectory file {csv_path}")
-    for lineno, row in enumerate(csv_path.read_text().splitlines()[1:], 2):
+    try:
+        text = csv_path.read_text()
+    except UnicodeDecodeError as e:
+        raise IOError(f"{csv_path} is not a UTF-8 text file: {e}") from e
+    for lineno, row in enumerate(text.splitlines()[1:], 2):
         parts = row.split(",")
         if len(parts) < 4:
             raise IOError(f"{csv_path}:{lineno}: expected at least the 4 fields "

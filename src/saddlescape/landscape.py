@@ -36,7 +36,6 @@ class RegionKind(Enum):
     ODD_EVEN_BUFFER = "odd_even_buffer"
     EVEN_ODD_BUFFER = "even_odd_buffer"
     FINAL_BLOCK = "final_block"
-    OUTSIDE = "outside"
 
     @property
     def is_block(self) -> bool:
@@ -45,23 +44,15 @@ class RegionKind(Enum):
 
 @dataclass(frozen=True)
 class RegionId:
-    """Which region of the chain a point belongs to.
+    """Which square of D a point belongs to.
 
     ``order`` is the 0-based position in the chain B1, B1', B2, B2', ...:
-    2*(index-1) for blocks, 2*(index-1)+1 for buffers.  Outside carries
-    neither index nor order.
+    2*(index-1) for blocks, 2*(index-1)+1 for buffers.
     """
 
     kind: RegionKind
-    index: int | None = None
-    order: int | None = None
-
-    @property
-    def is_outside(self) -> bool:
-        return self.kind is RegionKind.OUTSIDE
-
-
-OUTSIDE = RegionId(RegionKind.OUTSIDE)
+    index: int
+    order: int
 
 
 @dataclass(frozen=True)
@@ -239,9 +230,10 @@ class Landscape:
                 return reg
         return None
 
-    def classify(self, p: Point) -> RegionId:
+    def classify(self, p: Point) -> RegionId | None:
+        """The identity of the region ``locate`` gives, or None outside D."""
         reg = self.locate(p)
-        return OUTSIDE if reg is None else reg.rid
+        return None if reg is None else reg.rid
 
     # -- scalar evaluation ---------------------------------------------------
 

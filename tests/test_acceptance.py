@@ -117,8 +117,9 @@ def test_criterion_3_buffer_residence_bound(grid_runs):
 def test_criterion_4_containment(grid_runs):
     n_outside = n_projected = 0
     for params, seed, traj, records in grid_runs:
+        lc = Landscape(params)
         for it in traj.iterates:
-            if it.region.is_outside:
+            if lc.locate(it.position) is None:
                 n_outside += 1
             if it.event is ss.Event.PROJECTED:
                 n_projected += 1

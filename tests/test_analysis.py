@@ -25,13 +25,10 @@ def make_trajectory(lc, orders, noise=None, positions=None, events=None):
     """Synthetic trajectory visiting the given chain orders."""
     its = []
     for t, o in enumerate(orders):
-        if o is None:
-            rid, pos = ss.OUTSIDE, (-1.0, -1.0)
-        else:
-            reg = lc.regions[o]
-            rid = reg.rid
-            # off-center so nothing looks pinned
-            pos = (reg.center[0] + 0.11, reg.center[1] + 0.07)
+        reg = lc.regions[o]
+        rid = reg.rid
+        # off-center so nothing looks pinned
+        pos = (reg.center[0] + 0.11, reg.center[1] + 0.07)
         if positions is not None and positions[t] is not None:
             pos = positions[t]
         ev = events[t] if events is not None else None
@@ -106,12 +103,6 @@ def test_segment_empty_raises(lc5):
         ss.replay(Trajectory(lc5.params, GdConfig(), None, (), Outcome.BUDGET)).records()
 
 
-def test_segment_outside_iterate_raises(lc5):
-    traj = make_trajectory(lc5, [0, None, 1])
-    with pytest.raises(ss.SegmentationError):
-        ss.replay(traj).records()
-
-
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("n", [1, 5, 12])
@@ -184,17 +175,6 @@ def test_containment_skipped_for_sgd(lc5):
     traj = make_trajectory(lc5, [0, 1], noise=NoiseConfig(variance=0.1))
     res = ss.replay(traj).containment()
     assert res.passed and res.skipped
-
-
-def test_containment_fails_on_outside_iterate(lc5):
-    # the first outside iterate is both the witness and the segmentation error
-    traj = make_trajectory(lc5, [0, 0, None, 1, None, 2])
-    res = ss.replay(traj).containment()
-    assert not res.passed
-    assert res.witnesses == [{"t": 2, "kind": "outside", "position": [-1.0, -1.0]}]
-    with pytest.raises(ss.SegmentationError) as err:
-        ss.replay(traj).records()
-    assert err.value.iterate is traj.iterates[2]
 
 
 def test_containment_fails_on_projection(lc5):

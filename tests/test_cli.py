@@ -163,6 +163,17 @@ def test_plotdata_short_csv_row_exits_three_and_names_it(tmp_path, capsys):
     assert f"error: {csv_path}:3: " in capsys.readouterr().err
 
 
+def test_plotdata_undecodable_csv_exits_three_and_names_it(tmp_path, capsys):
+    assert main(["run", "--n-saddles", "2", "--out", str(tmp_path)]) == 0
+    csv_path = tmp_path / "run_seed0.csv"
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(tmp_path), "--out", str(out)]) == 3
+    assert f"error: {csv_path} is not a UTF-8 text file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plotdata_checks_every_csv_before_writing(tmp_path, capsys):
     rundir = tmp_path / "runs"
     assert main(["run", "--n-saddles", "2", "--seeds", "2", "--out", str(rundir)]) == 0
@@ -212,6 +223,15 @@ def test_config_file_malformed(tmp_path, capsys):
         stderr = capsys.readouterr().err
         assert "invalid choice: 'sgdd'" in stderr and f"{cfg}:2" in stderr
         assert not out.exists()
+
+
+def test_undecodable_config_file_exits_two_and_names_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n-saddles = 2\n\xff\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}: not a UTF-8 text file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_two():

@@ -105,7 +105,7 @@ def test_project_is_nearest_point(lc, rng):
     for _ in range(50):
         p = (rng.uniform(-2, span), rng.uniform(-2, span))
         q = ss.project_to_domain(lc, p)
-        assert not lc.classify(q).is_outside
+        assert lc.classify(q) is not None
         dq = math.hypot(q[0] - p[0], q[1] - p[1])
         dist = np.hypot(samples[:, 0] - p[0], samples[:, 1] - p[1])
         assert dq <= dist.min() + 1e-12
@@ -340,7 +340,7 @@ def test_gd_invariants_over_seeds(lc):
         traj = ss.run(lc, GdConfig(), start)
         prev = None
         for it in traj.iterates:
-            assert not it.region.is_outside
+            assert lc.locate(it.position).rid == it.region
             assert it.event is not ss.Event.PROJECTED
             if prev is not None:
                 assert it.region.order >= prev.region.order

@@ -129,7 +129,16 @@ def test_classify_examples():
     lc = Landscape(LandscapeParams(n_saddles=8))
     assert lc.classify((0.5, 0.5)) == ss.RegionId(RegionKind.ODD_BLOCK, 1, 0)
     assert lc.classify((2.5, 1.5)) == ss.RegionId(RegionKind.EVEN_ODD_BUFFER, 2, 3)
-    assert lc.classify((-0.1, 0.5)).is_outside
+    assert lc.classify((-0.1, 0.5)) is None
+
+
+def test_every_region_id_names_a_square_of_d():
+    # no kind, index or order stands for "outside": None does, from locate and classify
+    assert len(RegionKind) == 5
+    with pytest.raises(TypeError):
+        ss.RegionId(RegionKind.ODD_BLOCK)
+    with pytest.raises(TypeError):
+        ss.RegionId(RegionKind.ODD_BLOCK, 1)
 
 
 def test_classify_shared_edges_go_to_earlier_region(landscape):
@@ -149,7 +158,7 @@ def test_classify_matches_vectorized(landscape, rng):
     orders = landscape.classify_many(pts)
     for p, o in zip(pts, orders):
         rid = landscape.classify(tuple(p))
-        assert (rid.order if not rid.is_outside else -1) == o
+        assert (-1 if rid is None else rid.order) == o
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -424,9 +433,11 @@ def test_locate_matches_scan_on_edges_corners_and_non_finite_points(params):
     found = [lc.locate(tuple(p)) for p in pts]
     assert all(reg is _scan_locate(lc, p) for reg, p in zip(found, pts))
     assert {reg.rid.order for reg in found if reg is not None} == set(range(len(lc.regions)))
+    # classify is None exactly where locate is: outside D, and at every non-finite point
+    assert [lc.classify(tuple(p)) for p in pts] == [None if reg is None else reg.rid for reg in found]
+    assert None in found
     for p in bad:
         assert lc.locate(p) is None
-        assert lc.classify(p) is ss.OUTSIDE
         with pytest.raises(ss.OutsideDomainError):
             lc.value_and_gradient(p)
     # the same-square rule, from every square whose closed bounds hold the point
