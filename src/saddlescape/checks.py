@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import CHUNK, Landscape, RegionKind
+from .landscape import CHUNK, Landscape
 
 # The sample counts of run_all_checks and of the ``check`` command's flags.
 N_GRAD_SAMPLES = 10_000
@@ -78,12 +78,14 @@ def _central_difference(landscape: Landscape, xy: np.ndarray, step, h: float) ->
     return fd
 
 
-def _rel_error(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """|x - ref| / max(1, |ref|) per point, of the row maxima for (N, 2) arrays."""
+def _rel_error(x: np.ndarray, ref: np.ndarray, unit: float) -> np.ndarray:
+    """|x - ref| / max(unit, |ref|) per point, of the row maxima for (N, 2)
+    arrays.  The unit, L*tau for a gradient and L*tau^2 for a value, keeps
+    the error free of the units of L and tau."""
     err, scale = np.abs(x - ref), np.abs(ref)
     if err.ndim == 2:
         err, scale = np.maximum(err[:, 0], err[:, 1]), np.maximum(scale[:, 0], scale[:, 1])
-    return err / np.maximum(1.0, scale)
+    return err / np.maximum(unit, scale)
 
 
 def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
@@ -91,7 +93,7 @@ def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
     in stable order, of the analytic against the central-difference gradient."""
     grad = landscape.gradient_many(pts)
     fd = np.stack([_central_difference(landscape, pts, e, h) for e in np.diag([h, h])], axis=1)
-    err = _rel_error(fd, grad)
+    err = _rel_error(fd, grad, landscape.params.L * landscape.params.tau)
     cut = np.partition(err, -3)[-3] if len(err) > 3 else -np.inf     # the third largest
     top = np.flatnonzero(~(err < cut))  # the candidates, NaN among them
     top = top[np.argsort(err[top], kind="stable")[-3:]]
@@ -100,7 +102,8 @@ def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
 
 def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> CheckReport:
     """Analytic gradient vs central differences (step h = 1e-5*tau) on
-    seam-free interior points; the relative error must stay within 1e-6.
+    seam-free interior points; the error relative to max(L*tau, |analytic|)
+    must stay within 1e-6.
 
     The points are the seam-free ones, in draw order, of batches of ``2 *
     n_samples`` draws of ``sample_points``.  One walk compares them
@@ -143,24 +146,18 @@ def _enumerate_seams(landscape: Landscape):
     meet there.  An edge is evaluated in both regions with branch 0, a
     branch line in its region with branches +1 and -1.
     """
+    def extent(reg, axis):      # reg's side along the line x[axis] = level
+        return reg.bounds[2 - 2 * axis:4 - 2 * axis]
+
     edges, lines = [], []
     regs = landscape.regions
-    for a, b in zip(regs, regs[1:]):
-        o = (a.rid.order, b.rid.order)
-        if b.bounds[0] == a.bounds[1]:          # b to the right of a
-            lo = max(a.bounds[2], b.bounds[2])
-            hi = min(a.bounds[3], b.bounds[3])
-            edges.append((f"edge[{o[0]}|{o[1]}]", 0, a.bounds[1], lo, hi, *o))
-        elif b.bounds[2] == a.bounds[3]:        # b above a
-            lo = max(a.bounds[0], b.bounds[0])
-            hi = min(a.bounds[1], b.bounds[1])
-            edges.append((f"edge[{o[0]}|{o[1]}]", 1, a.bounds[3], lo, hi, *o))
-        else:
-            raise AssertionError("chain neighbours must share an edge")
+    for a, b in zip(regs, regs[1:]):    # b lies right of a or above it: they share a's side
+        axis = 0 if b.bounds[0] == a.bounds[1] else 1
+        edges.append((f"edge[{a.rid.order}|{b.rid.order}]", axis, a.bounds[2 * axis + 1],
+                      *extent(a, axis), a.rid.order, b.rid.order))
     for reg in regs[:-1]:
         o, axis = reg.rid.order, reg.axis
-        lo, hi = reg.bounds[2 * (1 - axis):2 * (1 - axis) + 2]
-        lines.append((f"branch[{o}]", axis, reg.center[axis], lo, hi, o, o))
+        lines.append((f"branch[{o}]", axis, reg.center[axis], *extent(reg, axis), o, o))
     return edges, lines
 
 
@@ -177,7 +174,9 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
     At each sampled seam point the two adjacent closed forms are evaluated
     at the seam itself (value and gradient), and a central difference taken
     across the seam (offsets 1e-7*tau) is compared against both analytic
-    normal derivatives.  worst_error is the largest error normalized by its
+    normal derivatives.  Each error is relative to max(unit, |reference|),
+    the unit being L*tau^2 for values and L*tau for gradients and the
+    difference.  worst_error is the largest error normalized by its
     tolerance (1e-9 for values, 1e-5 for gradients and the difference), so
     the report threshold is 1.
 
@@ -193,7 +192,8 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
     rng = np.random.default_rng(seed)
     m = samples_per_seam
     per_pass = max(1, CHUNK // m)
-    off = 1e-7 * landscape.params.tau
+    L, tau = landscape.params.L, landscape.params.tau
+    off = 1e-7 * tau
     kinds, tols = ("value", "gradient", "fd"), np.array([tol_value, tol_grad, tol_grad])
     worst = np.zeros(3)
     witnesses = []
@@ -211,15 +211,15 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             err, at = np.empty((3, k)), np.empty((3, k), dtype=np.intp)
             va, ga = landscape.eval_many(xy, np.repeat(order_a, m), branch)
             vb, gb = landscape.eval_many(xy, np.repeat(order_b, m), -branch)
-            err[0], at[0] = _seam_maxima(_rel_error(vb, va), k)
+            err[0], at[0] = _seam_maxima(_rel_error(vb, va, L * tau * tau), k)
             del va, vb
-            err[1], at[1] = _seam_maxima(_rel_error(gb, ga), k)
+            err[1], at[1] = _seam_maxima(_rel_error(gb, ga, L * tau), k)
             del gb
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             del ga
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
             fd = _central_difference(landscape, xy, step, off)
-            err[2], at[2] = _seam_maxima(_rel_error(fd, gn), k)
+            err[2], at[2] = _seam_maxima(_rel_error(fd, gn, L * tau), k)
             del fd, gn
             worst = np.maximum(worst, err.max(axis=1))
             # NaN is an error beyond any tolerance; seam first, then kind
@@ -246,7 +246,7 @@ def stationary_check(landscape: Landscape) -> CheckReport:
     n_angles, r = N_ANGLES, 1e-3 * landscape.params.tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
+    blocks = landscape.regions[::2]     # the even orders; the last is the final block
     orders = np.array([reg.rid.order for reg in blocks])
     centers = np.array([reg.center for reg in blocks])
     fc, g = landscape.eval_many(centers, orders)
@@ -261,21 +261,19 @@ def stationary_check(landscape: Landscape) -> CheckReport:
         above, below = vals > fc[part, None], vals < fc[part, None]
         higher[part] = above.all(axis=1)
         mixed[part] = above.any(axis=1) & below.any(axis=1)
-    violations = []
+    violations, n_saddles = [], len(blocks) - 1
     for j, reg in enumerate(blocks):
         o = reg.rid.order
         if not (g[j, 0] == 0.0 and g[j, 1] == 0.0):
             violations.append({"region": o, "kind": "nonzero_gradient",
                                "gradient": [float(g[j, 0]), float(g[j, 1])]})
-        if reg.rid.kind is RegionKind.FINAL_BLOCK:
+        if j == n_saddles:
             if not higher[j]:
                 violations.append({"region": o, "kind": "not_local_minimum"})
         elif not mixed[j]:
             violations.append({"region": o, "kind": "not_saddle"})
-    n_minima = sum(reg.rid.kind is RegionKind.FINAL_BLOCK for reg in blocks)
     return _report("stationary_check", len(blocks) * (1 + n_angles), float(len(violations)),
-                   0.0, violations, {"saddles": len(blocks) - n_minima, "minima": n_minima,
-                                     "probe_radius": r})
+                   0.0, violations, {"saddles": n_saddles, "minima": 1, "probe_radius": r})
 
 
 def _sample_passes(landscape: Landscape, seed, n: int, n_offsets: int):

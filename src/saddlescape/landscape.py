@@ -37,10 +37,6 @@ class RegionKind(Enum):
     EVEN_ODD_BUFFER = "even_odd_buffer"
     FINAL_BLOCK = "final_block"
 
-    @property
-    def is_block(self) -> bool:
-        return self in (RegionKind.ODD_BLOCK, RegionKind.EVEN_BLOCK, RegionKind.FINAL_BLOCK)
-
 
 @dataclass(frozen=True)
 class RegionId:

@@ -92,9 +92,8 @@ def test_criterion_2_stationary_suite():
     lc = Landscape(LandscapeParams(L=1.0, gamma=0.5, tau=1.0, n_saddles=9))
     stat = ss.stationary_check(lc)
     gmin = ss.global_minimum_check(lc, n_points=1_000_000, seed=0)
-    for reg in lc.regions:
-        if reg.rid.kind.is_block:
-            assert lc.gradient(reg.center) == (0.0, 0.0)
+    for reg in lc.regions[::2]:
+        assert lc.gradient(reg.center) == (0.0, 0.0)
     elapsed = time.perf_counter() - t0
     ok = stat.passed and gmin.passed and elapsed < 10.0
     conclude(2, "stationary points", ok,

@@ -209,6 +209,13 @@ def test_recurrence_synthetic_violation(params5):
     assert not res.passed  # 11 <= 2*10 - 8
 
 
+@pytest.mark.parametrize("t1", [3, 8])
+def test_recurrence_fails_on_a_first_escape_at_or_below_its_floor(params5, t1):
+    res = ss.check_escape_recurrence([EscapeRecord(1, t1, 5, t1 + 5, True)], params5, 0.25)
+    assert not res.passed
+    assert res.witnesses == [{"t1": t1, "floor": 8.0}]     # 4L/gamma
+
+
 def test_recurrence_ignores_incomplete_records(params5):
     recs = [EscapeRecord(1, 10, 5, 15, True), EscapeRecord(2, 3, 0, 18, False)]
     res = ss.check_escape_recurrence(recs, params5, 0.25)
@@ -240,6 +247,14 @@ def test_growth_permutation_stable(params5):
     recs = [EscapeRecord(i, 9 * 2**(i - 1), 4, 0, True) for i in range(1, 5)]
     shuffled = [recs[2], recs[0], recs[3], recs[1]]
     assert ss.growth_summary(recs, params5) == ss.growth_summary(shuffled, params5)
+
+
+def test_growth_floor_at_equal_curvatures_is_flat():
+    """At L == gamma the recurrence has no shift: the floor is t0 per block."""
+    params = LandscapeParams(L=0.5, gamma=0.5, n_saddles=5)
+    recs = [EscapeRecord(i, 7 + i, 4, 11 * i, True) for i in range(1, 5)]
+    s = ss.growth_summary(recs, params)
+    assert s.floor == 8 * 4 and isinstance(s.floor, float)
 
 
 def test_growth_skips_incomplete_tail(params5):

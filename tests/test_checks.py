@@ -6,6 +6,7 @@ import pytest
 
 import saddlescape as ss
 from saddlescape import Landscape, LandscapeParams, RegionKind
+from saddlescape.cli import main
 from saddlescape.landscape import CHUNK, FINAL_CODE, _build_regions
 from test_landscape import GRID
 
@@ -214,12 +215,38 @@ def test_run_all_checks_deterministic(lc8):
     assert a == b
 
 
+# --- the checks' verdicts do not depend on the units of L and tau -----------------
+
+@pytest.mark.parametrize("flag", ["--L", "--tau"])
+def test_check_passes_at_large_L_and_tau(flag, tmp_path):
+    """The normal difference across a branch line is off by about
+    (4L+gamma)*off/2, which an absolute error floor of 1 failed at 60."""
+    assert main(["check", flag, "60", "--n-saddles", "2", "--out", str(tmp_path)]) == 0
+
+
+def _blend_z5_is_7(u, c1, c2, tau):
+    """_blend_value with the z^5 coefficient 7 instead of 6: off by d at u = tau."""
+    z = (u - 2 * tau) / tau
+    z2 = z * z
+    return c2 - (c1 - c2) * z2 * z * (10 + 15 * z + 7 * z2)
+
+
+@pytest.mark.parametrize("L", [1e-12, 1.0, 1e12])
+def test_checks_catch_a_wrong_blend_at_any_scale(L, monkeypatch):
+    lc = Landscape(LandscapeParams(L=L, gamma=L / 2, tau=1.0, n_saddles=3))
+    assert ss.gradient_check(lc, 2000).passed and ss.seam_scan(lc, 200).passed
+    monkeypatch.setattr(ss.landscape, "_blend_value", _blend_z5_is_7)
+    assert not ss.gradient_check(lc, 2000).passed
+    assert not ss.seam_scan(lc, 200).passed
+
+
 # --- batched checks against the per-seam and per-block loops ------------------------
 
 def _seam_scan_loop(landscape, samples_per_seam, tol_value=1e-9, tol_grad=1e-5, seed=0):
     """seam_scan as one pass per seam, each side through eval_region_many."""
     rng = np.random.default_rng(seed)
-    off = 1e-7 * landscape.params.tau
+    L, tau = landscape.params.L, landscape.params.tau
+    off = 1e-7 * tau
     regs = landscape.regions
     seams = []
     for a, b in zip(regs, regs[1:]):
@@ -253,10 +280,10 @@ def _seam_scan_loop(landscape, samples_per_seam, tol_value=1e-9, tol_grad=1e-5, 
         step[axis] = off
         fd = (landscape.value_many(xy + step) - landscape.value_many(xy - step)) / (2 * off)
         gn = ga[:, axis]
-        errs = {"value": np.abs(va - vb) / np.maximum(1.0, np.abs(va)),
+        errs = {"value": np.abs(va - vb) / np.maximum(L * tau * tau, np.abs(va)),
                 "gradient": (np.abs(ga - gb).max(axis=1)
-                             / np.maximum(1.0, np.abs(ga).max(axis=1))),
-                "fd": np.abs(fd - gn) / np.maximum(1.0, np.abs(gn))}
+                             / np.maximum(L * tau, np.abs(ga).max(axis=1))),
+                "fd": np.abs(fd - gn) / np.maximum(L * tau, np.abs(gn))}
         for tag, err in errs.items():
             w = float(err.max())
             worst[tag] = max(worst[tag], w)
@@ -284,9 +311,7 @@ def _stationary_loop(landscape):
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     violations, samples = [], 0
-    for reg in landscape.regions:
-        if not reg.rid.kind.is_block:
-            continue
+    for reg in landscape.regions[::2]:
         g = landscape.gradient(reg.center)
         if not (g[0] == 0.0 and g[1] == 0.0):
             violations.append({"region": reg.rid.order, "kind": "nonzero_gradient",
@@ -421,7 +446,8 @@ def _gradient_check_whole(landscape, n_samples, seed=0):
     fd = np.empty_like(grad)
     fd[:, 0] = (landscape.value_many(pts + e1) - landscape.value_many(pts - e1)) / (2 * h)
     fd[:, 1] = (landscape.value_many(pts + e2) - landscape.value_many(pts - e2)) / (2 * h)
-    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    unit = landscape.params.L * landscape.params.tau
+    err = np.abs(fd - grad).max(axis=1) / np.maximum(unit, np.abs(grad).max(axis=1))
     worst = float(err.max())
     witnesses = []
     if worst > tol:
@@ -438,7 +464,7 @@ def _stationary_whole(landscape):
     n_angles, r = 256, 1e-3 * landscape.params.tau
     theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     ring = r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    blocks = [reg for reg in landscape.regions if reg.rid.kind.is_block]
+    blocks = [reg for reg in landscape.regions if reg.rid.order % 2 == 0]
     orders = np.array([reg.rid.order for reg in blocks])
     centers = np.array([reg.center for reg in blocks])
     g = landscape.gradient_many(centers, orders)
@@ -563,7 +589,8 @@ def _stable_top_points(landscape, n_samples, seed):
     grad = landscape.gradient_many(pts)
     fd = np.stack([(landscape.value_many(pts + e) - landscape.value_many(pts - e)) / (2 * h)
                    for e in np.diag([h, h])], axis=1)
-    err = np.abs(fd - grad).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    unit = landscape.params.L * landscape.params.tau
+    err = np.abs(fd - grad).max(axis=1) / np.maximum(unit, np.abs(grad).max(axis=1))
     return [[float(x) for x in pts[i]] for i in np.argsort(err, kind="stable")[-3:][::-1]]
 
 

@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,18 @@ def test_plotdata_undecodable_csv_exits_three_and_names_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plotdata_missing_csv_exits_three_and_names_it(tmp_path, capsys):
+    rundir = tmp_path / "runs"
+    assert main(["run", "--n-saddles", "2", "--seeds", "2", "--out", str(rundir)]) == 0
+    csv_path = rundir / "run_seed1.csv"
+    csv_path.unlink()
+    capsys.readouterr()
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(rundir), "--out", str(out)]) == 3
+    assert f"error: missing trajectory file {csv_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plotdata_checks_every_csv_before_writing(tmp_path, capsys):
     rundir = tmp_path / "runs"
     assert main(["run", "--n-saddles", "2", "--seeds", "2", "--out", str(rundir)]) == 0
@@ -209,6 +224,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(read(a / "sweep.csv").splitlines()) == 1 + 2 * 2 * 2
 
 
+def test_config_file_blank_and_comment_lines_change_nothing(tmp_path):
+    plain, spaced = tmp_path / "plain.cfg", tmp_path / "spaced.cfg"
+    plain.write_text("n-saddles = 2\nseeds = 2\n")
+    spaced.write_text("\n# a comment-only line\nn-saddles = 2\n\n   \nseeds = 2\n")
+    for cfg in (plain, spaced):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    a, b = tmp_path / "plain", tmp_path / "spaced"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert len(names) == 3          # summary.json and two run_seed<k>.csv
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a pair\n")
@@ -232,6 +260,14 @@ def test_undecodable_config_file_exits_two_and_names_it(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {cfg}: not a UTF-8 text file" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_below_a_regular_file_exits_three_and_makes_nothing(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert main(["run", "--n-saddles", "2", "--out", str(blocker / "out")]) == 3
+    assert f"error: output directory {blocker / 'out'} is not writable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
 
 def test_unknown_flag_exits_two():
@@ -519,6 +555,16 @@ def test_readme_commands_parse_and_help_renders(capsys):
             cli.build_parser().parse_args([command, "-h"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: saddlescape {command}")
+
+
+def test_module_entry_point_runs_main():
+    src = str(Path(saddlescape.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run([sys.executable, "-m", "saddlescape.cli", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0
+    assert res.stdout.startswith("usage: saddlescape")
 
 
 def test_readme_api_paragraph_names_the_exports():

@@ -13,7 +13,7 @@ from saddlescape.cli import main
 
 GOLDEN = {
     "check/check_report.json": "c1ae718a5dab2194637533cda8947eca9a71277c47ba48a9104f672c1b21b2b8",
-    "check_L1.5/check_report.json": "ab3a131e9bbca0a034e52e97f715f8146d3a6881009936dd06a7a61cb71e83b8",
+    "check_L1.5/check_report.json": "e173097f0c456d65e158250b6fc3a85e47d902327963b7ccdfb6bdbde227dd88",
     "check_chunk/check_report.json": "ccae6a689916727e6b5d77bbaa2155be8b99837dda8804f17e065d69bba636fc",
     "check_zero/check_report.json": "b9e61eedd2a1e3f7c65e424951cbd9b91b757c2b96e27cc494db6994b603ddc4",
     "plot_gd/blocks_seed0.csv": "f9cdc22b8ccca662e9fe468824e09c20acd76ac563d5537a4546eeaa2d6be288",

@@ -92,11 +92,9 @@ def test_translation_rule():
 
 def test_region_order_and_final_kind(landscape):
     for reg in landscape.regions:
-        i = reg.rid.index
-        if reg.rid.kind.is_block:
-            assert reg.rid.order == 2 * (i - 1)
-        else:
-            assert reg.rid.order == 2 * (i - 1) + 1
+        i, o = reg.rid.index, reg.rid.order
+        assert o == 2 * (i - 1) + o % 2
+        assert reg.rid.kind.value.endswith("_block") == (o % 2 == 0)
     last = landscape.regions[-1]
     assert last.rid.kind is RegionKind.FINAL_BLOCK
     assert last.rid.index == landscape.params.n_blocks
@@ -186,9 +184,8 @@ def test_gradient_examples(landscape):
 
 
 def test_gradient_zero_at_every_center(landscape):
-    for reg in landscape.regions:
-        if reg.rid.kind.is_block:
-            assert landscape.gradient(reg.center) == (0.0, 0.0)
+    for reg in landscape.regions[::2]:
+        assert landscape.gradient(reg.center) == (0.0, 0.0)
 
 
 def test_gradient_matches_finite_differences(landscape, rng):
@@ -325,9 +322,7 @@ def test_branch_values_agree_on_chain_seams(params):
 def test_saddle_signature_on_probe_circles(landscape):
     r = 1e-3 * landscape.params.tau
     theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-    for reg in landscape.regions:
-        if not reg.rid.kind.is_block:
-            continue
+    for reg in landscape.regions[::2]:
         center = np.asarray(reg.center)
         vals = landscape.value_many(center + r * np.stack([np.cos(theta), np.sin(theta)], 1))
         fc = landscape.value(reg.center)
