@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .landscape import Landscape, LandscapeParams, Point, derive_constants
+from .landscape import Landscape, LandscapeParams, Point, RegionId, derive_constants
 from .descent import Event, GdConfig, Iterate, NoiseConfig, Trajectory, step_settings
 
 
@@ -51,7 +51,7 @@ def replay(trajectory: Trajectory) -> "StreamObserver":
     """A fresh observer of the trajectory's run, fed every stored iterate."""
     observer = StreamObserver(Landscape(trajectory.params), trajectory.config, trajectory.noise)
     for it in trajectory.iterates:
-        observer(it)
+        observer(*it)
     return observer
 
 
@@ -64,9 +64,13 @@ class TheoryCheck:
     witnesses: list = field(default_factory=list)
 
 
+def _skipped(name: str, reason: str) -> TheoryCheck:
+    return TheoryCheck(name, passed=True, skipped=True, details={"reason": reason})
+
+
 def buffer_residence_bound(params: LandscapeParams, eta: float) -> int:
     """Upper bound on iterates spent inside any buffer: ceil(1/(eta*gamma))."""
-    bound = 1.0 / (eta * params.gamma)
+    bound = 1.0 / (eta * params.gamma) if eta * params.gamma else math.inf   # 0: underflow
     if math.isinf(bound):
         raise ValueError(f"eta={eta!r} too small: 1/(eta*gamma) overflows, gamma={params.gamma!r}")
     return math.ceil(bound)
@@ -211,8 +215,9 @@ class StreamObserver:
     first entry into the final block of one run, whose step size and
     noisiness it holds; every analysis but ``stall`` is exact on a thinned stream.
 
-    Feed it to ``run`` as the observer; it keeps the first step past each
-    chain order and a few first-occurrence markers, never every iterate.
+    Feed it to ``run`` as the observer; it takes each iterate's six fields,
+    keeps the first step past each chain order, and builds an ``Iterate``
+    only for the first gap, revisit and projection, which it records.
     """
 
     def __init__(self, landscape: Landscape, config: GdConfig, noise: NoiseConfig | None = None):
@@ -231,10 +236,10 @@ class StreamObserver:
         for reg in landscape.regions[:-1:2]:    # the saddle blocks
             self._cross[reg.rid.order] = (1 - reg.axis, reg.center[1 - reg.axis])
 
-    def __call__(self, it: Iterate) -> None:
-        t, position, _, grad_norm, region, event = it
+    def __call__(self, t: int, position: Point, f_value: float, grad_norm: float,
+                 region: RegionId, event: Event | None = None) -> None:
         if t != self.end and self.gap is None:
-            self.gap = it
+            self.gap = Iterate(t, position, f_value, grad_norm, region, event)
         self.end = t + 1
         order = region.order
         if order > self._hi:
@@ -242,7 +247,7 @@ class StreamObserver:
                 self.first_exceed[o] = t
             self._hi = order
         elif order < self._hi and self.revisit is None:
-            self.revisit = it
+            self.revisit = Iterate(t, position, f_value, grad_norm, region, event)
         if self._stall is None:
             # numerically doomed: the cross coordinate sits exactly on a
             # non-final block's center line, or run stopped as stalled
@@ -256,7 +261,7 @@ class StreamObserver:
             reason = "zero_gradient" if grad_norm == 0.0 else "fixed_point"
             self._stall = StallInfo(t, position, order, reason)
         elif event is Event.PROJECTED and self.projected is None:
-            self.projected = it
+            self.projected = Iterate(t, position, f_value, grad_norm, region, event)
 
     @property
     def stall(self) -> StallInfo | None:
@@ -302,8 +307,7 @@ class StreamObserver:
         ``run`` raises where it leaves D); the witness is the first projected
         iterate.  Skipped for noisy descent, where no such claim holds."""
         if self.noisy:
-            return TheoryCheck("containment", passed=True, skipped=True,
-                               details={"reason": "no containment claim for noisy descent"})
+            return _skipped("containment", "no containment claim for noisy descent")
         it = self.projected
         witnesses = [] if it is None else [{"t": it.t, "kind": "projected",
                                             "position": list(it.position)}]
@@ -315,16 +319,11 @@ class StreamObserver:
         only a plain run's report needs every iterate."""
         params, eta, noisy = self.landscape.params, self.eta, self.noisy
         records = self.records()
-        if noisy:
-            buffer_bound = TheoryCheck("buffer_residence_bound", passed=True, skipped=True,
-                                       details={"reason": "bound claimed for plain descent only"})
-        else:
-            buffer_bound = check_buffer_bound(records, params, eta)
+        buffer_bound = (_skipped("buffer_residence_bound", "bound claimed for plain descent only")
+                        if noisy else check_buffer_bound(records, params, eta))
         if noisy or params.L < 2.0 * params.gamma:
-            reason = ("claimed for plain descent only" if noisy
-                      else "requires L >= 2*gamma")
-            recurrence = TheoryCheck("escape_recurrence", passed=True, skipped=True,
-                                     details={"reason": reason})
+            recurrence = _skipped("escape_recurrence", "claimed for plain descent only" if noisy
+                                  else "requires L >= 2*gamma")
         else:
             recurrence = check_escape_recurrence(records, params, eta)
         try:

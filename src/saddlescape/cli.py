@@ -178,12 +178,10 @@ def _as_list(v) -> list:
 def _params_grid(args) -> list[LandscapeParams]:
     """Every combination of the given L, gamma, tau and n_saddles values;
     gamma defaults to L/2.  A single value of each gives one element."""
-    combos = []
-    for L, tau, n in itertools.product(_as_list(args.L), _as_list(args.tau),
-                                       _as_list(args.n_saddles)):
-        for g in _as_list(L / 2.0 if args.gamma is None else args.gamma):
-            combos.append(LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=n))
-    return combos
+    return [LandscapeParams(L=L, gamma=g, tau=tau, n_saddles=n)
+            for L, tau, n in itertools.product(_as_list(args.L), _as_list(args.tau),
+                                               _as_list(args.n_saddles))
+            for g in _as_list(L / 2.0 if args.gamma is None else args.gamma)]
 
 
 @contextlib.contextmanager
@@ -218,13 +216,18 @@ def _gd_config(args) -> GdConfig:
                        if getattr(args, f.name, None) is not None})
 
 
-def _check_step_size(grid: list[LandscapeParams], config: GdConfig, algos: list[str]):
-    """Raise ValueError naming --eta where plain descent's buffer residence bound overflows."""
-    for params in grid if "gd" in algos else ():
+def _run_settings(args, grid: list[LandscapeParams]) -> tuple[GdConfig, NoiseConfig]:
+    """The descent and noise settings of ``args``; raises ValueError naming --eta where a
+    plain run's buffer residence bound overflows: gd, or sgd at noise variance 0."""
+    config, noise = _gd_config(args), NoiseConfig(variance=args.noise_var)
+    for params, algo in itertools.product(grid, _as_list(args.algo)):
+        eta, noisy = step_settings(params, config, noise if algo == "sgd" else None)
         try:
-            analysis.buffer_residence_bound(params, step_settings(params, config, None)[0])
+            if not noisy:
+                analysis.buffer_residence_bound(params, eta)
         except ValueError as e:
             raise ValueError(f"--eta: {e}") from e
+    return config, noise
 
 
 # -- check ---------------------------------------------------------------------
@@ -269,11 +272,12 @@ def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise
     start = init_sample(landscape, np.random.default_rng([seed, 0]))
     observer = analysis.StreamObserver(landscape, config, noise)
     trajectory = run(landscape, config, start, noise=noise, observer=observer)
-    return trajectory, observer.report(), observer, start
+    return trajectory, observer, start
 
 
-def _summarize_run(seed, algo, trajectory, report, observer, start):
+def _summarize_run(seed, algo, trajectory, observer, start):
     final = trajectory.iterates[-1]
+    report = observer.report()
     growth = report.growth
     return {
         "seed": seed,
@@ -303,19 +307,17 @@ def _write_trajectory_csv(path: Path, trajectory):
 
 def cmd_run(args) -> int:
     [params] = _params_grid(args)
-    config = _gd_config(args)
+    config, noise = _run_settings(args, [params])
     algo = args.algo
-    noise = NoiseConfig(variance=args.noise_var)
-    _check_step_size([params], config, [algo])
     with _outdir(args) as out:
         landscape = Landscape(params)
         summaries = []
         for seed in range(args.seed, args.seed + args.seeds):
             t0 = time.perf_counter()
-            trajectory, report, obs, start = _run_one(landscape, algo, seed, config, noise)
+            trajectory, obs, start = _run_one(landscape, algo, seed, config, noise)
             elapsed = time.perf_counter() - t0
             _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
-            summaries.append(_summarize_run(seed, algo, trajectory, report, obs, start))
+            summaries.append(_summarize_run(seed, algo, trajectory, obs, start))
             print(f"seed {seed}: {trajectory.outcome.value} after "
                   f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
         payload = {
@@ -344,10 +346,13 @@ SWEEP_HEADER = "L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio
 
 
 def _sweep_task(task) -> str:
-    """One row of sweep.csv, in the columns of ``SWEEP_HEADER``."""
+    """One row of sweep.csv, in the columns of ``SWEEP_HEADER``; its one analysis is growth."""
     params, algo, seed, config, noise = task
-    trajectory, report, _, _ = _run_one(_landscape(params), algo, seed, config, noise)
-    gr = "" if report.growth is None else _fmt(report.growth.ratio)
+    trajectory, observer, _ = _run_one(_landscape(params), algo, seed, config, noise)
+    try:
+        gr = _fmt(analysis.growth_summary(observer.records(), params).ratio)
+    except analysis.InsufficientDataError:
+        gr = ""
     return (f"{_fmt(params.L)},{_fmt(params.gamma)},{_fmt(params.tau)},{params.n_saddles},"
             f"{seed},{algo},{trajectory.outcome.value},{trajectory.total_steps},{gr}")
 
@@ -355,9 +360,9 @@ def _sweep_task(task) -> str:
 def cmd_sweep(args) -> int:
     _landscape.cache_clear()
     grid = _params_grid(args)
-    config = _gd_config(args)
-    noise = NoiseConfig(variance=args.noise_var)
-    _check_step_size(grid, config, args.algo)
+    config, noise = _run_settings(args, grid)
+    # a row reads no stored iterate: store only t = 0, the events and the last one
+    config = dataclasses.replace(config, record_every=config.max_iter)
     seeds = range(args.seed, args.seed + args.seeds)
     tasks = [(params, algo, seed, config, noise)
              for params in grid for algo in args.algo for seed in seeds]
@@ -442,12 +447,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
         _check_values(args)
         return handlers[args.command](args)
-    except IOError as e:
+    except (IOError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return IO_ERROR
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        return IO_ERROR if isinstance(e, IOError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

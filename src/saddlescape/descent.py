@@ -156,7 +156,7 @@ def _kicks(noise: NoiseConfig) -> Iterator[Point]:
 
 def run(landscape: Landscape, config: GdConfig, start: Point,
         noise: NoiseConfig | None = None,
-        observer: Callable[[Iterate], None] | None = None) -> Trajectory:
+        observer: Callable[..., None] | None = None) -> Trajectory:
     """Descend from ``start`` until convergence, stall, or budget.
 
     Terminal conditions, checked in order at each iterate:
@@ -172,8 +172,8 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     gradient, and two kicks can project onto the same corner of D before
     the next kick moves on.  Noise of variance 0 is plain descent: no kicks,
     no projection, the same iterates as ``noise=None``.
-    The observer sees every iterate; the stored trajectory keeps every
-    record_every-th iterate plus all event-tagged ones and the last one.
+    ``observer(t, position, f_value, grad_norm, region, event)`` sees every iterate;
+    an ``Iterate`` is stored only for every record_every-th, event-tagged and last one.
     Each iterate costs one closed-form evaluation and one step, and a
     ``locate`` only when it leaves the open square of the previous one's
     region: a point strictly inside one square lies in no other closed
@@ -228,11 +228,10 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             elif nxt == x:
                 event, terminal = Event.STALLED, Outcome.STALLED
 
-        it = Iterate(t, x, val, gnorm, reg.rid, event)
         if observer is not None:
-            observer(it)
+            observer(t, x, val, gnorm, reg.rid, event)
         if event is not None or terminal is not None or t % record_every == 0:
-            kept.append(it)
+            kept.append(Iterate(t, x, val, gnorm, reg.rid, event))
         if terminal is not None:
             return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
 

@@ -81,7 +81,7 @@ def test_segment_rejects_thinned(lc5):
     for analysis in (lambda: replayed.stall, replayed.report):
         with pytest.raises(ss.SegmentationError) as err:
             analysis()
-        assert err.value.iterate is traj.iterates[1] and traj.iterates[1].t == 10
+        assert err.value.iterate == traj.iterates[1] and traj.iterates[1].t == 10
 
 
 def test_segment_rejects_gd_revisit(lc5):
@@ -141,6 +141,8 @@ def test_buffer_bound_value(params5):
 def test_buffer_bound_rejects_a_step_whose_bound_overflows(params5):
     with pytest.raises(ValueError, match="eta=1e-320 too small"):
         ss.analysis.buffer_residence_bound(params5, 1e-320)
+    with pytest.raises(ValueError, match="eta=5e-324 too small"):   # eta*gamma underflows to 0
+        ss.analysis.buffer_residence_bound(params5, 5e-324)
 
 
 def test_buffer_bound_on_real_runs(params5):
@@ -395,7 +397,7 @@ def test_detect_stall_rejects_thinned():
     assert obs.stall.t == 68
     with pytest.raises(ss.SegmentationError) as err:
         ss.replay(traj).stall
-    assert err.value.iterate is traj.iterates[1] and traj.iterates[1].t == 7
+    assert err.value.iterate == traj.iterates[1] and traj.iterates[1].t == 7
     assert ss.replay(ss.run(lc, GdConfig(), start)).stall == obs.stall
 
 
@@ -414,7 +416,7 @@ def test_thinned_replay_matches_dense_replay(algo, record_every):
         thinned = ss.run(lc, GdConfig(record_every=record_every), start, noise=noise)
         a, b = ss.replay(thinned), ss.replay(ss.run(lc, GdConfig(), start, noise=noise))
         its = thinned.iterates
-        assert a.gap is next(y for x, y in zip(its, its[1:]) if y.t != x.t + 1)
+        assert a.gap == next(y for x, y in zip(its, its[1:]) if y.t != x.t + 1)
         assert b.gap is None
         assert a.records() == b.records()
         assert a.containment() == b.containment()
@@ -425,4 +427,4 @@ def test_thinned_replay_matches_dense_replay(algo, record_every):
         for analysis in (lambda: a.stall, a.report):
             with pytest.raises(ss.SegmentationError) as err:
                 analysis()
-            assert err.value.iterate is a.gap
+            assert err.value.iterate == a.gap

@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import itertools
 import json
 import os
 import re
@@ -437,6 +439,54 @@ def test_step_too_small_for_the_buffer_bound_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--n-saddles", "1", "--max-iter", "10", "--out", str(out)]) == 2
     assert "error: --eta: " in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_tiny_step_of_sgd_without_noise_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    # sgd at noise variance 0 is plain descent, whose report computes the buffer bound
+    def no_run(*args, **kwargs):
+        raise AssertionError("descent ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "new" / "D"
+    assert main([command, "--algo", "sgd", "--noise-var", "0", "--eta", "1e-320",
+                 "--n-saddles", "2", "--out", str(out)]) == 2
+    assert "error: --eta: " in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_step_whose_product_with_gamma_underflows_exits_two(tmp_path, capsys):
+    # 5e-324 * 0.5 rounds to 0: the bound is infinite, a usage error like an overflow
+    assert main(["run", "--eta", "5e-324", "--n-saddles", "1", "--out", str(tmp_path)]) == 2
+    assert "error: --eta: " in capsys.readouterr().err
+
+
+def _full_report_row(params, algo, seed, noise):
+    """A sweep row built the long way: a dense run and its observer's whole report."""
+    trajectory, observer, _ = cli._run_one(cli.Landscape(params), algo, seed,
+                                           saddlescape.GdConfig(), noise)
+    growth = observer.report().growth
+    gr = "" if growth is None else cli._fmt(growth.ratio)
+    return (f"{cli._fmt(params.L)},{cli._fmt(params.gamma)},{cli._fmt(params.tau)},"
+            f"{params.n_saddles},{seed},{algo},{trajectory.outcome.value},"
+            f"{trajectory.total_steps},{gr}")
+
+
+def test_sweep_row_equals_the_row_of_the_full_report():
+    # a sweep run stores t = 0, the events and the last iterate, and computes
+    # only the growth of its report; its row is the one the whole report gives
+    config = saddlescape.GdConfig()
+    config = dataclasses.replace(config, record_every=config.max_iter)
+    noise = saddlescape.NoiseConfig()
+    ratios = []
+    for algo, n, (L, gamma), seed in itertools.product(
+            ("gd", "sgd"), (2, 9), ((1.0, 0.5), (1.5, 0.75), (1.0, 1.0), (1.0, 0.9)), range(3)):
+        params = saddlescape.LandscapeParams(L=L, gamma=gamma, n_saddles=n)
+        row = cli._sweep_task((params, algo, seed, config, noise))
+        assert row == _full_report_row(params, algo, seed, noise)
+        ratios.append(row.rsplit(",", 1)[1])
+    assert "" in ratios and len(set(ratios)) > 10     # growth None, and many fitted ratios
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

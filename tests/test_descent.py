@@ -314,7 +314,8 @@ def test_run_escaping_domain_raises(lc):
 def test_observer_sees_everything_thinning_keeps_events(lc):
     start = ss.init_sample(lc, np.random.default_rng(2))
     seen = []
-    traj = ss.run(lc, GdConfig(record_every=7), start, observer=seen.append)
+    traj = ss.run(lc, GdConfig(record_every=7), start,
+                  observer=lambda *fields: seen.append(ss.Iterate(*fields)))
     assert len(seen) == traj.total_steps + 1
     assert [it.t for it in seen] == list(range(traj.total_steps + 1))
     kept = {it.t for it in traj.iterates}
@@ -323,6 +324,52 @@ def test_observer_sees_everything_thinning_keeps_events(lc):
             assert it.t in kept
     # recorded iterates are exactly the kept subset, in order
     assert [it.t for it in traj.iterates] == sorted(kept)
+
+
+def _count_iterates(monkeypatch, module) -> list:
+    """The t of every Iterate that ``module`` builds from now on, in order."""
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return ss.Iterate(*fields)
+
+    monkeypatch.setattr(module, "Iterate", counted)
+    return built
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("variance", [None, 0.1])
+def test_run_builds_an_iterate_only_for_what_it_stores(lc, monkeypatch, variance, record_every):
+    # the observer takes the six fields of every step; only a stored iterate is an object
+    built = _count_iterates(monkeypatch, ss.descent)
+    start = ss.init_sample(lc, np.random.default_rng([3, 0]))
+    noise = None if variance is None else NoiseConfig(variance=variance, seed=3)
+    seen = []
+    traj = ss.run(lc, GdConfig(record_every=record_every), start, noise=noise,
+                  observer=lambda *fields: seen.append(fields))
+    assert built == [it.t for it in traj.iterates]
+    assert [f[0] for f in seen] == list(range(traj.total_steps + 1))
+    assert all(len(f) == 6 for f in seen)
+    stored = set(built)
+    assert [ss.Iterate(*f) for f in seen if f[0] in stored] == list(traj.iterates)
+    if record_every > 1:
+        assert len(built) < len(seen)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_observer_builds_only_the_iterates_it_records(monkeypatch, seed):
+    # a noisy run revisits and is projected; the observer keeps an Iterate for
+    # the first of each only, and none for the steps in between
+    built = _count_iterates(monkeypatch, ss.analysis)
+    lc = Landscape(LandscapeParams(n_saddles=5))
+    start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+    config, noise = GdConfig(max_iter=3000), NoiseConfig(variance=0.1, seed=seed)
+    obs = ss.StreamObserver(lc, config, noise)
+    ss.run(lc, config, start, noise=noise, observer=obs)
+    recorded = [it for it in (obs.gap, obs.revisit, obs.projected) if it is not None]
+    assert obs.gap is None and recorded
+    assert sorted(built) == sorted(it.t for it in recorded)
 
 
 def test_run_deterministic(lc):
@@ -426,7 +473,8 @@ def test_noisy_run_matches_per_step_draw_oracle(n, variance):
             for stop in (None, 0.0):
                 config = GdConfig(max_iter=max_iter, stop_grad_norm=stop)
                 seen = []
-                traj = ss.run(lc, config, start, noise=noise, observer=seen.append)
+                traj = ss.run(lc, config, start, noise=noise,
+                              observer=lambda *fields: seen.append(ss.Iterate(*fields)))
                 assert traj.iterates == tuple(seen)
                 got = [(it.t, it.position[0].hex(), it.position[1].hex(), it.f_value.hex(),
                         it.grad_norm.hex(), it.region) for it in seen]
