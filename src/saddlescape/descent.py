@@ -1,9 +1,9 @@
 """Gradient descent and noisy gradient descent on the staircase landscape.
 
 A run is a strictly sequential loop; several runs (seed sweeps) can execute
-concurrently since the landscape itself is immutable.  Noisy descent
-perturbs the iterate after the gradient step and projects back onto the
-domain; plain descent never needs projection from the valid start band.
+concurrently since the landscape itself is immutable.  Noisy descent kicks
+the iterate after the gradient step and projects it back onto D if it left
+its region's square; plain descent never projects from the valid start band.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
             best = (px, py)
             if dd == 0.0:
                 break
-    if best_d == math.inf and all(map(math.isfinite, p)):   # every square overflowed:
+    # every square overflowed, or a nonzero distance underflowed to 0:
+    if (best_d == math.inf or best_d == 0.0 and best != p) and all(map(math.isfinite, p)):
         from fractions import Fraction  # compare exactly; imported here, off the startup path
         f1, f2 = map(Fraction, p)
         best = min(((min(max(x1, a), b), min(max(x2, c), d)) for a, b, c, d in
@@ -174,13 +175,12 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     no projection, the same iterates as ``noise=None``.
     ``observer(t, position, f_value, grad_norm, region, event)`` sees every iterate;
     an ``Iterate`` is stored only for every record_every-th, event-tagged and last one.
-    Each iterate costs one closed-form evaluation and one step, and a
-    ``locate`` only when it leaves the open square of the previous one's
-    region: a point strictly inside one square lies in no other closed
-    square, so that region is the one ``locate`` would give.  None of this
-    grows with the chain length; only the projection of a noisy step scans
-    the regions.  The kicks come from a generator private to the run,
-    ``KICK_BLOCK`` of them per draw.
+    Each iterate costs one closed-form evaluation and one step.  A candidate
+    (the step, plus the kick if noisy) strictly inside the open square of the
+    current region lies in D and in no other closed square: it keeps that
+    region, neither projected nor located.  Any other is projected onto D if
+    the run is noisy, by a scan of the regions, then located.  The kicks come
+    from a generator private to the run, ``KICK_BLOCK`` of them per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
@@ -222,9 +222,7 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             nxt = (x[0] - eta * g1, x[1] - eta * g2)
             if noisy:
                 k1, k2 = next(kicks)
-                q = (nxt[0] + k1, nxt[1] + k2)
-                nxt = project(landscape, q)
-                arrived_by_projection = nxt != q
+                nxt = (nxt[0] + k1, nxt[1] + k2)
             elif nxt == x:
                 event, terminal = Event.STALLED, Outcome.STALLED
 
@@ -237,8 +235,12 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
         prev = reg
         x = nxt
+        arrived_by_projection = False
         a, b, c, d = reg.bounds
         if not (a < x[0] < b and c < x[1] < d):
+            if noisy:
+                x = project(landscape, nxt)
+                arrived_by_projection = x != nxt
             reg = locate(x)
             if reg is None:
                 raise OutsideDomainError(f"iterate left D at t={t + 1}: {x}")

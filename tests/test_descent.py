@@ -147,14 +147,59 @@ def test_project_huge_points_to_the_exact_nearest(p, nearest):
     assert ss.project_to_domain(lc2, p) == _exact_scan(lc2, p) == nearest
 
 
+def _edges_and_kicks(lc, rng, sd=1.0, count=2000):
+    """Every grid line, edge midpoint and center line of the chain crossed with
+    each other, each with its float neighbours, then ``count`` of them kicked by
+    normals of sd ``sd * tau``: an (N, 2) array."""
+    edges = _edge_and_corner_points(lc)
+    kicked = edges[rng.integers(0, len(edges), count)] + rng.normal(0, sd * lc.params.tau,
+                                                                    (count, 2))
+    return np.concatenate([edges, kicked])
+
+
 @pytest.mark.parametrize("params", GRID)
 def test_project_keeps_the_float_scan_where_distances_are_finite(params):
     lc = Landscape(params)
-    rng = np.random.default_rng(4)
-    edges = _edge_and_corner_points(lc)
-    kicked = edges[rng.integers(0, len(edges), 2000)] + rng.normal(0, params.tau, (2000, 2))
-    for p in map(tuple, np.concatenate([edges, kicked]).tolist()):
+    for p in map(tuple, _edges_and_kicks(lc, np.random.default_rng(4)).tolist()):
         assert ss.project_to_domain(lc, p) == _float_scan(lc, p)
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_project_keeps_points_strictly_inside_a_square(params):
+    # what lets descent.run skip the projection: a point strictly inside one
+    # square lies in no other closed square and is its own nearest point of D
+    # (its coordinates are positive, so == compares bits)
+    lc = Landscape(params)
+    pts = _edges_and_kicks(lc, np.random.default_rng(5))
+    bounds = np.array([reg.bounds for reg in lc.regions])[:, None, :]
+    x1, x2 = pts[:, 0], pts[:, 1]
+    strict = ((bounds[..., 0] < x1) & (x1 < bounds[..., 1])
+              & (bounds[..., 2] < x2) & (x2 < bounds[..., 3])).any(axis=0)
+    closed = ((bounds[..., 0] <= x1) & (x1 <= bounds[..., 1])
+              & (bounds[..., 2] <= x2) & (x2 <= bounds[..., 3])).sum(axis=0)
+    assert strict.sum() > 500 and np.all(closed[strict] == 1)
+    for p in map(tuple, pts[strict].tolist()):
+        assert ss.project_to_domain(lc, p) == p
+
+
+@pytest.mark.parametrize("tau", [1e-150, 1e-160])
+def test_project_compares_exactly_where_a_squared_distance_underflows(tau):
+    # below tau of about 1e-146 a nonzero squared distance can round to 0: the
+    # scan must not stop there and move a point of D onto an earlier square's
+    # edge.  Elsewhere it stays the float scan, rounding ties and all.
+    lc2 = Landscape(LandscapeParams(tau=tau, n_saddles=2))
+    rng = np.random.default_rng(6)
+    pts = [(math.nextafter(tau, math.inf), tau / 2), *map(tuple, lc2.sample_points(200, rng).tolist()),
+           *map(tuple, _edges_and_kicks(lc2, rng, sd=0.3, count=500).tolist())]
+    underflows = 0
+    for p in pts:
+        q = _float_scan(lc2, p)
+        underflowed = q != p and (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2 == 0.0
+        got = ss.project_to_domain(lc2, p)
+        assert got == (_exact_scan(lc2, p) if underflowed else q)
+        assert got == p or lc2.classify(p) is None
+        underflows += underflowed
+    assert underflows > 100
 
 
 # --- noisy steps -------------------------------------------------------------------------
@@ -191,6 +236,33 @@ def test_sgd_step_is_projected_perturbed_gd(lc):
         q = _one_step(lc, p, noise=noise)
         k1, k2 = next(_kicks(noise))
         assert q == ss.project_to_domain(lc, (base[0] + k1, base[1] + k2))
+
+
+def test_run_projects_only_candidates_that_leave_their_square(monkeypatch):
+    # a noisy step is projected exactly when it is located, and most steps
+    # stay strictly inside their square; a plain step is never projected
+    lc9 = Landscape(LandscapeParams(n_saddles=9))
+    calls = {"project": 0, "locate": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(ss.descent, "project_to_domain",
+                        counted("project", ss.descent.project_to_domain))
+    monkeypatch.setattr(lc9, "locate", counted("locate", lc9.locate))
+    for seed in range(10):
+        start = ss.init_sample(lc9, np.random.default_rng([seed, 0]))
+        for noise in (NoiseConfig(variance=0.1, seed=seed), None):
+            calls.update(project=0, locate=0)
+            traj = ss.run(lc9, GdConfig(), start, noise=noise)
+            assert calls["locate"] >= 1 and traj.total_steps > 0
+            if noise is None:
+                assert calls["project"] == 0
+            else:
+                assert calls["project"] == calls["locate"] - 1 < traj.total_steps
 
 
 @pytest.mark.parametrize("variance", [0.1, 0.37, 2.0])
@@ -461,10 +533,11 @@ def _noisy_oracle(lc, config, start, noise):
 
 
 @pytest.mark.parametrize("variance", [0.0, 0.1])
-@pytest.mark.parametrize("n", [1, 5, 12])
+@pytest.mark.parametrize("n", [1, 5, 12, 100])
 def test_noisy_run_matches_per_step_draw_oracle(n, variance):
     # budgets around the kick block size, and a stop norm of 0 so that noisy
-    # runs spend them all: every iterate, bit for bit
+    # runs spend them all: every iterate, bit for bit, against an oracle that
+    # projects every step
     lc = Landscape(LandscapeParams(n_saddles=n))
     for seed in (0, 1, 7):
         start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
