@@ -159,10 +159,8 @@ def growth_summary(records: list[EscapeRecord], params: LandscapeParams) -> Grow
     if len(fit) < 2:
         raise InsufficientDataError(
             f"need >= 2 completed saddle escapes to fit a ratio, got {len(fit)}")
-    ks = [k for k, _ in fit]
-    ys = [math.log(t) for _, t in fit]
-    kbar = sum(ks) / len(ks)
-    ybar = sum(ys) / len(ys)
+    ks, ys = [k for k, _ in fit], [math.log(t) for _, t in fit]
+    kbar, ybar = sum(ks) / len(ks), sum(ys) / len(ys)
     slope = (sum((k - kbar) * (y - ybar) for k, y in zip(ks, ys))
              / sum((k - kbar) ** 2 for k in ks))
     ratio = math.exp(slope)
@@ -303,9 +301,10 @@ class StreamObserver:
         return records + [EscapeRecord(n, total - at(2 * n - 3), 0, total, False)]
 
     def containment(self) -> TheoryCheck:
-        """Plain descent from the valid start band is never projected (and
-        ``run`` raises where it leaves D); the witness is the first projected
-        iterate.  Skipped for noisy descent, where no such claim holds."""
+        """Plain descent is never projected.  This cannot fail on a trajectory that
+        ``run`` makes, which never projects a plain step and raises where an iterate
+        leaves D; it guards a replayed or hand-built trajectory, whose first
+        projected iterate is the witness.  Skipped for noisy descent."""
         if self.noisy:
             return _skipped("containment", "no containment claim for noisy descent")
         it = self.projected

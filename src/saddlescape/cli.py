@@ -42,10 +42,6 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _default_out() -> str:
-    return str(Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
-
-
 def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
     """The flag tokens of the file ``args.config``: each ``key = value`` line
     becomes ``--key`` and the value split on whitespace; '#' starts a comment.
@@ -189,7 +185,7 @@ def _outdir(args):
     """The output directory, made if missing and checked for writing.  When
     the command fails inside the block, the directories it made are removed
     with what they hold; a directory that existed before is left alone."""
-    out = Path(args.out or _default_out())
+    out = Path(args.out or Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
     made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         try:
@@ -266,17 +262,21 @@ def cmd_check(args) -> int:
 
 # -- run -----------------------------------------------------------------------
 
-def _run_one(landscape: Landscape, algo: str, seed: int, config: GdConfig, noise: NoiseConfig):
-    """One seeded run; an sgd run draws its kicks from ``noise`` reseeded with ``seed``."""
+def _start(landscape: Landscape, seed: int):
+    """The start of the run seeded ``seed``; init_sample reads only tau and [0, tau]^2."""
+    return init_sample(landscape, np.random.default_rng([seed, 0]))
+
+
+def _run_one(landscape: Landscape, algo: str, seed: int, start, config: GdConfig,
+             noise: NoiseConfig):
+    """The run seeded ``seed`` from ``start``; an sgd run reseeds ``noise`` with ``seed``."""
     noise = dataclasses.replace(noise, seed=seed) if algo == "sgd" else None
-    start = init_sample(landscape, np.random.default_rng([seed, 0]))
     observer = analysis.StreamObserver(landscape, config, noise)
-    trajectory = run(landscape, config, start, noise=noise, observer=observer)
-    return trajectory, observer, start
+    return run(landscape, config, start, noise=noise, observer=observer), observer
 
 
-def _summarize_run(seed, algo, trajectory, observer, start):
-    final = trajectory.iterates[-1]
+def _summarize_run(seed, algo, trajectory, observer):
+    start, final = trajectory.iterates[0].position, trajectory.iterates[-1]
     report = observer.report()
     growth = report.growth
     return {
@@ -314,10 +314,11 @@ def cmd_run(args) -> int:
         summaries = []
         for seed in range(args.seed, args.seed + args.seeds):
             t0 = time.perf_counter()
-            trajectory, obs, start = _run_one(landscape, algo, seed, config, noise)
+            trajectory, obs = _run_one(landscape, algo, seed, _start(landscape, seed),
+                                       config, noise)
             elapsed = time.perf_counter() - t0
             _write_trajectory_csv(out / f"run_seed{seed}.csv", trajectory)
-            summaries.append(_summarize_run(seed, algo, trajectory, obs, start))
+            summaries.append(_summarize_run(seed, algo, trajectory, obs))
             print(f"seed {seed}: {trajectory.outcome.value} after "
                   f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
         payload = {
@@ -347,8 +348,8 @@ SWEEP_HEADER = "L,gamma,tau,n_saddles,seed,algo,outcome,total_iters,growth_ratio
 
 def _sweep_task(task) -> str:
     """One row of sweep.csv, in the columns of ``SWEEP_HEADER``; its one analysis is growth."""
-    params, algo, seed, config, noise = task
-    trajectory, observer, _ = _run_one(_landscape(params), algo, seed, config, noise)
+    params, algo, seed, start, config, noise = task
+    trajectory, observer = _run_one(_landscape(params), algo, seed, start, config, noise)
     try:
         gr = _fmt(analysis.growth_summary(observer.records(), params).ratio)
     except analysis.InsufficientDataError:
@@ -364,7 +365,10 @@ def cmd_sweep(args) -> int:
     # a row reads no stored iterate: store only t = 0, the events and the last one
     config = dataclasses.replace(config, record_every=config.max_iter)
     seeds = range(args.seed, args.seed + args.seeds)
-    tasks = [(params, algo, seed, config, noise)
+    # one start per (tau, seed), shared by every L, gamma, n_saddles and algo (see _start)
+    starts = {(tau, seed): _start(_landscape(params), seed)
+              for tau, params in {params.tau: params for params in grid}.items() for seed in seeds}
+    tasks = [(params, algo, seed, starts[params.tau, seed], config, noise)
              for params in grid for algo in args.algo for seed in seeds]
     with _outdir(args) as out:
         t0 = time.perf_counter()

@@ -175,12 +175,14 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     no projection, the same iterates as ``noise=None``.
     ``observer(t, position, f_value, grad_norm, region, event)`` sees every iterate;
     an ``Iterate`` is stored only for every record_every-th, event-tagged and last one.
-    Each iterate costs one closed-form evaluation and one step.  A candidate
-    (the step, plus the kick if noisy) strictly inside the open square of the
-    current region lies in D and in no other closed square: it keeps that
-    region, neither projected nor located.  Any other is projected onto D if
-    the run is noisy, by a scan of the regions, then located.  The kicks come
-    from a generator private to the run, ``KICK_BLOCK`` of them per draw.
+    The outer loop runs once per region visited and reads what the region fixes
+    (its square, identity, whether it is final) once; each pass of the inner
+    loop is one step: one closed-form evaluation and the step of the iterate's
+    two floats.  A candidate (the step, plus the kick if noisy) strictly inside
+    the open square of the current region lies in D and in no other closed
+    square: it keeps that region, neither projected nor located.  Any other is
+    projected onto D if the run is noisy, by a scan of the regions, then
+    located.  The kicks come from a generator private to the run, ``KICK_BLOCK`` per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
@@ -194,54 +196,49 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     locate, evaluate, project, hypot = (landscape.locate, landscape.value_and_gradient_in,
                                         project_to_domain, math.hypot)
 
-    x = (float(start[0]), float(start[1]))
+    x1, x2 = float(start[0]), float(start[1])
     kept: list[Iterate] = []
-    prev = None   # the region of the previous iterate
-    arrived_by_projection = False
-    t = 0
-    while True:
-        val, (g1, g2) = evaluate(reg, x)
-        gnorm = hypot(g1, g2)
-        in_final = reg.code == FINAL_CODE
-
-        event = None
-        if reg is not prev and prev is not None:
-            event = Event.BUFFER_ENTRY if reg.code & 1 else Event.BLOCK_ENTRY
-        if arrived_by_projection:
-            event = Event.PROJECTED
-
-        terminal = None
-        if in_final and gnorm <= stop:
-            event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
-        elif gnorm == 0.0 and not (in_final or noisy):
-            event, terminal = Event.STALLED, Outcome.STALLED
-        elif t >= max_iter:
-            terminal = Outcome.BUDGET
-
-        if terminal is None:
-            nxt = (x[0] - eta * g1, x[1] - eta * g2)
-            if noisy:
-                k1, k2 = next(kicks)
-                nxt = (nxt[0] + k1, nxt[1] + k2)
-            elif nxt == x:
-                event, terminal = Event.STALLED, Outcome.STALLED
-
-        if observer is not None:
-            observer(t, x, val, gnorm, reg.rid, event)
-        if event is not None or terminal is not None or t % record_every == 0:
-            kept.append(Iterate(t, x, val, gnorm, reg.rid, event))
-        if terminal is not None:
-            return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
-
-        prev = reg
-        x = nxt
-        arrived_by_projection = False
+    t, due, event = 0, 0, None   # due: steps until t % record_every == 0; event: set on arrival
+    while True:    # one pass per region visited
         a, b, c, d = reg.bounds
-        if not (a < x[0] < b and c < x[1] < d):
-            if noisy:
-                x = project(landscape, nxt)
-                arrived_by_projection = x != nxt
-            reg = locate(x)
-            if reg is None:
-                raise OutsideDomainError(f"iterate left D at t={t + 1}: {x}")
-        t += 1
+        rid, in_final = reg.rid, reg.code == FINAL_CODE
+        while True:    # one pass per step inside reg
+            x = (x1, x2)
+            val, (g1, g2) = evaluate(reg, x)
+            gnorm = hypot(g1, g2)
+            terminal = None
+            if in_final and gnorm <= stop:
+                event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
+            elif gnorm == 0.0 and not (in_final or noisy):
+                event, terminal = Event.STALLED, Outcome.STALLED
+            elif t >= max_iter:
+                terminal = Outcome.BUDGET
+            else:
+                n1, n2 = x1 - eta * g1, x2 - eta * g2
+                if noisy:
+                    k1, k2 = next(kicks)
+                    n1, n2 = n1 + k1, n2 + k2
+                elif n1 == x1 and n2 == x2:
+                    event, terminal = Event.STALLED, Outcome.STALLED
+            if observer is not None:
+                observer(t, x, val, gnorm, rid, event)
+            if event is not None or terminal is not None or not due:
+                kept.append(Iterate(t, x, val, gnorm, rid, event))
+            if terminal is not None:
+                return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
+            due = (due or record_every) - 1
+            t += 1
+            x1, x2 = n1, n2
+            event = None
+            if a < n1 < b and c < n2 < d:
+                continue
+            if noisy and (moved := project(landscape, (n1, n2))) != (n1, n2):
+                (x1, x2), event = moved, Event.PROJECTED
+            new = locate((x1, x2))
+            if new is None:
+                raise OutsideDomainError(f"iterate left D at t={t}: {(x1, x2)}")
+            if new is not reg:
+                if event is None:
+                    event = Event.BUFFER_ENTRY if new.code & 1 else Event.BLOCK_ENTRY
+                reg = new
+                break

@@ -464,8 +464,9 @@ def test_step_whose_product_with_gamma_underflows_exits_two(tmp_path, capsys):
 
 def _full_report_row(params, algo, seed, noise):
     """A sweep row built the long way: a dense run and its observer's whole report."""
-    trajectory, observer, _ = cli._run_one(cli.Landscape(params), algo, seed,
-                                           saddlescape.GdConfig(), noise)
+    lc = cli.Landscape(params)
+    trajectory, observer = cli._run_one(lc, algo, seed, cli._start(lc, seed),
+                                        saddlescape.GdConfig(), noise)
     growth = observer.report().growth
     gr = "" if growth is None else cli._fmt(growth.ratio)
     return (f"{cli._fmt(params.L)},{cli._fmt(params.gamma)},{cli._fmt(params.tau)},"
@@ -483,7 +484,8 @@ def test_sweep_row_equals_the_row_of_the_full_report():
     for algo, n, (L, gamma), seed in itertools.product(
             ("gd", "sgd"), (2, 9), ((1.0, 0.5), (1.5, 0.75), (1.0, 1.0), (1.0, 0.9)), range(3)):
         params = saddlescape.LandscapeParams(L=L, gamma=gamma, n_saddles=n)
-        row = cli._sweep_task((params, algo, seed, config, noise))
+        start = cli._start(cli.Landscape(params), seed)
+        row = cli._sweep_task((params, algo, seed, start, config, noise))
         assert row == _full_report_row(params, algo, seed, noise)
         ratios.append(row.rsplit(",", 1)[1])
     assert "" in ratios and len(set(ratios)) > 10     # growth None, and many fitted ratios
@@ -591,6 +593,35 @@ def test_sweep_builds_one_landscape_per_grid_point(tmp_path, monkeypatch):
     assert len(built) == 8 and set(built[4:]) == set(built[:4])
     assert main(args + ["--jobs", "2", "--out", str(tmp_path / "c")]) == 0
     assert read(tmp_path / "a" / "sweep.csv") == read(tmp_path / "c" / "sweep.csv")
+
+
+def test_sweep_draws_one_start_per_tau_and_seed(tmp_path, monkeypatch):
+    # 2 tau x 2 L x gd and sgd x 3 seeds: 24 runs from 6 starts, all drawn in
+    # the parent process, giving the rows of starts drawn per task
+    taus = []
+
+    def counted(landscape, rng):
+        taus.append(landscape.params.tau)
+        return saddlescape.init_sample(landscape, rng)
+
+    monkeypatch.setattr(cli, "init_sample", counted)
+    args = ["sweep", "--L", "1", "1.5", "--tau", "1", "0.7", "--algo", "gd", "sgd",
+            "--seeds", "3", "--n-saddles", "3"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert sorted(taus) == [0.7] * 3 + [1.0] * 3
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "b")]) == 0
+    assert len(taus) == 12
+    parsed = cli.build_parser().parse_args(args)
+    grid = cli._params_grid(parsed)
+    config, noise = cli._run_settings(parsed, grid)
+    config = dataclasses.replace(config, record_every=config.max_iter)
+    rows = [cli._sweep_task((params, algo, seed, cli._start(cli.Landscape(params), seed),
+                             config, noise))
+            for params in grid for algo in ("gd", "sgd") for seed in range(3)]
+    assert len(rows) == 24
+    per_task = ("\n".join([SWEEP_HEADER, *rows]) + "\n").encode()
+    sweep = [(tmp_path / d / "sweep.csv").read_bytes() for d in "ab"]
+    assert sweep == [per_task, per_task]
 
 
 def test_readme_commands_parse_and_help_renders(capsys):

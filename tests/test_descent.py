@@ -37,6 +37,18 @@ def test_init_sample_reproducible(lc):
     assert a == b
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.7, 3e-5])
+def test_init_sample_depends_on_tau_only(tau):
+    # sweep draws one start per (tau, seed) and shares it across L, gamma and n_saddles
+    for seed in range(5):
+        starts = {tuple(v.hex() for v in ss.init_sample(
+                      Landscape(LandscapeParams(L=L, gamma=gamma, tau=tau, n_saddles=n)),
+                      np.random.default_rng([seed, 0])))
+                  for (L, gamma), n in itertools.product(
+                      ((1.0, 0.5), (1.5, 0.5), (1.0, 0.3), (2.0, 2.0), (1e3, 1e-3)), (1, 9, 100))}
+        assert len(starts) == 1
+
+
 # --- single steps ------------------------------------------------------------------
 
 def _one_step(lc, p, eta=0.25, noise=None):
@@ -503,10 +515,12 @@ def test_noisy_repeat_at_a_corner_is_not_a_stall():
 
 
 def _noisy_oracle(lc, config, start, noise):
-    """Every iterate of a noisy run as (t, x1, x2, f, grad_norm) in float hex
-    and the region id, stepping the way runs did before kicks were drawn in
-    blocks: one standard_normal(2) per step, scaled and added as float64
-    arrays.  With variance 0 the run is noise-free: it stalls and stops
+    """Every iterate of a noisy run as (t, x1, x2, f, grad_norm) in float hex,
+    the region id and the event, stepping the way runs did before kicks were
+    drawn in blocks: one standard_normal(2) per step, scaled and added as
+    float64 arrays, and every step projected.  An iterate's event is the
+    terminal one, else PROJECTED if projection moved it, else the entry into
+    a new region.  With variance 0 the run is noise-free: it stalls and stops
     as plain descent does."""
     rng = np.random.default_rng(noise.seed)
     noisy = noise.variance > 0
@@ -514,44 +528,65 @@ def _noisy_oracle(lc, config, start, noise):
     if stop is None:
         stop = lc.params.L * lc.params.tau / 2.0 if noisy else 1e-10
     eta = lc.derived.eta_default
-    x, out = start, []
+    buffers = (RegionKind.ODD_EVEN_BUFFER, RegionKind.EVEN_ODD_BUFFER)
+    x, out, prev, projected = start, [], None, False
     for t in itertools.count():
         f, g = lc.value_and_gradient(x)
         rid = lc.classify(x)
         gnorm = math.hypot(g[0], g[1])
-        out.append((t, x[0].hex(), x[1].hex(), f.hex(), gnorm.hex(), rid))
+        event = None
+        if projected:
+            event = ss.Event.PROJECTED
+        elif prev is not None and rid != prev:
+            event = ss.Event.BUFFER_ENTRY if rid.kind in buffers else ss.Event.BLOCK_ENTRY
         in_final = rid.kind is RegionKind.FINAL_BLOCK
-        if ((in_final and gnorm <= stop) or (gnorm == 0.0 and not in_final and not noisy)
-                or t >= config.max_iter):
+        done = True
+        if in_final and gnorm <= stop:
+            event = ss.Event.CONVERGED
+        elif gnorm == 0.0 and not in_final and not noisy:
+            event = ss.Event.STALLED
+        elif t < config.max_iter:
+            q = np.array([x[0] - eta * g[0], x[1] - eta * g[1]])
+            q = tuple((q + math.sqrt(noise.variance) * rng.standard_normal(2)).tolist())
+            nxt = ss.project_to_domain(lc, q)
+            if nxt == x and not noisy:
+                event = ss.Event.STALLED
+            else:
+                done = False
+        out.append((t, x[0].hex(), x[1].hex(), f.hex(), gnorm.hex(), rid, event))
+        if done:
             return out
-        q = np.array([x[0] - eta * g[0], x[1] - eta * g[1]])
-        q = q + math.sqrt(noise.variance) * rng.standard_normal(2)
-        nxt = ss.project_to_domain(lc, tuple(q.tolist()))
-        if nxt == x and not noisy:
-            return out
-        x = nxt
+        x, prev, projected = nxt, rid, nxt != q
 
 
 @pytest.mark.parametrize("variance", [0.0, 0.1])
 @pytest.mark.parametrize("n", [1, 5, 12, 100])
 def test_noisy_run_matches_per_step_draw_oracle(n, variance):
     # budgets around the kick block size, and a stop norm of 0 so that noisy
-    # runs spend them all: every iterate, bit for bit, against an oracle that
-    # projects every step
-    lc = Landscape(LandscapeParams(n_saddles=n))
-    for seed in (0, 1, 7):
-        start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
-        noise = NoiseConfig(variance=variance, seed=seed)
-        for max_iter in (KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK):
-            for stop in (None, 0.0):
-                config = GdConfig(max_iter=max_iter, stop_grad_norm=stop)
+    # runs spend them all: every iterate and its event, bit for bit, against an
+    # oracle that projects every step, at three (L, gamma, tau); at record_every 7 the run
+    # stores exactly the observed iterates at multiples of 7, with an event, or last
+    for L, gamma, tau in ((1.0, 0.5, 1.0), (1.5, 0.5, 1.0), (1.0, 0.3, 0.7)):
+        lc = Landscape(LandscapeParams(L=L, gamma=gamma, tau=tau, n_saddles=n))
+        for seed, max_iter, stop in itertools.product(
+                (0, 1, 7), (KICK_BLOCK - 1, KICK_BLOCK, KICK_BLOCK + 1, 3 * KICK_BLOCK),
+                (None, 0.0)):
+            start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+            noise = NoiseConfig(variance=variance, seed=seed)
+            oracle = _noisy_oracle(lc, GdConfig(max_iter=max_iter, stop_grad_norm=stop),
+                                   start, noise)
+            for record_every in (1, 7):
+                config = GdConfig(max_iter=max_iter, stop_grad_norm=stop,
+                                  record_every=record_every)
                 seen = []
                 traj = ss.run(lc, config, start, noise=noise,
                               observer=lambda *fields: seen.append(ss.Iterate(*fields)))
-                assert traj.iterates == tuple(seen)
+                assert traj.iterates == tuple(
+                    it for it in seen
+                    if it.t % record_every == 0 or it.event is not None or it is seen[-1])
                 got = [(it.t, it.position[0].hex(), it.position[1].hex(), it.f_value.hex(),
-                        it.grad_norm.hex(), it.region) for it in seen]
-                assert got == _noisy_oracle(lc, config, start, noise)
+                        it.grad_norm.hex(), it.region, it.event) for it in seen]
+                assert got == oracle
                 if variance and stop == 0.0:
                     assert traj.outcome is Outcome.BUDGET and traj.total_steps == max_iter
 
