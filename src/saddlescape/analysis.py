@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .landscape import Landscape, LandscapeParams, Point, RegionId, derive_constants
+from .landscape import Landscape, LandscapeParams, Point, RegionId
 from .descent import Event, GdConfig, Iterate, NoiseConfig, Trajectory, step_settings
 
 
@@ -97,7 +97,7 @@ def check_buffer_bound(records: list[EscapeRecord], params: LandscapeParams,
 def _recurrence_constants(params: LandscapeParams) -> tuple[float, float | None]:
     """L/gamma and, where L > gamma, the shift 4L/(L - gamma) of the escape-time recurrence."""
     L, g = params.L, params.gamma
-    return derive_constants(params).lower_bound_base, (4.0 * L / (L - g) if L > g else None)
+    return params.derived.lower_bound_base, (4.0 * L / (L - g) if L > g else None)
 
 
 def check_escape_recurrence(records: list[EscapeRecord], params: LandscapeParams,

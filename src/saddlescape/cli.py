@@ -125,7 +125,7 @@ def _add_run_options(parser: argparse.ArgumentParser):
                         help="iteration budget (default %(default)s)")
     parser.add_argument("--stop-grad-norm", type=float, default=None,
                         help="stop threshold inside the final block (default "
-                             "1e-10, or L*tau/2 for sgd with --noise-var above 0)")
+                             "1e-10*L*tau, or L*tau/2 for sgd with --noise-var above 0)")
     parser.add_argument("--seeds", type=int, default=1,
                         help="number of consecutive seeds (default %(default)s)")
     parser.add_argument("--noise-var", type=float, default=NoiseConfig.variance,
@@ -417,20 +417,18 @@ def cmd_plotdata(args) -> int:
     except (ValueError, KeyError, TypeError) as e:
         raise IOError(f"{summary_path} is not a run summary: "
                       f"{type(e).__name__}: {e}") from e
-    csv_paths = [runs_dir / f"run_seed{seed}.csv" for seed, _ in runs]
-    for csv_path in csv_paths:      # every input is checked before any file is written
-        for _ in _trajectory_rows(csv_path):
-            pass
-    out = Path(args.out) if args.out else runs_dir
-    out.mkdir(parents=True, exist_ok=True)
-    for (seed, records), csv_path in zip(runs, csv_paths):
-        f_lines = ["iter,f"]
-        path_lines = ["iter,x1,x2"]
-        for parts in _trajectory_rows(csv_path):
+    series = []   # (seed, fseries text, path text, block rows) of each run
+    for seed, records in runs:   # every input is read once and checked before any file is written
+        f_lines, path_lines = ["iter,f"], ["iter,x1,x2"]
+        for parts in _trajectory_rows(runs_dir / f"run_seed{seed}.csv"):
             f_lines.append(f"{parts[0]},{parts[3]}")
             path_lines.append(f"{parts[0]},{parts[1]},{parts[2]}")
-        (out / f"fseries_seed{seed}.csv").write_text("\n".join(f_lines) + "\n")
-        (out / f"path_seed{seed}.csv").write_text("\n".join(path_lines) + "\n")
+        series.append((seed, "\n".join(f_lines) + "\n", "\n".join(path_lines) + "\n", records))
+    out = Path(args.out) if args.out else runs_dir
+    out.mkdir(parents=True, exist_ok=True)
+    for seed, fseries, path, records in series:
+        (out / f"fseries_seed{seed}.csv").write_text(fseries)
+        (out / f"path_seed{seed}.csv").write_text(path)
         block_lines = ["block_index,iterations,buffer_iterations,complete", *records]
         (out / f"blocks_seed{seed}.csv").write_text("\n".join(block_lines) + "\n")
     print(f"plot data for {len(runs)} runs -> {out}")

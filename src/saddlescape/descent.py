@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
-                        RegionId, derive_constants)
+                        RegionId)
 
 INIT_BAND = 1.0 / (2.0 * math.e**2)   # max |x1 - s1| at the start, in units of tau
 KICK_BLOCK = 128   # kicks a noisy run draws per call of its generator
@@ -40,7 +40,7 @@ class Outcome(Enum):
 class GdConfig:
     eta: float | None = None          # None: use the landscape default 1/(4L)
     max_iter: int = 1_000_000
-    stop_grad_norm: float | None = None   # None: 1e-10, or L*tau/2 under noise of variance above 0
+    stop_grad_norm: float | None = None   # None: 1e-10*L*tau, or L*tau/2 under noise above 0
     record_every: int = 1
 
     def __post_init__(self):
@@ -68,7 +68,7 @@ def step_settings(params: LandscapeParams, config: GdConfig,
                   noise: NoiseConfig | None) -> tuple[float, bool]:
     """The step size a run takes, config.eta or the default 1/(4L), and
     whether it is noisy: given noise of positive variance."""
-    eta = config.eta if config.eta is not None else derive_constants(params).eta_default
+    eta = config.eta if config.eta is not None else params.derived.eta_default
     return eta, noise is not None and noise.variance > 0
 
 
@@ -162,9 +162,10 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
     Terminal conditions, checked in order at each iterate:
       - inside the final block with grad norm <= stop_grad_norm (converged);
-        by default 1e-10, or L*tau/2 for a noisy run (``noise`` of variance
-        above 0), since persistent noise keeps the gradient above any tiny
-        threshold and a noisy run stops on solid entry into the bowl instead;
+        by default 1e-10*L*tau, which scales with the gradient's units, or
+        L*tau/2 for a noisy run (``noise`` of variance above 0), since
+        persistent noise keeps the gradient above any tiny threshold and a
+        noisy run stops on solid entry into the bowl instead;
       - a noise-free run at an exact zero gradient outside the final block
         (stalled);
       - the iteration budget is exhausted;
@@ -173,43 +174,56 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     gradient, and two kicks can project onto the same corner of D before
     the next kick moves on.  Noise of variance 0 is plain descent: no kicks,
     no projection, the same iterates as ``noise=None``.
-    ``observer(t, position, f_value, grad_norm, region, event)`` sees every iterate;
+    The run steps in the number type of the landscape's parameters: float
+    for float or int parameters, and, say, ``mpmath.mpf`` for ``mpf`` ones,
+    with the start cast to it; the kicks stay float64 draws.
+    ``observer(t, position, f_value, grad_norm, region, event)`` sees every iterate,
+    through its ``__call__`` bound once per run;
     an ``Iterate`` is stored only for every record_every-th, event-tagged and last one.
     The outer loop runs once per region visited and reads what the region fixes
-    (its square, identity, whether it is final) once; each pass of the inner
-    loop is one step: one closed-form evaluation and the step of the iterate's
-    two floats.  A candidate (the step, plus the kick if noisy) strictly inside
-    the open square of the current region lies in D and in no other closed
-    square: it keeps that region, neither projected nor located.  Any other is
-    projected onto D if the run is noisy, by a scan of the regions, then
-    located.  The kicks come from a generator private to the run, ``KICK_BLOCK`` per draw.
+    once: its square, identity, whether it is final, and the arguments of its
+    closed form (kind code, center, value and buffer offsets, branch axis and
+    line, the curvatures on the two sides).  Each pass of the inner loop is one
+    step: one call of ``landscape._form``, looked up on the instance, and the
+    step of the iterate's two coordinates.  A candidate (the step, plus the kick
+    if noisy) strictly inside the open square of the current region lies in D
+    and in no other closed square: it keeps that region, neither projected nor
+    located.  Any other is projected onto D if the run is noisy, by a scan of
+    the regions, then located.  The kicks come from a generator private to the
+    run, ``KICK_BLOCK`` per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
         raise OutsideDomainError(f"start {start} is outside D")
-    eta, noisy = step_settings(landscape.params, config, noise)
+    params = landscape.params
+    eta, noisy = step_settings(params, config, noise)
     kicks = _kicks(noise) if noisy else None
     stop = config.stop_grad_norm
     if stop is None:
-        stop = landscape.params.L * landscape.params.tau / 2.0 if noisy else 1e-10
+        stop = params.L * params.tau / 2.0 if noisy else 1e-10 * params.L * params.tau
     max_iter, record_every = config.max_iter, config.record_every
-    locate, evaluate, project, hypot = (landscape.locate, landscape.value_and_gradient_in,
-                                        project_to_domain, math.hypot)
+    locate, form, project, hypot = landscape.locate, landscape._form, project_to_domain, math.hypot
+    num = type(landscape.derived.nu)   # the parameters' number type (nu / 4 makes ints float)
+    # the bound __call__: calling a StreamObserver instance looks __call__ up on every step
+    observe = None if observer is None else observer.__call__
 
-    x1, x2 = float(start[0]), float(start[1])
+    x1, x2 = num(start[0]), num(start[1])
     kept: list[Iterate] = []
     t, due, event = 0, 0, None   # due: steps until t % record_every == 0; event: set on arrival
     while True:    # one pass per region visited
         a, b, c, d = reg.bounds
-        rid, in_final = reg.rid, reg.code == FINAL_CODE
+        rid, code, in_final = reg.rid, reg.code, reg.code == FINAL_CODE
+        (s1, s2), base, u_base, (wrong, escape) = reg.center, reg.base, reg.u_base, reg.sides
+        axis, line = reg.axis, reg.center[reg.axis]
         while True:    # one pass per step inside reg
             x = (x1, x2)
-            val, (g1, g2) = evaluate(reg, x)
+            val, (g1, g2) = form(code, x1, x2, s1, s2, base, u_base,
+                                 escape if x[axis] > line else wrong)
             gnorm = hypot(g1, g2)
             terminal = None
             if in_final and gnorm <= stop:
                 event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
-            elif gnorm == 0.0 and not (in_final or noisy):
+            elif g1 == 0 and g2 == 0 and not (in_final or noisy):
                 event, terminal = Event.STALLED, Outcome.STALLED
             elif t >= max_iter:
                 terminal = Outcome.BUDGET
@@ -220,12 +234,12 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
                     n1, n2 = n1 + k1, n2 + k2
                 elif n1 == x1 and n2 == x2:
                     event, terminal = Event.STALLED, Outcome.STALLED
-            if observer is not None:
-                observer(t, x, val, gnorm, rid, event)
+            if observe is not None:
+                observe(t, x, val, gnorm, rid, event)
             if event is not None or terminal is not None or not due:
                 kept.append(Iterate(t, x, val, gnorm, rid, event))
             if terminal is not None:
-                return Trajectory(landscape.params, config, noise, tuple(kept), terminal)
+                return Trajectory(params, config, noise, tuple(kept), terminal)
             due = (due or record_every) - 1
             t += 1
             x1, x2 = n1, n2

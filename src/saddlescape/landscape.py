@@ -73,7 +73,7 @@ class LandscapeParams:
             self.check_field(name, getattr(self, name))
         if self.L < self.gamma:
             raise ValueError(f"construction requires L >= gamma, got L={self.L} gamma={self.gamma}")
-        d = derive_constants(self)
+        d = self.derived
         offset = -(self.n_saddles + 1) * d.nu   # the final block's value offset
         try:
             bound = _lipschitz_bound(d.L2, self.gamma, self.tau)
@@ -99,6 +99,11 @@ class LandscapeParams:
     @property
     def n_blocks(self) -> int:
         return self.n_saddles + 1
+
+    @functools.cached_property
+    def derived(self) -> DerivedConstants:
+        """``derive_constants(self)``, computed once per params object."""
+        return derive_constants(self)
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ class Landscape:
 
     def __init__(self, params: LandscapeParams):
         self.params = params
-        self.derived = derive_constants(params)
+        self.derived = params.derived
         self.regions = _build_regions(params, self.derived)
         # parameter-only terms of the buffer ramp p(u) - p(tau) - gamma*tau^2/4 with
         # p(x) = (gamma-L)/2*x^2 + (L-2*gamma)*tau*x, slope -gamma*tau at u = tau, -L*tau at 2*tau
@@ -209,18 +214,28 @@ class Landscape:
     # -- region queries ----------------------------------------------------
 
     def locate(self, p: Point) -> _Region | None:
-        """First region in chain order whose closed square contains p: the
-        orders two either side of floor(x1/tau) + floor(x2/tau) are tried,
-        earliest first.  Shared edges therefore belong to the earlier region,
-        which makes classification total and deterministic without any
-        epsilon.  This is the only code that applies the rule.  Non-finite
-        points give None."""
+        """First region in chain order whose closed square contains p.
+
+        A point strictly inside the square of its guessed order
+        o = floor(x1/tau) + floor(x2/tau) lies in no other closed square and
+        is returned at once; any other point (on an edge, or guessed wrong by
+        rounding) is tried against the orders o-2..o+2, earliest first, each
+        floor being off by one at most.  Shared edges therefore belong to the
+        earlier region, which makes classification total and deterministic
+        without any epsilon.  This is the only code that applies the rule.
+        Non-finite points give None."""
         x1, x2 = p
+        tau, regions = self.params.tau, self.regions
         try:
-            o = math.floor(x1 / self.params.tau) + math.floor(x2 / self.params.tau)
+            o = math.floor(x1 / tau) + math.floor(x2 / tau)
         except (ValueError, OverflowError):   # NaN, or inf from the point or the division
             return None
-        for reg in self.regions[max(o - 2, 0):max(o + 3, 0)]:   # each floor is off by one at most
+        if 0 <= o < len(regions):
+            reg = regions[o]
+            a, b, c, d = reg.bounds
+            if a < x1 < b and c < x2 < d:
+                return reg
+        for reg in regions[max(o - 2, 0):max(o + 3, 0)]:
             a, b, c, d = reg.bounds
             if a <= x1 <= b and c <= x2 <= d:
                 return reg
@@ -256,10 +271,15 @@ class Landscape:
         return self.value_and_gradient_in(reg, p)[1]
 
     def value_and_gradient_in(self, reg: _Region, p: Point) -> tuple[float, Point]:
-        """Value and gradient of reg's closed form at p; the branch line takes the wrong side."""
+        """Value and gradient of reg's closed form at p.  The branch line takes
+        the wrong side: ``escape if p[axis] > line else wrong``, with ``line``
+        the center's coordinate on the branch axis, is the expression
+        ``descent.run`` applies on each step to the fields it reads on
+        entering a region."""
         s1, s2 = reg.center
-        c = reg.sides[1] if p[reg.axis] > reg.center[reg.axis] else reg.sides[0]
-        return self._form(reg.code, p[0], p[1], s1, s2, reg.base, reg.u_base, c)
+        (wrong, escape), axis, line = reg.sides, reg.axis, reg.center[reg.axis]
+        return self._form(reg.code, p[0], p[1], s1, s2, reg.base, reg.u_base,
+                          escape if p[axis] > line else wrong)
 
     def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
         """The closed form of region kind ``code`` at (x1, x2): the value

@@ -202,6 +202,12 @@ def test_lipschitz_probe_within_documented_bound_at_small_tau():
     assert rep.passed
 
 
+@pytest.mark.xfail(strict=True, reason="at the probe radius 1e-3*tau the escape-side drop "
+                   "gamma*r^2 rounds away against the centre value: every saddle reads not_saddle")
+def test_check_passes_at_tiny_gamma(tmp_path):
+    assert main(["check", "--gamma", "1e-10", "--n-saddles", "9", "--out", str(tmp_path)]) == 0
+
+
 def test_lipschitz_probe_rejects_zero_pairs(lc8):
     with pytest.raises(ValueError):
         ss.lipschitz_report(lc8, n_pairs=0)

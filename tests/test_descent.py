@@ -159,6 +159,14 @@ def test_project_huge_points_to_the_exact_nearest(p, nearest):
     assert ss.project_to_domain(lc2, p) == _exact_scan(lc2, p) == nearest
 
 
+@pytest.mark.xfail(strict=True, reason="both squared distances round to 0.25 and the strict < keeps "
+                   "the earlier square, (1.0, 1.0)")
+def test_project_breaks_a_rounded_tie_by_the_exact_distance():
+    lc2 = Landscape(LandscapeParams(n_saddles=2))
+    x1 = math.nextafter(1.0, 2.0)
+    assert ss.project_to_domain(lc2, (x1, 1.5)) == (x1, 1.0)
+
+
 def _edges_and_kicks(lc, rng, sd=1.0, count=2000):
     """Every grid line, edge midpoint and center line of the chain crossed with
     each other, each with its float neighbours, then ``count`` of them kicked by
@@ -315,7 +323,7 @@ def test_config_rejects_bad_stop_grad_norm(stop):
 
 
 def test_default_stop_grad_norm_by_noise(lc):
-    # None resolves to 1e-10 for plain descent and to L*tau/2 under noise
+    # None resolves to 1e-10*L*tau for plain descent and to L*tau/2 under noise
     lc1 = Landscape(LandscapeParams(n_saddles=1))
     start = ss.init_sample(lc1, np.random.default_rng(0))
     plain = ss.run(lc1, GdConfig(), start)
@@ -329,6 +337,25 @@ def test_default_stop_grad_norm_by_noise(lc):
     assert traj.iterates == explicit.iterates and traj.outcome == explicit.outcome
     assert traj.outcome is Outcome.REACHED_MINIMUM
     assert traj.total_steps <= 10_000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plain_stop_rule_is_free_of_units(seed):
+    # the default stop 1e-10*L*tau scales with the gradient, so runs from the same
+    # [seed, 0] draw at tau = 2^-8, 1 and 2^8 take the same steps at scaled points
+    runs = {}
+    for k in (-8, 0, 8):
+        lc1 = Landscape(LandscapeParams(tau=2.0 ** k, n_saddles=1))
+        runs[k] = ss.run(lc1, GdConfig(), ss.init_sample(lc1, np.random.default_rng([seed, 0])))
+    ref = runs[0]
+    assert ref.outcome is Outcome.REACHED_MINIMUM
+    for k, traj in runs.items():
+        s = 2.0 ** k
+        assert traj.outcome is ref.outcome and traj.total_steps == ref.total_steps
+        assert [(it.t, it.position, it.f_value, it.grad_norm, it.region, it.event)
+                for it in traj.iterates] == [
+            (it.t, (it.position[0] * s, it.position[1] * s), it.f_value * s * s,
+             it.grad_norm * s, it.region, it.event) for it in ref.iterates]
 
 
 # --- full runs ------------------------------------------------------------------------------
@@ -365,6 +392,32 @@ def test_run_matches_bruteforce_loop():
             break
         x = (x[0] - 0.25 * g[0], x[1] - 0.25 * g[1])
     assert traj.iterates[-1].position == x
+
+
+class _SteeperEscape(Landscape):
+    """Escape-side curvature of the saddle blocks times 1.1: a wrong closed form."""
+
+    def _form(self, code, x1, x2, s1, s2, base, u_base, c, want_grad=True):
+        if not code & 1 and c < 0:   # the escape side of a saddle block
+            c = c * 1.1
+        return super()._form(code, x1, x2, s1, s2, base, u_base, c, want_grad)
+
+
+@pytest.mark.parametrize("variance", [None, 0.1])
+def test_run_evaluates_the_closed_form_of_the_instance(variance):
+    # run looks _form up on the landscape it is given, so a subclass that
+    # changes the closed form changes the iterates, step for step as its
+    # own value_and_gradient says
+    params = LandscapeParams(n_saddles=3)
+    good, bad = Landscape(params), _SteeperEscape(params)
+    start = ss.init_sample(good, np.random.default_rng([1, 0]))
+    noise = None if variance is None else NoiseConfig(variance=variance, seed=1)
+    config = GdConfig(max_iter=400)
+    ref, got = ss.run(good, config, start, noise=noise), ss.run(bad, config, start, noise=noise)
+    assert [it.position for it in got.iterates] != [it.position for it in ref.iterates]
+    for it in got.iterates:
+        f, g = bad.value_and_gradient(it.position)
+        assert (it.f_value, it.grad_norm) == (f, math.hypot(*g))
 
 
 def test_run_budget_outcome(lc):
@@ -526,7 +579,7 @@ def _noisy_oracle(lc, config, start, noise):
     noisy = noise.variance > 0
     stop = config.stop_grad_norm
     if stop is None:
-        stop = lc.params.L * lc.params.tau / 2.0 if noisy else 1e-10
+        stop = lc.params.L * lc.params.tau / 2.0 if noisy else 1e-10 * lc.params.L * lc.params.tau
     eta = lc.derived.eta_default
     buffers = (RegionKind.ODD_EVEN_BUFFER, RegionKind.EVEN_ODD_BUFFER)
     x, out, prev, projected = start, [], None, False
