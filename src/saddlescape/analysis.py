@@ -292,13 +292,13 @@ class StreamObserver:
             return first_exceed.get(o, total)
 
         records = []
-        for o in range(0, 2 * n - 2, 2):        # the saddle blocks' chain orders
+        for o in range(0, 2 * n - 1, 2):        # the blocks' chain orders
             complete = o + 1 in first_exceed
             records.append(EscapeRecord(o // 2 + 1, at(o) - at(o - 1), at(o + 1) - at(o),
                                         at(o + 1), complete))
             if not complete:
-                return records
-        return records + [EscapeRecord(n, total - at(2 * n - 3), 0, total, False)]
+                break
+        return records
 
     def containment(self) -> TheoryCheck:
         """Plain descent is never projected.  This cannot fail on a trajectory that

@@ -20,6 +20,7 @@ from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainErr
 
 INIT_BAND = 1.0 / (2.0 * math.e**2)   # max |x1 - s1| at the start, in units of tau
 KICK_BLOCK = 128   # kicks a noisy run draws per call of its generator
+NEAR, TINY = 1.0 + math.ldexp(1.0, -46), math.ldexp(1.0, -960)   # see project_to_domain
 
 
 class Event(Enum):
@@ -111,31 +112,33 @@ def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
 
 # Kept public: perfbench's tracer and probes wrap it by name, and test oracles call it.
 def project_to_domain(landscape: Landscape, p: Point) -> Point:
-    """Euclidean nearest point of D (ties go to the earlier chain region)."""
+    """The exact nearest point of D to p, of equally near ones the one in the earliest square;
+    p itself if a coordinate is NaN or infinite.  A squared distance in float64 (or in mpf of
+    53 bits and up) is within a factor (1 + 2^-53)^4 of the exact one, or about 2^-1073 off if
+    it underflows: candidates within a factor NEAR plus TINY of each other compare exactly."""
     x1, x2 = p
-    best_d = math.inf
-    best = p
+    if x1 - x1 or x2 - x2:   # NaN, not 0, for a NaN or infinite coordinate
+        return p
+    best, best_d = None, math.inf
     for reg in landscape.regions:
         a, b, c, d = reg.bounds
-        px = min(max(x1, a), b)
-        py = min(max(x2, c), d)
-        try:
-            dd = (px - x1) ** 2 + (py - x2) ** 2
-        except OverflowError:   # float ** raises where * would give inf
-            dd = math.inf
-        if dd < best_d:
-            best_d = dd
-            best = (px, py)
-            if dd == 0.0:
+        px, py = min(max(x1, a), b), min(max(x2, c), d)
+        u, v = px - x1, py - x2
+        dd = u * u + v * v
+        if dd <= best_d * NEAR + TINY and (dd * NEAR + TINY < best_d or best is None
+                                           or _exact_sq((px, py), p) < _exact_sq(best, p)):
+            best, best_d = (px, py), dd
+            if u == v == 0:   # p lies in this square
                 break
-    # every square overflowed, or a nonzero distance underflowed to 0:
-    if (best_d == math.inf or best_d == 0.0 and best != p) and all(map(math.isfinite, p)):
-        from fractions import Fraction  # compare exactly; imported here, off the startup path
-        f1, f2 = map(Fraction, p)
-        best = min(((min(max(x1, a), b), min(max(x2, c), d)) for a, b, c, d in
-                    (reg.bounds for reg in landscape.regions)),
-                   key=lambda q: (Fraction(q[0]) - f1) ** 2 + (Fraction(q[1]) - f2) ** 2)
     return best
+
+
+def _exact_sq(q: Point, p: Point):
+    """|q - p|^2 as a Fraction; an mpf is read exactly, as its mantissa m times 2^e."""
+    from fractions import Fraction   # imported here, off the startup path
+    f = [Fraction(m) * Fraction(1 << max(e, 0), 1 << max(-e, 0))
+         for m, e in (getattr(v, "man_exp", (v, 0)) for v in (*q, *p))]
+    return (f[0] - f[2]) * (f[0] - f[2]) + (f[1] - f[3]) * (f[1] - f[3])
 
 
 def _kicks(noise: NoiseConfig) -> Iterator[Point]:
@@ -166,10 +169,8 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
         L*tau/2 for a noisy run (``noise`` of variance above 0), since
         persistent noise keeps the gradient above any tiny threshold and a
         noisy run stops on solid entry into the bowl instead;
-      - a noise-free run at an exact zero gradient outside the final block
-        (stalled);
       - the iteration budget is exhausted;
-      - a noise-free step leaves the position bitwise unchanged (stalled).
+      - a noise-free step leaves the position bitwise unchanged, as at a zero gradient (stalled).
     A noisy run never stalls: a kick can still move a point of zero
     gradient, and two kicks can project onto the same corner of D before
     the next kick moves on.  Noise of variance 0 is plain descent: no kicks,
@@ -188,9 +189,9 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     step of the iterate's two coordinates.  A candidate (the step, plus the kick
     if noisy) strictly inside the open square of the current region lies in D
     and in no other closed square: it keeps that region, neither projected nor
-    located.  Any other is projected onto D if the run is noisy, by a scan of
-    the regions, then located.  The kicks come from a generator private to the
-    run, ``KICK_BLOCK`` per draw.
+    located.  Any other is projected, if the run is noisy, to the exact nearest point
+    of D, on a tie the earliest square's (``project_to_domain``), then located.  The
+    kicks come from a generator private to the run, ``KICK_BLOCK`` per draw.
     """
     reg = landscape.locate(start)
     if reg is None:
@@ -223,8 +224,6 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
             terminal = None
             if in_final and gnorm <= stop:
                 event, terminal = Event.CONVERGED, Outcome.REACHED_MINIMUM
-            elif g1 == 0 and g2 == 0 and not (in_final or noisy):
-                event, terminal = Event.STALLED, Outcome.STALLED
             elif t >= max_iter:
                 terminal = Outcome.BUDGET
             else:

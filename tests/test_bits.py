@@ -8,6 +8,9 @@ the corpus is the same on every platform.  The points hold what rounding
 and the shared-edge rule act on: every square's centre, corners and edge
 midpoints and the points on its branch line, each with its ``nextafter``
 neighbours, and squares far along long chains, where -index*nu is large.
+A separate part, ``projection_ties``, projects points just off the squares'
+corners and edge midpoints and huge points, where squared distances to two
+squares round to a tie and the exact nearest point must decide.
 
 A change that is meant to keep every bit (a speed-up, a refactor) must leave
 the digests equal; a change that moves bits on purpose records them again,
@@ -28,6 +31,7 @@ BITS = {
     "scalar": "9718e1d423cdaf583497d735dc81a6b8591687fe569896d4a1a9569d34346c8d",
     "constants": "28cafd791b9437c19fdec8f0d57f03e7647003a0e35d0e5e036c63af74554787",
     "projection": "a9b6b49588c6dcdf3b95a5efebe61327c5511d0dbe6c2394ef098e5d5370f526",
+    "projection_ties": "2adf81710f6327c5d0583e531de330bf47f3dddcf169ed1a1ed017ba77fa8875",
 }
 
 N_SETS = 100       # parameter sets with n_saddles up to 29
@@ -35,6 +39,8 @@ N_LONG = 4         # sets with n_saddles from 500 to 3000, sampled in their last
 LAST = 8           # squares of a long chain the corpus covers
 N_SAMPLED = 500
 N_KICKS = 100
+N_TIES = 10        # parameter sets whose marks and huge points pin the projection tie rule
+HUGE = (1e16, 1e17, 1e150, 1e200)
 
 
 def _scale(rng) -> float:
@@ -72,6 +78,21 @@ def _points(lc: Landscape, first: int, rng) -> np.ndarray:
     return np.concatenate([sampled, _with_neighbours(np.array(marks))])
 
 
+def _tie_points(lc: Landscape, rng) -> np.ndarray:
+    """Each square's corners and edge midpoints with their neighbours, each moved by
+    tau * 2^-k per coordinate, k from 1 to 60, with random signs: points near the
+    boundary of D, where the squared distances to two squares can round to a tie.
+    Then the points at ``HUGE`` on the diagonals and on the axes, with both signs."""
+    marks = [(x1, x2) for a, b, c, d in (reg.bounds for reg in lc.regions)
+             for x1 in (a, (a + b) / 2, b) for x2 in (c, (c + d) / 2, d)
+             if (x1, x2) != ((a + b) / 2, (c + d) / 2)]
+    pts = _with_neighbours(np.array(marks))
+    offsets = np.ldexp(rng.choice([-lc.params.tau, lc.params.tau], size=pts.shape),
+                       -rng.integers(1, 61, size=pts.shape))
+    huge = [(s1 * h, s2 * h) for h in HUGE for s1 in (-1, 0, 1) for s2 in (-1, 0, 1) if s1 or s2]
+    return np.concatenate([pts + offsets, huge])
+
+
 def _digests() -> dict[str, str]:
     parts = {name: hashlib.sha256() for name in BITS}
 
@@ -106,6 +127,11 @@ def _digests() -> dict[str, str]:
             kicks = [[math.ldexp(k, -20) * params.tau for k in pair] for pair in steps]
             kicked = (pts[:N_KICKS] + np.array(kicks)).tolist()
             put("projection", [project_to_domain(lc, tuple(q)) for q in kicked])
+    tie_rng = np.random.default_rng(21)   # its own draws leave the other parts' corpus as it is
+    for params, _ in corpus[:N_TIES]:
+        lc = Landscape(params)
+        put("projection_ties", [project_to_domain(lc, q)
+                                for q in map(tuple, _tie_points(lc, tie_rng).tolist())])
     return {name: h.hexdigest() for name, h in parts.items()}
 
 

@@ -128,24 +128,41 @@ def _clipped(reg, p):
     return min(max(p[0], a), b), min(max(p[1], c), d)
 
 
-def _float_scan(lc, p):
-    """The projection scan in float arithmetic, squares by ``** 2``, ties to the earlier region."""
-    best_d, best = math.inf, p
-    for q in (_clipped(reg, p) for reg in lc.regions):
-        dd = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
-        if dd < best_d:
-            best_d, best = dd, q
-    return best
+def _scaled(v):
+    """v times 2^1074, exactly: an int for a float, whose ulp is at least 2^-1074;
+    an mpf, its mantissa times 2^exponent, may give a Fraction."""
+    if hasattr(v, "man_exp"):
+        m, e = v.man_exp
+        return Fraction(m) * Fraction(2) ** (e + 1074)
+    n, d = v.as_integer_ratio()   # d is a power of 2
+    return n << (1075 - d.bit_length())
 
 
 def _exact_scan(lc, p):
     """The projection scan with exact squared distances, ties to the earlier region."""
     best_d, best = None, None
+    x = [_scaled(v) for v in p]
     for q in (_clipped(reg, p) for reg in lc.regions):
-        dd = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(q, p))
+        u, v = (_scaled(a) - b for a, b in zip(q, x))
+        dd = u * u + v * v
         if best_d is None or dd < best_d:
             best_d, best = dd, q
     return best
+
+
+def _float_scan(lc, pts):
+    """The projection scan of each row of pts in float64, squares by ``*``, ties to the
+    earlier region, and whether another square's squared distance lies within a factor
+    1 + 2^-40, plus 2^-900, of the least: an (N, 2) array and an (N,) mask."""
+    bounds = np.array([reg.bounds for reg in lc.regions])
+    q1 = np.minimum(np.maximum(pts[:, :1], bounds[:, 0]), bounds[:, 1])   # (N, regions)
+    q2 = np.minimum(np.maximum(pts[:, 1:], bounds[:, 2]), bounds[:, 3])
+    u, v = q1 - pts[:, :1], q2 - pts[:, 1:]
+    dd = u * u + v * v
+    rows, k = np.arange(len(pts)), dd.argmin(axis=1)
+    least = dd[rows, k][:, None]
+    near = (dd <= least * (1 + 2.0 ** -40) + 2.0 ** -900).sum(axis=1) > 1
+    return np.stack([q1[rows, k], q2[rows, k]], axis=1), near
 
 
 @pytest.mark.parametrize("p, nearest", [
@@ -159,12 +176,38 @@ def test_project_huge_points_to_the_exact_nearest(p, nearest):
     assert ss.project_to_domain(lc2, p) == _exact_scan(lc2, p) == nearest
 
 
-@pytest.mark.xfail(strict=True, reason="both squared distances round to 0.25 and the strict < keeps "
-                   "the earlier square, (1.0, 1.0)")
-def test_project_breaks_a_rounded_tie_by_the_exact_distance():
-    lc2 = Landscape(LandscapeParams(n_saddles=2))
-    x1 = math.nextafter(1.0, 2.0)
-    assert ss.project_to_domain(lc2, (x1, 1.5)) == (x1, 1.0)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_project_huge_diagonal_and_axis_points_to_the_exact_nearest(n):
+    # squared distances of 1e32 and up: a whole square's size is below their rounding,
+    # so every square's candidate ties in float and the exact comparison decides
+    lc = Landscape(LandscapeParams(n_saddles=n))
+    mid = (lc.params.n_saddles + 1) * lc.params.tau / 2
+    for big, s1, s2 in itertools.product((1e16, 1e17, 1e150, 1e200), (1, -1), (1, -1)):
+        for p in ((s1 * big, s2 * big), (s1 * big, mid), (mid, s2 * big)):
+            assert ss.project_to_domain(lc, p) == _exact_scan(lc, p)
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                               (0.5, -math.inf), (-math.inf, math.nan), (math.inf, math.inf)])
+def test_project_returns_non_finite_points_unchanged(p):
+    assert ss.project_to_domain(Landscape(LandscapeParams(n_saddles=2)), p) is p
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-150, 1e-161])
+def test_project_breaks_a_rounded_tie_by_the_exact_distance(tau):
+    # from (nextafter(tau), 1.5 tau) both squared distances round to tau^2/4, and the
+    # second square's is smaller.  Points beyond the corners (0, tau) and (2 tau, 3 tau)
+    # of squares 0 and 4, a few ulps or a few 2^-12 tau off their bisector
+    # x1 + x2 = 3 tau, are near ties; at tau = 1e-161 their squared distances are a
+    # few dozen subnormal ulps, so the absolute margin decides there.
+    lc2 = Landscape(LandscapeParams(tau=tau, n_saddles=2))
+    x1 = math.nextafter(tau, math.inf)
+    assert ss.project_to_domain(lc2, (x1, 1.5 * tau)) == (x1, tau)
+    for a in np.random.default_rng(7).uniform(0.01, 2.0, 300).tolist():
+        x1, x2 = -a * tau, (3 + a) * tau
+        for k in range(-3, 4):
+            for p in ((x1, x2 + k * math.ulp(x2)), (x1, x2 + k * tau / 4096)):
+                assert ss.project_to_domain(lc2, p) == _exact_scan(lc2, p)
 
 
 def _edges_and_kicks(lc, rng, sd=1.0, count=2000):
@@ -179,9 +222,17 @@ def _edges_and_kicks(lc, rng, sd=1.0, count=2000):
 
 @pytest.mark.parametrize("params", GRID)
 def test_project_keeps_the_float_scan_where_distances_are_finite(params):
+    # the exact nearest point of D, which is the float64 scan's point wherever no two
+    # squared distances lie within rounding of each other: only rounded ties move
     lc = Landscape(params)
-    for p in map(tuple, _edges_and_kicks(lc, np.random.default_rng(4)).tolist()):
-        assert ss.project_to_domain(lc, p) == _float_scan(lc, p)
+    rng = np.random.default_rng(4)
+    for sd in (0.3, 3.0, 30.0):
+        pts = _edges_and_kicks(lc, rng, sd=sd)
+        scanned, near = _float_scan(lc, pts)
+        for p, q, tie in zip(map(tuple, pts.tolist()), map(tuple, scanned.tolist()), near):
+            got = ss.project_to_domain(lc, p)
+            assert got == _exact_scan(lc, p)
+            assert tie or got == q
 
 
 @pytest.mark.parametrize("params", GRID)
@@ -202,23 +253,24 @@ def test_project_keeps_points_strictly_inside_a_square(params):
         assert ss.project_to_domain(lc, p) == p
 
 
-@pytest.mark.parametrize("tau", [1e-150, 1e-160])
+@pytest.mark.parametrize("tau", [1e-150, 1e-160, 2.0 ** -480, 2.0 ** -479.5],
+                         ids=["1e-150", "1e-160", "2^-480", "2^-479.5"])
 def test_project_compares_exactly_where_a_squared_distance_underflows(tau):
-    # below tau of about 1e-146 a nonzero squared distance can round to 0: the
-    # scan must not stop there and move a point of D onto an earlier square's
-    # edge.  Elsewhere it stays the float scan, rounding ties and all.
+    # at these tau the squared distances of near points fall below 2^-1022, where
+    # float64 rounds them in absolute terms and can round a nonzero one to 0, and
+    # around 2^-960 they straddle the scan's absolute margin: the projection must
+    # still be the exact nearest point, and must not move a point of D
     lc2 = Landscape(LandscapeParams(tau=tau, n_saddles=2))
     rng = np.random.default_rng(6)
     pts = [(math.nextafter(tau, math.inf), tau / 2), *map(tuple, lc2.sample_points(200, rng).tolist()),
            *map(tuple, _edges_and_kicks(lc2, rng, sd=0.3, count=500).tolist())]
     underflows = 0
     for p in pts:
-        q = _float_scan(lc2, p)
-        underflowed = q != p and (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2 == 0.0
         got = ss.project_to_domain(lc2, p)
-        assert got == (_exact_scan(lc2, p) if underflowed else q)
+        assert got == _exact_scan(lc2, p)
         assert got == p or lc2.classify(p) is None
-        underflows += underflowed
+        gaps = [(q[0] - p[0], q[1] - p[1]) for q in (_clipped(reg, p) for reg in lc2.regions)]
+        underflows += any((u or v) and u * u + v * v < 2.0 ** -1022 for u, v in gaps)
     assert underflows > 100
 
 
@@ -366,6 +418,21 @@ def test_run_from_saddle_center_stalls_immediately(lc):
     assert traj.total_steps == 0
     assert traj.iterates[-1].event is ss.Event.STALLED
     assert traj.iterates[-1].grad_norm == 0.0
+
+
+@pytest.mark.parametrize("max_iter, outcome", [(1, Outcome.BUDGET), (2, Outcome.STALLED)])
+def test_run_stalls_at_a_zero_gradient_as_at_any_fixed_point(max_iter, outcome):
+    # the step from a zero gradient leaves the point unchanged, so it stalls by the
+    # one fixed-point rule, when a step is due: at t = max_iter the budget ends it.
+    # Either way the observer's stall is the exact pin of x2 on the centre line.
+    lc1 = Landscape(LandscapeParams(n_saddles=1))
+    config = GdConfig(eta=0.5, max_iter=max_iter)
+    obs = ss.StreamObserver(lc1, config)
+    traj = ss.run(lc1, config, (0.5, 0.75), observer=obs)
+    last = traj.iterates[-1]
+    assert (traj.outcome, last.t, last.position, last.grad_norm) == (outcome, 1, (0.5, 0.5), 0.0)
+    assert last.event is (ss.Event.STALLED if outcome is Outcome.STALLED else None)
+    assert (obs.stall.t, obs.stall.reason) == (1, "cross_pinned")
 
 
 def test_run_single_saddle_reaches_minimum():
@@ -596,8 +663,6 @@ def _noisy_oracle(lc, config, start, noise):
         done = True
         if in_final and gnorm <= stop:
             event = ss.Event.CONVERGED
-        elif gnorm == 0.0 and not in_final and not noisy:
-            event = ss.Event.STALLED
         elif t < config.max_iter:
             q = np.array([x[0] - eta * g[0], x[1] - eta * g[1]])
             q = tuple((q + math.sqrt(noise.variance) * rng.standard_normal(2)).tolist())

@@ -50,3 +50,13 @@ def test_mpf_run_escapes_every_saddle_where_float64_sticks(bits):
         traj = ss.run(lcm, GdConfig(), start, observer=obs)
     assert traj.outcome is Outcome.REACHED_MINIMUM and traj.total_steps == 9911
     assert [r.t for r in obs.records()[:6]] == [11, 60, 214, 686, 2156, 6717]
+
+
+def test_mpf_projection_breaks_a_rounded_tie_by_the_exact_distance():
+    # at 200 bits both squared distances round to 1/4; the second square's is smaller
+    with mpmath.workprec(200):
+        lcm = _mpf_landscape(1.0, 0.5, 1.0, 2)
+        x1 = 1 + mpmath.ldexp(1, -199)
+        got = ss.project_to_domain(lcm, (x1, mpmath.mpf(1.5)))
+        assert (x1 - 1) ** 2 + mpmath.mpf(0.25) == 0.25
+    assert got == (x1, 1) and all(type(v) is mpmath.mpf for v in got)
