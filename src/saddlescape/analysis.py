@@ -183,7 +183,7 @@ class StallInfo:
     t: int
     position: Point
     region_order: int
-    reason: str   # cross_pinned | fixed_point | zero_gradient
+    reason: str   # cross_pinned | fixed_point
 
 
 @dataclass
@@ -247,17 +247,16 @@ class StreamObserver:
         elif order < self._hi and self.revisit is None:
             self.revisit = Iterate(t, position, f_value, grad_norm, region, event)
         if self._stall is None:
-            # numerically doomed: the cross coordinate sits exactly on a
-            # non-final block's center line, or run stopped as stalled
-            # (zero gradient or a noise-free fixed point)
+            # numerically doomed: the cross coordinate sits exactly on a non-final
+            # block's center line, or run stopped as stalled, at a fixed point (a zero
+            # gradient off the final block lies on a saddle centre, pinned here first)
             cross = self._cross[order]
             if cross is not None and position[cross[0]] == cross[1]:
                 self._stall = StallInfo(t, position, order, "cross_pinned")
         if event is None:   # most iterates; an Event member lookup costs ~0.1 us on Python 3.11
             return
         if event is Event.STALLED and self._stall is None:
-            reason = "zero_gradient" if grad_norm == 0.0 else "fixed_point"
-            self._stall = StallInfo(t, position, order, reason)
+            self._stall = StallInfo(t, position, order, "fixed_point")
         elif event is Event.PROJECTED and self.projected is None:
             self.projected = Iterate(t, position, f_value, grad_norm, region, event)
 
@@ -313,11 +312,13 @@ class StreamObserver:
         return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
 
     def report(self) -> TheoryReport:
-        """Every theory check that applies, on one segmentation.  A noisy
-        run reports no stall, since a later kick frees any pin it met, so
-        only a plain run's report needs every iterate."""
+        """Every theory check that applies, on one segmentation.  The stall is a
+        plain run's first pin or fixed point, if it never entered the final block:
+        the next block holds the minimum.  A noisy run reports no stall, since a later
+        kick frees any pin it met, so only a plain run's report needs every iterate."""
         params, eta, noisy = self.landscape.params, self.eta, self.noisy
         records = self.records()
+        stall = None if noisy else self.stall   # raises on a thinned plain stream
         buffer_bound = (_skipped("buffer_residence_bound", "bound claimed for plain descent only")
                         if noisy else check_buffer_bound(records, params, eta))
         if noisy or params.L < 2.0 * params.gamma:
@@ -331,4 +332,4 @@ class StreamObserver:
             growth = None
         return TheoryReport(records=records, buffer_bound=buffer_bound,
                             containment=self.containment(), recurrence=recurrence,
-                            growth=growth, stall=None if noisy else self.stall)
+                            growth=growth, stall=stall if self.first_final is None else None)

@@ -202,7 +202,10 @@ def _outdir(args):
         raise
 
 
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, landscape: Landscape, payload: dict):
+    """``payload`` under the report header of ``landscape``, keys sorted."""
+    payload = {"schema_version": SCHEMA_VERSION, "params": dataclasses.asdict(landscape.params),
+               "derived": dataclasses.asdict(landscape.derived), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -244,15 +247,11 @@ def cmd_check(args) -> int:
             n_pairs=args.pairs, seed=args.seed)
         elapsed = time.perf_counter() - t0
         all_passed = all(r.passed for r in reports)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "params": dataclasses.asdict(params),
-            "derived": dataclasses.asdict(landscape.derived),
+        _write_json(out / "check_report.json", landscape, {
             "seed": args.seed,
             "checks": [dataclasses.asdict(r) for r in reports],
             "passed": all_passed,
-        }
-        _write_json(out / "check_report.json", payload)
+        })
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: worst={r.worst_error:.3e} "
               f"threshold={r.threshold:.3e} samples={r.samples}")
@@ -321,16 +320,12 @@ def cmd_run(args) -> int:
             summaries.append(_summarize_run(seed, algo, trajectory, obs))
             print(f"seed {seed}: {trajectory.outcome.value} after "
                   f"{trajectory.total_steps} iterations ({elapsed:.3f}s)")
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "params": dataclasses.asdict(params),
-            "derived": dataclasses.asdict(landscape.derived),
+        _write_json(out / "summary.json", landscape, {
             "algo": algo,
             "config": {**dataclasses.asdict(config),
                        "noise_var": noise.variance if algo == "sgd" else None},
             "runs": summaries,
-        }
-        _write_json(out / "summary.json", payload)
+        })
     print(f"outputs: {out}")
     return 0
 

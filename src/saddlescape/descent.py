@@ -18,7 +18,7 @@ import numpy as np
 from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
                         RegionId)
 
-INIT_BAND = 1.0 / (2.0 * math.e**2)   # max |x1 - s1| at the start, in units of tau
+INIT_BAND = 1.0 / (2.0 * math.e * math.e)   # max |x1 - s1| at the start, in units of tau
 KICK_BLOCK = 128   # kicks a noisy run draws per call of its generator
 NEAR, TINY = 1.0 + math.ldexp(1.0, -46), math.ldexp(1.0, -960)   # see project_to_domain
 

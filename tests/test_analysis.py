@@ -9,6 +9,7 @@ import saddlescape as ss
 from saddlescape import (EscapeRecord, GdConfig, Landscape, LandscapeParams,
                          NoiseConfig, Outcome, RegionKind)
 from saddlescape.descent import Iterate, Trajectory
+from test_landscape import GRID
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +304,29 @@ def test_detect_stall_pinned_center(lc5):
     traj = make_trajectory(lc5, [2], positions=[center])
     info = ss.replay(traj).stall
     assert info is not None and info.t == 0
+
+
+def test_a_stalled_iterate_at_a_zero_gradient_is_a_fixed_point(lc5):
+    # off every centre line, so no pin comes first; the gradient norm does not matter
+    traj = make_trajectory(lc5, [0, 0], events=[None, ss.Event.STALLED])
+    traj = dataclasses.replace(traj, iterates=(traj.iterates[0],
+                                               traj.iterates[1]._replace(grad_norm=0.0)))
+    info = ss.replay(traj).stall
+    assert (info.t, info.reason, info.position) == (1, "fixed_point", traj.iterates[1].position)
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_report_names_a_stall_only_before_the_final_block(params):
+    lc = Landscape(params)
+    for seed in range(20):
+        start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+        obs = ss.StreamObserver(lc, GdConfig())
+        traj = ss.run(lc, GdConfig(), start, observer=obs)
+        stall = obs.report().stall
+        assert obs.stall is None or obs.stall.reason in ("cross_pinned", "fixed_point")
+        assert stall == (obs.stall if obs.first_final is None else None)
+        if traj.outcome is Outcome.STALLED:
+            assert obs.stall is not None
 
 
 # --- report assembly ---------------------------------------------------------------------------

@@ -541,6 +541,14 @@ def test_noisy_run_reports_no_transient_pin_as_its_stall(tmp_path):
     assert run["theory"]["stall"] is None
 
 
+def test_plain_run_that_reaches_the_minimum_reports_no_stall(tmp_path):
+    # a pin in the last saddle block does no harm: the next block holds the minimum
+    assert main(["run", "--n-saddles", "2", "--seeds", "20", "--out", str(tmp_path)]) == 0
+    runs = json.loads(read(tmp_path / "summary.json"))["runs"]
+    assert [run["outcome"] for run in runs] == ["reached_minimum"] * 20
+    assert [run["theory"]["stall"] for run in runs] == [None] * 20
+
+
 def test_huge_kicks_are_projected_into_d(tmp_path):
     # kicks of about 1e154 square to inf; every iterate is projected into D
     assert main(["run", "--algo", "sgd", "--noise-var", "1e308", "--n-saddles", "2",
@@ -638,14 +646,26 @@ def test_readme_commands_parse_and_help_renders(capsys):
         assert capsys.readouterr().out.startswith(f"usage: saddlescape {command}")
 
 
-def test_module_entry_point_runs_main():
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's package, run with ``args``."""
     src = str(Path(saddlescape.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    res = subprocess.run([sys.executable, "-m", "saddlescape.cli", "--help"], env=env,
-                         capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_main():
+    res = _python("-m", "saddlescape.cli", "--help")
     assert res.returncode == 0
     assert res.stdout.startswith("usage: saddlescape")
+
+
+def test_import_loads_neither_fractions_nor_mpmath():
+    # fractions waits for the first exact comparison of a projection; mpmath is for tests only
+    res = _python("-c", "import sys, saddlescape; "
+                        "print(sorted({'fractions', 'mpmath'} & set(sys.modules)))")
+    assert res.returncode == 0
+    assert res.stdout == "[]\n"
 
 
 def test_readme_api_paragraph_names_the_exports():

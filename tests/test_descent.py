@@ -8,7 +8,7 @@ import pytest
 import saddlescape as ss
 from saddlescape import (GdConfig, Landscape, LandscapeParams, NoiseConfig,
                          Outcome, RegionKind)
-from saddlescape.descent import KICK_BLOCK, _kicks
+from saddlescape.descent import INIT_BAND, KICK_BLOCK, _kicks
 from test_landscape import GRID, _edge_and_corner_points
 
 
@@ -29,6 +29,12 @@ def test_init_sample_band(lc):
         d1 = abs(p[0] - 0.5)
         assert 0.0 < d1 <= cap
         assert 0.0 <= p[1] <= 1.0
+
+
+def test_init_band_bits():
+    # 1/(2*e*e) by float * and /, which round alike on every IEEE 754 platform,
+    # where e**2 would go through the platform's pow
+    assert INIT_BAND.hex() == "0x1.152aaa3bf81ccp-4"
 
 
 def test_init_sample_reproducible(lc):

@@ -1,0 +1,87 @@
+"""Units are a symmetry of descent.
+
+The staircase has two scales: tau for lengths, and L (with gamma) for
+curvature.  Scaling either by a power of two is exact in float64, away from
+underflow and overflow, so a run scaled by tau*2^k or (L, gamma)*2^j must be
+the same run in every bit: the same steps, regions, events and outcome, every
+position times 2^k (or unmoved), every value times 4^k*2^j and every gradient
+norm times 2^k*2^j; and the same escape records and theory report, with the
+stall's position scaled back.  A noisy run's variance scales by 4^k with tau.
+The parameters are ``ldexp`` of integer draws, so no libm call sets them.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import saddlescape as ss
+from saddlescape import GdConfig, Landscape, LandscapeParams, NoiseConfig
+
+RATIOS = (0.1, 0.3, 0.5, 0.9, 1.0)   # gamma / L
+SHIFTS = (-8, 8)                     # the powers of two each scale is moved by
+N_SETS = 20
+CONFIG = GdConfig(max_iter=2000)
+
+
+def _scale(rng) -> float:
+    """A float in [2^-4, 2^4): a 21-bit mantissa times a power of two."""
+    return math.ldexp(int(rng.integers(1 << 20, 1 << 21)), int(rng.integers(-4, 4)) - 20)
+
+
+def _sets() -> list[LandscapeParams]:
+    rng = np.random.default_rng(17)
+    sets = []
+    for _ in range(N_SETS):
+        L, tau = _scale(rng), _scale(rng)
+        ratio = RATIOS[int(rng.integers(len(RATIOS)))]
+        sets.append(LandscapeParams(L=L, gamma=L * ratio, tau=tau,
+                                    n_saddles=int(rng.integers(1, 12))))
+    return sets
+
+
+SETS = _sets()
+
+
+def _run(params: LandscapeParams, seed: int, variance: float | None):
+    """The run seeded ``seed`` from its ``[seed, 0]`` start, noisy if ``variance``
+    is given, with its observer's records and report."""
+    lc = Landscape(params)
+    start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
+    noise = None if variance is None else NoiseConfig(variance=variance, seed=seed)
+    obs = ss.StreamObserver(lc, CONFIG, noise)
+    traj = ss.run(lc, CONFIG, start, noise=noise, observer=obs)
+    return traj, obs.records(), obs.report()
+
+
+def _scaled(report: ss.TheoryReport, s: float) -> ss.TheoryReport:
+    """``report`` with its stall's position multiplied by ``s``."""
+    stall = report.stall
+    if stall is not None:
+        stall = dataclasses.replace(stall, position=(stall.position[0] * s,
+                                                     stall.position[1] * s))
+    return dataclasses.replace(report, stall=stall)
+
+
+@pytest.mark.parametrize("algo", ["gd", "sgd"])
+@pytest.mark.parametrize("index", range(N_SETS))
+def test_a_run_scales_exactly_with_tau_and_with_curvature(index, algo):
+    params = SETS[index]
+    variance = 0.1 * params.tau * params.tau if algo == "sgd" else None
+    traj, records, report = _run(params, index, variance)
+    for k, j in [(k, 0) for k in SHIFTS] + [(0, j) for j in SHIFTS]:
+        length, curvature = math.ldexp(1.0, k), math.ldexp(1.0, j)
+        scaled = LandscapeParams(L=params.L * curvature, gamma=params.gamma * curvature,
+                                 tau=params.tau * length, n_saddles=params.n_saddles)
+        var = None if variance is None else variance * length * length
+        traj2, records2, report2 = _run(scaled, index, var)
+        assert traj2.outcome == traj.outcome
+        assert len(traj2.iterates) == len(traj.iterates)
+        value, grad = length * length * curvature, length * curvature
+        for a, b in zip(traj.iterates, traj2.iterates):
+            assert (b.t, b.region, b.event) == (a.t, a.region, a.event)
+            assert b.position == (a.position[0] * length, a.position[1] * length)
+            assert (b.f_value, b.grad_norm) == (a.f_value * value, a.grad_norm * grad)
+        assert records2 == records
+        assert report2 == _scaled(report, length)
