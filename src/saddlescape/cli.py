@@ -288,19 +288,19 @@ def _summarize_run(seed, algo, trajectory, observer):
         "final": {"position": list(final.position), "f": final.f_value,
                   "grad_norm": final.grad_norm,
                   "region_order": final.region.order},
-        "escape_records": [dataclasses.asdict(r) for r in report.records],
+        "escape_records": [dict(vars(r)) for r in report.records],
         "theory": report.to_dict(),
         "growth_ratio": growth.ratio if growth else None,
     }
 
 
 def _write_trajectory_csv(path: Path, trajectory):
-    lines = ["iter,x1,x2,f,grad_norm,region_kind,region_index,event"]
-    for it in trajectory.iterates:
-        ev = it.event.value if it.event else ""
-        lines.append(f"{it.t},{_fmt(it.position[0])},{_fmt(it.position[1])},"
-                     f"{_fmt(it.f_value)},{_fmt(it.grad_norm)},"
-                     f"{it.region.kind.value},{it.region.index},{ev}")
+    lines, region = ["iter,x1,x2,f,grad_norm,region_kind,region_index,event"], None
+    for t, (x1, x2), f, grad_norm, rid, event in trajectory.iterates:
+        if rid is not region:
+            region, label = rid, f"{rid.kind.value},{rid.index}"
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%s,%s"   # %.17g: the text of _fmt
+                     % (t, x1, x2, f, grad_norm, label, event.value if event else ""))
     path.write_text("\n".join(lines) + "\n")
 
 

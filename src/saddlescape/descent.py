@@ -113,9 +113,11 @@ def init_sample(landscape: Landscape, rng: np.random.Generator) -> Point:
 # Kept public: perfbench's tracer and probes wrap it by name, and test oracles call it.
 def project_to_domain(landscape: Landscape, p: Point) -> Point:
     """The exact nearest point of D to p, of equally near ones the one in the earliest square;
-    p itself if a coordinate is NaN or infinite.  A squared distance in float64 (or in mpf of
-    53 bits and up) is within a factor (1 + 2^-53)^4 of the exact one, or about 2^-1073 off if
-    it underflows: candidates within a factor NEAR plus TINY of each other compare exactly."""
+    p itself if a coordinate is NaN or infinite.  The scan stops at the first square whose right
+    and top edges are at or beyond p: no edge decreases along the chain, so no later square is
+    nearer.  A squared distance in float64 (or in mpf of 53 bits and up) is within a factor
+    (1 + 2^-53)^4 of the exact one, or about 2^-1073 off if it underflows: candidates within a
+    factor NEAR plus TINY of each other compare exactly."""
     x1, x2 = p
     if x1 - x1 or x2 - x2:   # NaN, not 0, for a NaN or infinite coordinate
         return p
@@ -128,8 +130,8 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
         if dd <= best_d * NEAR + TINY and (dd * NEAR + TINY < best_d or best is None
                                            or _exact_sq((px, py), p) < _exact_sq(best, p)):
             best, best_d = (px, py), dd
-            if u == v == 0:   # p lies in this square
-                break
+        if u >= 0 and v >= 0:   # x1 <= b and x2 <= d: the stop rule above
+            break
     return best
 
 
@@ -190,8 +192,10 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
     if noisy) strictly inside the open square of the current region lies in D
     and in no other closed square: it keeps that region, neither projected nor
     located.  Any other is projected, if the run is noisy, to the exact nearest point
-    of D, on a tie the earliest square's (``project_to_domain``), then located.  The
-    kicks come from a generator private to the run, ``KICK_BLOCK`` per draw.
+    of D, on a tie the earliest square's, then located.  ``project_to_domain`` scans the
+    squares in chain order and stops at the first whose right and top edges reach the
+    candidate, since no edge decreases along the chain.  The kicks come from a generator
+    private to the run, ``KICK_BLOCK`` per draw.
     """
     reg = landscape.locate(start)
     if reg is None:

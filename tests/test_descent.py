@@ -280,6 +280,46 @@ def test_project_compares_exactly_where_a_squared_distance_underflows(tau):
     assert underflows > 100
 
 
+def test_project_stops_at_the_first_square_whose_far_edges_reach_the_point(monkeypatch):
+    # no edge of the squares decreases along the chain, so once a square's right and top
+    # edges are at or beyond p, no later square is nearer.  Both a and b grow by 1 within
+    # three orders, so a point within one tau of square k is decided after at most k + 4
+    # squares, on either side of the band; a point below and left of D after the first.
+    lc = Landscape(LandscapeParams(n_saddles=100))
+    visits, exact = [], []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for reg in tuple.__iter__(self):
+                visits.append(reg)
+                yield reg
+
+    def exact_sq(q, p, _exact_sq=ss.descent._exact_sq):
+        exact.append(q)
+        return _exact_sq(q, p)
+
+    monkeypatch.setattr(lc, "regions", Counted(lc.regions))
+    monkeypatch.setattr(ss.descent, "_exact_sq", exact_sq)
+
+    def visited(p):
+        visits.clear()
+        got, count = ss.project_to_domain(lc, p), len(visits)
+        assert got == _exact_scan(lc, p)
+        return count
+
+    tau, rng = lc.params.tau, np.random.default_rng(8)
+    for k in (10, 100, 190):
+        a, b, c, d = lc.regions[k].bounds
+        (s1, s2), sides = lc.regions[k].center, {True: 0, False: 0}
+        for x1, x2 in rng.uniform((a - tau, c - tau), (b + tau, d + tau), (400, 2)).tolist():
+            if lc.locate((x1, x2)) is None:
+                assert visited((x1, x2)) <= k + 4
+                sides[x2 - x1 > s2 - s1] += 1
+        assert min(sides.values()) >= 20
+    exact.clear()
+    assert visited((-1e200, -1e200)) == 1 and not exact
+
+
 # --- noisy steps -------------------------------------------------------------------------
 
 def test_sgd_step_zero_variance_is_gd():

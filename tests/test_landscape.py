@@ -297,6 +297,14 @@ GRID = [LandscapeParams(L=L, gamma=L / div, tau=tau, n_saddles=n)
         for tau in (0.5, 1.0, 2.0) for n in (1, 2, 5)]
 
 
+@pytest.mark.parametrize("params", [*GRID, LandscapeParams(n_saddles=100)])
+def test_no_square_edge_decreases_along_the_chain(params):
+    # the precondition of project_to_domain's stop rule: once a square's right and top
+    # edges are at or beyond p, every later square is at least as far from p
+    bounds = np.array([reg.bounds for reg in Landscape(params).regions])
+    assert np.all(np.diff(bounds, axis=0) >= 0)
+
+
 @pytest.mark.parametrize("params", GRID)
 def test_branch_values_agree_on_chain_seams(params):
     lc = Landscape(params)

@@ -7,6 +7,9 @@ the same run in every bit: the same steps, regions, events and outcome, every
 position times 2^k (or unmoved), every value times 4^k*2^j and every gradient
 norm times 2^k*2^j; and the same escape records and theory report, with the
 stall's position scaled back.  A noisy run's variance scales by 4^k with tau.
+Each check's worst error is unit-free, but the Lipschitz ratio's, which scales
+by 2^j; so is each threshold, but the Lipschitz bound's, which also grows with
+tau (ROADMAP direction 19).
 The parameters are ``ldexp`` of integer draws, so no libm call sets them.
 """
 
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 import saddlescape as ss
-from saddlescape import GdConfig, Landscape, LandscapeParams, NoiseConfig
+from saddlescape import GdConfig, Landscape, LandscapeParams, NoiseConfig, checks
 
 RATIOS = (0.1, 0.3, 0.5, 0.9, 1.0)   # gamma / L
 SHIFTS = (-8, 8)                     # the powers of two each scale is moved by
@@ -64,16 +67,22 @@ def _scaled(report: ss.TheoryReport, s: float) -> ss.TheoryReport:
     return dataclasses.replace(report, stall=stall)
 
 
+def _scalings(params: LandscapeParams):
+    """(length, curvature, params) for each of tau*2^k and (L, gamma)*2^j, k and j in SHIFTS."""
+    for k, j in [(k, 0) for k in SHIFTS] + [(0, j) for j in SHIFTS]:
+        length, curvature = math.ldexp(1.0, k), math.ldexp(1.0, j)
+        yield length, curvature, LandscapeParams(
+            L=params.L * curvature, gamma=params.gamma * curvature, tau=params.tau * length,
+            n_saddles=params.n_saddles)
+
+
 @pytest.mark.parametrize("algo", ["gd", "sgd"])
 @pytest.mark.parametrize("index", range(N_SETS))
 def test_a_run_scales_exactly_with_tau_and_with_curvature(index, algo):
     params = SETS[index]
     variance = 0.1 * params.tau * params.tau if algo == "sgd" else None
     traj, records, report = _run(params, index, variance)
-    for k, j in [(k, 0) for k in SHIFTS] + [(0, j) for j in SHIFTS]:
-        length, curvature = math.ldexp(1.0, k), math.ldexp(1.0, j)
-        scaled = LandscapeParams(L=params.L * curvature, gamma=params.gamma * curvature,
-                                 tau=params.tau * length, n_saddles=params.n_saddles)
+    for length, curvature, scaled in _scalings(params):
         var = None if variance is None else variance * length * length
         traj2, records2, report2 = _run(scaled, index, var)
         assert traj2.outcome == traj.outcome
@@ -85,3 +94,34 @@ def test_a_run_scales_exactly_with_tau_and_with_curvature(index, algo):
             assert (b.f_value, b.grad_norm) == (a.f_value * value, a.grad_norm * grad)
         assert records2 == records
         assert report2 == _scaled(report, length)
+
+
+def _checks(params: LandscapeParams, seed: int) -> list[ss.CheckReport]:
+    """Every check of ``params`` at small sample counts."""
+    return checks.run_all_checks(Landscape(params), n_grad_samples=300, samples_per_seam=20,
+                                 n_min_points=3000, n_pairs=3000, seed=seed)
+
+
+@pytest.mark.parametrize("index", range(N_SETS))
+def test_each_check_scales_exactly_with_tau_and_with_curvature(index):
+    # every worst error is free of units but the Lipschitz ratio's, a curvature; so is
+    # every threshold, but the Lipschitz bound's tau scaling (below)
+    params = SETS[index]
+    reports = _checks(params, index)
+    for length, curvature, scaled in _scalings(params):
+        for a, b in zip(reports, _checks(scaled, index), strict=True):
+            unit = curvature if a.name == "gradient_lipschitz" else 1.0
+            assert (b.name, b.samples) == (a.name, a.samples)
+            assert b.worst_error == a.worst_error * unit
+            if a.name != "gradient_lipschitz" or length == 1.0:
+                assert (b.threshold, b.passed) == (a.threshold * unit, a.passed)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 19: gradient_lipschitz_bound() "
+                                       "grows with tau, while the ratio it bounds does not")
+def test_the_lipschitz_threshold_is_free_of_tau():
+    for params in SETS:
+        bound = Landscape(params).gradient_lipschitz_bound()
+        for length, curvature, scaled in _scalings(params):
+            if curvature == 1.0:
+                assert Landscape(scaled).gradient_lipschitz_bound() == bound
