@@ -190,15 +190,14 @@ class StallInfo:
 class TheoryReport:
     records: list[EscapeRecord]     # the segmentation the checks ran on
     buffer_bound: TheoryCheck
-    containment: TheoryCheck
+    containment: TheoryCheck        # always skipped: run raises where an iterate leaves D
     recurrence: TheoryCheck
     growth: GrowthSummary | None
     stall: StallInfo | None
 
     @property
     def passed(self) -> bool:
-        return (self.buffer_bound.passed and self.containment.passed
-                and self.recurrence.passed)
+        return self.buffer_bound.passed and self.recurrence.passed
 
     def to_dict(self) -> dict:
         """The checks, growth, stall and verdict; ``records`` is left out."""
@@ -209,13 +208,14 @@ class TheoryReport:
 
 
 class StreamObserver:
-    """The one pass from iterates to residences, stall, containment and the
-    first entry into the final block of one run, whose step size and
-    noisiness it holds; every analysis but ``stall`` is exact on a thinned stream.
+    """The one pass from iterates to residences, stall and the first entry
+    into the final block of one run, whose step size and noisiness it holds;
+    every analysis but ``stall`` is exact on a thinned stream.  It checks no
+    containment: ``run`` raises where an iterate leaves D.
 
     Feed it to ``run`` as the observer; it takes each iterate's six fields,
     keeps the first step past each chain order, and builds an ``Iterate``
-    only for the first gap, revisit and projection, which it records.
+    only for the first gap and revisit, which it records.
     """
 
     def __init__(self, landscape: Landscape, config: GdConfig, noise: NoiseConfig | None = None):
@@ -224,7 +224,6 @@ class StreamObserver:
         self.first_exceed: dict[int, int] = {}   # chain order -> first t beyond it
         self.end = 0                    # one past the last t seen
         self.gap: Iterate | None = None  # first iterate whose t is not one past the last
-        self.projected: Iterate | None = None
         self.revisit: Iterate | None = None  # first step back to an earlier order
         self._stall: StallInfo | None = None
         self._hi = -1                   # highest chain order seen
@@ -249,16 +248,13 @@ class StreamObserver:
         if self._stall is None:
             # numerically doomed: the cross coordinate sits exactly on a non-final
             # block's center line, or run stopped as stalled, at a fixed point (a zero
-            # gradient off the final block lies on a saddle centre, pinned here first)
+            # gradient off the final block lies on a saddle centre, pinned here first);
+            # most events are None, and an Event member lookup costs ~0.1 us on Python 3.11
             cross = self._cross[order]
             if cross is not None and position[cross[0]] == cross[1]:
                 self._stall = StallInfo(t, position, order, "cross_pinned")
-        if event is None:   # most iterates; an Event member lookup costs ~0.1 us on Python 3.11
-            return
-        if event is Event.STALLED and self._stall is None:
-            self._stall = StallInfo(t, position, order, "fixed_point")
-        elif event is Event.PROJECTED and self.projected is None:
-            self.projected = Iterate(t, position, f_value, grad_norm, region, event)
+            elif event is not None and event is Event.STALLED:
+                self._stall = StallInfo(t, position, order, "fixed_point")
 
     @property
     def stall(self) -> StallInfo | None:
@@ -299,18 +295,6 @@ class StreamObserver:
                 break
         return records
 
-    def containment(self) -> TheoryCheck:
-        """Plain descent is never projected.  This cannot fail on a trajectory that
-        ``run`` makes, which never projects a plain step and raises where an iterate
-        leaves D; it guards a replayed or hand-built trajectory, whose first
-        projected iterate is the witness.  Skipped for noisy descent."""
-        if self.noisy:
-            return _skipped("containment", "no containment claim for noisy descent")
-        it = self.projected
-        witnesses = [] if it is None else [{"t": it.t, "kind": "projected",
-                                            "position": list(it.position)}]
-        return TheoryCheck("containment", passed=not witnesses, witnesses=witnesses)
-
     def report(self) -> TheoryReport:
         """Every theory check that applies, on one segmentation.  The stall is a
         plain run's first pin or fixed point, if it never entered the final block:
@@ -326,10 +310,12 @@ class StreamObserver:
                                   else "requires L >= 2*gamma")
         else:
             recurrence = check_escape_recurrence(records, params, eta)
+        containment = _skipped("containment", "no containment claim for noisy descent" if noisy
+                               else "decided by run, which raises where an iterate leaves D")
         try:
             growth = growth_summary(records, params)
         except InsufficientDataError:
             growth = None
         return TheoryReport(records=records, buffer_bound=buffer_bound,
-                            containment=self.containment(), recurrence=recurrence,
+                            containment=containment, recurrence=recurrence,
                             growth=growth, stall=stall if self.first_final is None else None)

@@ -117,7 +117,7 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
     and top edges are at or beyond p: no edge decreases along the chain, so no later square is
     nearer.  A squared distance in float64 (or in mpf of 53 bits and up) is within a factor
     (1 + 2^-53)^4 of the exact one, or about 2^-1073 off if it underflows: candidates within a
-    factor NEAR plus TINY of each other compare exactly."""
+    factor NEAR plus TINY of each other compare exactly, unless they are the same point."""
     x1, x2 = p
     if x1 - x1 or x2 - x2:   # NaN, not 0, for a NaN or infinite coordinate
         return p
@@ -127,8 +127,8 @@ def project_to_domain(landscape: Landscape, p: Point) -> Point:
         px, py = min(max(x1, a), b), min(max(x2, c), d)
         u, v = px - x1, py - x2
         dd = u * u + v * v
-        if dd <= best_d * NEAR + TINY and (dd * NEAR + TINY < best_d or best is None
-                                           or _exact_sq((px, py), p) < _exact_sq(best, p)):
+        if dd <= best_d * NEAR + TINY and (dd * NEAR + TINY < best_d or best is None or (
+                (px, py) != best and _exact_sq((px, py), p) < _exact_sq(best, p))):
             best, best_d = (px, py), dd
         if u >= 0 and v >= 0:   # x1 <= b and x2 <= d: the stop rule above
             break

@@ -222,7 +222,9 @@ class Landscape:
         rounding) is tried against the orders o-2..o+2, earliest first, each
         floor being off by one at most.  Shared edges therefore belong to the
         earlier region, which makes classification total and deterministic
-        without any epsilon.  This is the only code that applies the rule.
+        without any epsilon.  Only this code applies the edge rule; the
+        strict-interior half is also applied by ``classify_many``'s array
+        path and by ``descent.run``'s current-square test.
         Non-finite points give None."""
         x1, x2 = p
         tau, regions = self.params.tau, self.regions

@@ -280,13 +280,25 @@ def test_project_compares_exactly_where_a_squared_distance_underflows(tau):
     assert underflows > 100
 
 
+def _exact_calls(monkeypatch) -> list:
+    """The candidate points of every later ``_exact_sq`` call, in call order."""
+    calls = []
+
+    def exact_sq(q, p, _exact_sq=ss.descent._exact_sq):
+        calls.append(q)
+        return _exact_sq(q, p)
+
+    monkeypatch.setattr(ss.descent, "_exact_sq", exact_sq)
+    return calls
+
+
 def test_project_stops_at_the_first_square_whose_far_edges_reach_the_point(monkeypatch):
     # no edge of the squares decreases along the chain, so once a square's right and top
     # edges are at or beyond p, no later square is nearer.  Both a and b grow by 1 within
     # three orders, so a point within one tau of square k is decided after at most k + 4
     # squares, on either side of the band; a point below and left of D after the first.
     lc = Landscape(LandscapeParams(n_saddles=100))
-    visits, exact = [], []
+    visits, exact = [], _exact_calls(monkeypatch)
 
     class Counted(tuple):
         def __iter__(self):
@@ -294,12 +306,7 @@ def test_project_stops_at_the_first_square_whose_far_edges_reach_the_point(monke
                 visits.append(reg)
                 yield reg
 
-    def exact_sq(q, p, _exact_sq=ss.descent._exact_sq):
-        exact.append(q)
-        return _exact_sq(q, p)
-
     monkeypatch.setattr(lc, "regions", Counted(lc.regions))
-    monkeypatch.setattr(ss.descent, "_exact_sq", exact_sq)
 
     def visited(p):
         visits.clear()
@@ -318,6 +325,25 @@ def test_project_stops_at_the_first_square_whose_far_edges_reach_the_point(monke
         assert min(sides.values()) >= 20
     exact.clear()
     assert visited((-1e200, -1e200)) == 1 and not exact
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_project_keeps_a_shared_corner_with_no_exact_comparison(monkeypatch, params):
+    # off D, on a grid line through a corner of two squares, both squares clamp p to that
+    # corner: the float distances tie, and the same point from a later square keeps the
+    # earlier one with no Fraction arithmetic
+    lc, exact = Landscape(params), _exact_calls(monkeypatch)
+    corners = [(x, y) for a, b, c, d in (reg.bounds for reg in lc.regions)
+               for x in (a, b) for y in (c, d)]
+    shared = {q for q in corners if corners.count(q) >= 2}
+    tau, seen = lc.params.tau, 0
+    for (x, y), s, (e1, e2) in itertools.product(
+            sorted(shared), (tau / 8, tau / 3, tau / 2), ((1, 0), (-1, 0), (0, 1), (0, -1))):
+        p = (x + s * e1, y + s * e2)
+        if lc.locate(p) is None and _exact_scan(lc, p) == (x, y):
+            assert ss.project_to_domain(lc, p) == (x, y)
+            seen += 1
+    assert not exact and seen >= 3 * params.n_saddles
 
 
 # --- noisy steps -------------------------------------------------------------------------
@@ -609,15 +635,15 @@ def test_run_builds_an_iterate_only_for_what_it_stores(lc, monkeypatch, variance
 
 @pytest.mark.parametrize("seed", range(6))
 def test_stream_observer_builds_only_the_iterates_it_records(monkeypatch, seed):
-    # a noisy run revisits and is projected; the observer keeps an Iterate for
-    # the first of each only, and none for the steps in between
+    # a noisy run revisits; the observer keeps an Iterate for the first revisit
+    # only, and none for the steps in between
     built = _count_iterates(monkeypatch, ss.analysis)
     lc = Landscape(LandscapeParams(n_saddles=5))
     start = ss.init_sample(lc, np.random.default_rng([seed, 0]))
     config, noise = GdConfig(max_iter=3000), NoiseConfig(variance=0.1, seed=seed)
     obs = ss.StreamObserver(lc, config, noise)
     ss.run(lc, config, start, noise=noise, observer=obs)
-    recorded = [it for it in (obs.gap, obs.revisit, obs.projected) if it is not None]
+    recorded = [it for it in (obs.gap, obs.revisit) if it is not None]
     assert obs.gap is None and recorded
     assert sorted(built) == sorted(it.t for it in recorded)
 

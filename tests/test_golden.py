@@ -37,7 +37,7 @@ GOLDEN = {
     "run_gd/run_seed0.csv": "7ad0953c4dd5e6e0a6dca63b1fd4eef4ea97f8af6939f2c7306cb0f64b1ddb48",
     "run_gd/run_seed1.csv": "964c66e5c12d36643d7c2195a4b443bb32b5d2edadb839a48dd35ee620a9530b",
     "run_gd/run_seed2.csv": "5179a8bd6edc547005f106dfb1a90db6605d2cf15fc1b1f8de19059ceeb90dfc",
-    "run_gd/summary.json": "f763458cdcf7ced9893b287aac4a0b7df3fa0efed4f71134d73f5d03878c21d2",
+    "run_gd/summary.json": "fb8d7305a7aa3cb5ce28194f5043da2b93a871d505b6099d4ce9fedaa3c6957f",
     "run_sgd/run_seed0.csv": "f1a46eecfe9b12c662ef4d1f5c094fe583bf3c59ba65bbc4fcd74042d9d650eb",
     "run_sgd/run_seed1.csv": "20e91278fa79f392083d4121bc2c85a77c274c8d0269d0990bf04ba2a010033c",
     "run_sgd/run_seed2.csv": "cd8f6c6a7ef1f4a79953b394502eeb62f2cc774e5785d85a0d9274c3d175beee",

@@ -6,7 +6,8 @@ underflow and overflow, so a run scaled by tau*2^k or (L, gamma)*2^j must be
 the same run in every bit: the same steps, regions, events and outcome, every
 position times 2^k (or unmoved), every value times 4^k*2^j and every gradient
 norm times 2^k*2^j; and the same escape records and theory report, with the
-stall's position scaled back.  A noisy run's variance scales by 4^k with tau.
+stall's position scaled back, and the same sweep.csv row but for its scaled L,
+gamma and tau columns.  A noisy run's variance scales by 4^k with tau.
 Each check's worst error is unit-free, but the Lipschitz ratio's, which scales
 by 2^j; so is each threshold, but the Lipschitz bound's, which also grows with
 tau (ROADMAP direction 19).
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import saddlescape as ss
-from saddlescape import GdConfig, Landscape, LandscapeParams, NoiseConfig, checks
+from saddlescape import GdConfig, Landscape, LandscapeParams, NoiseConfig, checks, cli
 
 RATIOS = (0.1, 0.3, 0.5, 0.9, 1.0)   # gamma / L
 SHIFTS = (-8, 8)                     # the powers of two each scale is moved by
@@ -94,6 +95,29 @@ def test_a_run_scales_exactly_with_tau_and_with_curvature(index, algo):
             assert (b.f_value, b.grad_norm) == (a.f_value * value, a.grad_norm * grad)
         assert records2 == records
         assert report2 == _scaled(report, length)
+
+
+def _sweep_row(params: LandscapeParams, algo: str, seed: int, variance: float) -> list[str]:
+    """The sweep.csv row of the run seeded ``seed``, split into its columns."""
+    start = cli._start(Landscape(params), seed)
+    config = dataclasses.replace(CONFIG, record_every=CONFIG.max_iter)   # as cmd_sweep stores
+    task = (params, algo, seed, start, config, NoiseConfig(variance=variance))
+    return cli._sweep_task(task).split(",")
+
+
+@pytest.mark.parametrize("algo", ["gd", "sgd"])
+@pytest.mark.parametrize("index", range(N_SETS))
+def test_a_sweep_row_scales_exactly_with_tau_and_with_curvature(index, algo):
+    # outcome, total_iters and growth_ratio are unit-free; the L, gamma and tau columns scale
+    params = SETS[index]
+    variance = 0.1 * params.tau * params.tau
+    row = _sweep_row(params, algo, index, variance)
+    for length, curvature, scaled in _scalings(params):
+        row2 = _sweep_row(scaled, algo, index, variance * length * length)
+        assert row2[3:] == row[3:]
+        assert [float(v) for v in row2[:3]] == [float(row[0]) * curvature,
+                                                float(row[1]) * curvature,
+                                                float(row[2]) * length]
 
 
 def _checks(params: LandscapeParams, seed: int) -> list[ss.CheckReport]:
