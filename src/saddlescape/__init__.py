@@ -35,15 +35,24 @@ from .analysis import (
     growth_summary,
     replay,
 )
-from .checks import (
-    CheckReport,
-    global_minimum_check,
-    gradient_check,
-    lipschitz_report,
-    run_all_checks,
-    seam_scan,
-    stationary_check,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The checks, and numpy with them, load on first access (PEP 562): the scalar
+# path (build, evaluate, plain run, observe, report) imports no numpy.
+_CHECK_NAMES = ("CheckReport", "global_minimum_check", "gradient_check", "lipschitz_report",
+                "run_all_checks", "seam_scan", "stationary_check")
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | {"checks", *_CHECK_NAMES})
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "checks" or name in _CHECK_NAMES:
+        from importlib import import_module   # not `from . import checks`: it recurses here
+        checks = import_module(".checks", __name__)
+        return checks if name == "checks" else getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
                         RegionId)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INIT_BAND = 1.0 / (2.0 * math.e * math.e)   # max |x1 - s1| at the start, in units of tau
 KICK_BLOCK = 128   # kicks a noisy run draws per call of its generator
@@ -153,6 +154,7 @@ def _kicks(noise: NoiseConfig) -> Iterator[Point]:
     which gives the same bits as in Python floats, and the kicks come out
     as Python floats, which keeps every later operation on the iterate fast.
     """
+    import numpy as np   # imported here, off the plain-descent path
     rng = np.random.default_rng(noise.seed)
     s = math.sqrt(noise.variance)
     while True:

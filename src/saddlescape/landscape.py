@@ -16,8 +16,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple[float, float]
 
@@ -324,6 +326,7 @@ class Landscape:
         or guessed wrong by rounding) is handed to ``locate``, about 2 us
         each.  ``check`` hands over none.
         """
+        import numpy as np   # imported here, off the scalar path
         tau, last = self.params.tau, len(self.regions) - 1
         orders = np.full(len(xy), -1, dtype=np.int64)
         for s in range(0, len(xy), CHUNK):
@@ -359,6 +362,7 @@ class Landscape:
         wrong side, 0 the side the point lies on.  Each chunk of points is
         grouped by region kind; per-point region data (center, base, u_base,
         the curvatures on the two sides) follows from the chain order."""
+        import numpy as np
         last = len(self.regions) - 1
         cx, cy, bases, u_bases, wrong, escape = self._region_table
         values = np.empty(len(xy))
@@ -396,6 +400,7 @@ class Landscape:
     def _region_table(self):
         """Per-order region centers (x1 and x2), value offsets, buffer
         u_base (NaN for blocks) and the curvatures on the two sides."""
+        import numpy as np
         cx, cy = np.array([reg.center for reg in self.regions]).T.copy()
         base = np.array([reg.base for reg in self.regions])
         u_base = np.array([np.nan if reg.u_base is None else reg.u_base
@@ -407,6 +412,7 @@ class Landscape:
     def eval_region_many(self, reg: _Region, xy: np.ndarray, branch: int = 0,
                          want_grad: bool = True):
         """``eval_many`` with every point evaluated in the closed form of reg."""
+        import numpy as np
         return self.eval_many(xy, np.full(len(xy), reg.rid.order), branch, want_grad)
 
     # -- sampling and bounds --------------------------------------------------

@@ -540,3 +540,32 @@ def test_each_theory_mutation_changes_the_runs(theory_matrix, row):
 @pytest.mark.parametrize("row", [pytest.param(row, marks=UNCAUGHT) for row in MUTATIONS])
 def test_each_theory_mutation_is_caught_by_a_theory_column(theory_matrix, row):
     assert theory_matrix[1][row][1]
+
+
+
+def _plain_runs_at(eta):
+    """(seed, start, trajectory, stall) of plain runs at step eta from cli._start's starts
+    for seeds 0-7, at n = 2 and the other parameters at their defaults (L = 1)."""
+    lc = Landscape(LandscapeParams(n_saddles=2))
+    config = GdConfig(eta=eta)
+    for seed in range(8):
+        start = cli._start(lc, seed)
+        obs = ss.StreamObserver(lc, config)
+        yield seed, start, ss.run(lc, config, start, observer=obs), obs.stall
+
+
+@pytest.mark.parametrize("eta", [0.1, 1 / 8.5, 0.125])
+def test_plain_descent_never_escapes_a_wrong_side_entry_at_eta_up_to_1_over_8L(eta):
+    # 1 - 8*eta*L >= 0: the wrong-side offset shrinks without changing sign, down to 0
+    wrong_side = []
+    for seed, start, traj, stall in _plain_runs_at(eta):
+        if start[0] < 0.5:   # left of block 1's centre
+            wrong_side.append(seed)
+            assert traj.outcome is Outcome.STALLED
+            assert (stall.region_order, stall.reason) == (0, "fixed_point")
+    assert wrong_side == [1, 4, 5, 7]
+
+
+@pytest.mark.parametrize("eta", [0.13, 0.25])
+def test_plain_descent_reaches_the_minimum_from_every_start_above_1_over_8L(eta):
+    assert all(traj.outcome is Outcome.REACHED_MINIMUM for *_, traj, _ in _plain_runs_at(eta))

@@ -668,6 +668,61 @@ def test_import_loads_neither_fractions_nor_mpmath():
     assert res.stdout == "[]\n"
 
 
+def test_scalar_path_loads_neither_numpy_nor_the_checks():
+    # the build, scalar evaluation, a plain run, its report and a replay
+    res = _python("-c", "import sys, saddlescape as ss\n"
+                        "lc = ss.Landscape(ss.LandscapeParams(n_saddles=100))\n"
+                        "lc.value_and_gradient((0.55, 0.5))\n"
+                        "config = ss.GdConfig(max_iter=2000)\n"
+                        "obs = ss.StreamObserver(lc, config)\n"
+                        "traj = ss.run(lc, config, (0.55, 0.5), observer=obs)\n"
+                        "assert obs.report() == ss.replay(traj).report()\n"
+                        "print(sorted({'numpy', 'saddlescape.checks'} & set(sys.modules)))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_vectorized_noisy_and_check_paths_load_numpy_on_first_use():
+    for code in ("import numpy as np; lc.value_many(np.array([[0.55, 0.5]]))",
+                 "ss.run(lc, ss.GdConfig(max_iter=50), (0.55, 0.5), ss.NoiseConfig(seed=1))",
+                 "assert all(r.passed for r in ss.run_all_checks(lc, 200, 20, 200, 200))"):
+        res = _python("-c", "import sys, saddlescape as ss\n"
+                            "lc = ss.Landscape(ss.LandscapeParams(n_saddles=2))\n"
+                            f"{code}\nprint('numpy' in sys.modules)")
+        assert res.returncode == 0, (code, res.stderr)
+        assert res.stdout == "True\n"
+
+
+EXPORTS = ["CheckReport", "DerivedConstants", "EscapeRecord", "Event", "GdConfig",
+           "GrowthSummary", "InsufficientDataError", "Iterate", "Landscape", "LandscapeParams",
+           "NoiseConfig", "Outcome", "OutsideDomainError", "Point", "RegionId", "RegionKind",
+           "SegmentationError", "StallInfo", "StreamObserver", "TheoryCheck", "TheoryReport",
+           "Trajectory", "analysis", "check_buffer_bound", "check_escape_recurrence", "checks",
+           "derive_constants", "descent", "global_minimum_check", "gradient_check",
+           "growth_summary", "init_sample", "landscape", "lipschitz_report",
+           "project_to_domain", "replay", "run", "run_all_checks", "seam_scan",
+           "stationary_check"]
+
+
+def test_public_names_are_fixed_and_the_checks_resolve_lazily():
+    assert saddlescape.__all__ == EXPORTS
+    res = _python("-c", "import sys, saddlescape\n"
+                        "listed = set(dir(saddlescape))\n"
+                        "print('saddlescape.checks' in sys.modules)\n"
+                        "ns = {}\n"
+                        "exec('from saddlescape import *', ns)\n"
+                        "print(sorted(set(saddlescape.__all__) - set(ns)),"
+                        " sorted(set(saddlescape.__all__) - listed))\n"
+                        "from saddlescape import checks\n"
+                        "import saddlescape.checks\n"
+                        "print(saddlescape.checks is checks is sys.modules['saddlescape.checks'],"
+                        " ns['run_all_checks'] is checks.run_all_checks)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n[] []\nTrue True\n"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        saddlescape.not_a_name
+
+
 def test_readme_api_paragraph_names_the_exports():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     para = re.search(r"The public API is the package's top-level names\.(.*?)"
