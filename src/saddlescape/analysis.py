@@ -169,7 +169,10 @@ def growth_summary(records: list[EscapeRecord], params: LandscapeParams) -> Grow
     t0 = fit[0][1]
     span = fit[-1][0] - fit[0][0] + 1
     if c is not None:
-        floor = sum((t0 - c) * r**j + c for j in range(span))
+        try:
+            floor = sum((t0 - c) * r**j + c for j in range(span))
+        except OverflowError:   # r**j exceeds the floats: the floor is unbounded
+            floor = math.copysign(math.inf, t0 - c) if t0 != c else c * span
     else:
         floor = float(t0 * span)
     total = sum(rec.t + rec.t_prime for rec in recs)

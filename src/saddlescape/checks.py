@@ -20,7 +20,8 @@ one pass at a time, freeing its temporaries as it reduces them:
 The sampled checks read the chain orders and the points of
 ``sample_points`` from copies of one seeded generator, each copy moved
 past the draws before its stream (see ``_sample_passes``), so their
-reports equal those of one whole draw.
+reports equal those of one whole draw.  Each check evaluates every point
+in the region of the chain order it drew or built the point in.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ def _seam_distance(landscape: Landscape, xy: np.ndarray) -> np.ndarray:
     return d.min(axis=1)
 
 
-def _central_difference(landscape: Landscape, xy: np.ndarray, step, h: float) -> np.ndarray:
-    """(f(xy + step) - f(xy - step)) / (2 h), one value per point."""
-    fd = landscape.value_many(xy + step)
-    fd -= landscape.value_many(xy - step)
+def _central_difference(landscape: Landscape, xy: np.ndarray, step, h: float, order_a, order_b):
+    """(f(xy + step) - f(xy - step)) / (2 h), one value per point, with
+    xy - step evaluated in the regions order_a and xy + step in order_b."""
+    fd = landscape.value_many(xy + step, order_b)
+    fd -= landscape.value_many(xy - step, order_a)
     fd /= 2 * h
     return fd
 
@@ -88,11 +90,11 @@ def _rel_error(x: np.ndarray, ref: np.ndarray, unit: float) -> np.ndarray:
     return err / np.maximum(unit, scale)
 
 
-def _gradient_errors(landscape: Landscape, pts: np.ndarray, h: float):
+def _gradient_errors(landscape: Landscape, pts: np.ndarray, o: np.ndarray, h: float):
     """Rows (error, point, analytic, fd) of the three largest relative errors,
-    in stable order, of the analytic against the central-difference gradient."""
-    grad = landscape.gradient_many(pts)
-    fd = np.stack([_central_difference(landscape, pts, e, h) for e in np.diag([h, h])], axis=1)
+    in stable order, of the analytic against the central-difference gradient in regions o."""
+    grad = landscape.gradient_many(pts, o)
+    fd = np.stack([_central_difference(landscape, pts, e, h, o, o) for e in np.eye(2) * h], axis=1)
     err = _rel_error(fd, grad, landscape.params.L * landscape.params.tau)
     cut = np.partition(err, -3)[-3] if len(err) > 3 else -np.inf     # the third largest
     top = np.flatnonzero(~(err < cut))  # the candidates, NaN among them
@@ -120,10 +122,10 @@ def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> Check
     left, kept = n_samples, []
     while left:
         for o, pts in _sample_passes(landscape, rng, 2 * n_samples, 1):
-            del o       # hold no orders while the pass is compared
-            pts = pts[_seam_distance(landscape, pts) > 10.0 * h][:left]
+            free = _seam_distance(landscape, pts) > 10.0 * h
+            o, pts = o[free][:left], pts[free][:left]
             left -= len(pts)
-            kept.append(_gradient_errors(landscape, pts, h))
+            kept.append(_gradient_errors(landscape, pts, o, h))
             if not left:
                 break
     err, pts, grad, fd = (np.concatenate(rows) for rows in zip(*kept))
@@ -218,7 +220,8 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
             gn = np.where(on_x1, ga[:, 0], ga[:, 1])
             del ga
             step = np.where(on_x1[:, None], (off, 0.0), (0.0, off))
-            fd = _central_difference(landscape, xy, step, off)
+            fd = _central_difference(landscape, xy, step, off, np.repeat(order_a, m),
+                                     np.repeat(order_b, m))
             err[2], at[2] = _seam_maxima(_rel_error(fd, gn, L * tau), k)
             del fd, gn
             worst = np.maximum(worst, err.max(axis=1))
@@ -256,7 +259,8 @@ def stationary_check(landscape: Landscape) -> CheckReport:
     for s in range(0, len(blocks), per_pass):
         part = slice(s, s + per_pass)
         c = centers[part]
-        vals = landscape.value_many((c[:, None, :] + ring).reshape(-1, 2))
+        vals = landscape.value_many((c[:, None, :] + ring).reshape(-1, 2),
+                                    np.repeat(orders[part], n_angles))
         vals = vals.reshape(len(c), n_angles)
         above, below = vals > fc[part, None], vals < fc[part, None]
         higher[part] = above.all(axis=1)
@@ -321,8 +325,8 @@ def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> 
     center = landscape.regions[-1].center
     fc = landscape.value(center)
     n_bad, sampled_min, witnesses = 0, np.inf, []
-    for _, pts in _sample_passes(landscape, seed, n_points, 1):
-        vals = landscape.value_many(pts)
+    for o, pts in _sample_passes(landscape, seed, n_points, 1):
+        vals = landscape.value_many(pts, o)
         sampled_min = np.minimum(sampled_min, vals.min())
         at_or_below = np.flatnonzero(~(vals > fc))     # NaN counts as a violation
         n_bad += len(at_or_below)

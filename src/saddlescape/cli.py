@@ -406,7 +406,10 @@ def cmd_plotdata(args) -> int:
     runs = []   # (seed, blocks_seed<k>.csv rows) of each run
     try:
         for entry in json.loads(summary_path.read_text())["runs"]:
-            runs.append((entry["seed"], [
+            seed = entry["seed"]
+            if type(seed) is not int or seed < 0:   # it names the output files
+                raise ValueError(f"seed {seed!r} is not a non-negative int")
+            runs.append((seed, [
                 f"{rec['index']},{rec['t']},{rec['t_prime']},{str(rec['complete']).lower()}"
                 for rec in entry["escape_records"]]))
     except (ValueError, KeyError, TypeError) as e:

@@ -324,7 +324,8 @@ class Landscape:
         floor(x1/tau) + floor(x2/tau) lies in no other closed square and is
         decided here; every other point (on an edge, outside D, non-finite,
         or guessed wrong by rounding) is handed to ``locate``, about 2 us
-        each.  ``check`` hands over none.
+        each.  ``check`` classifies no point: each check evaluates a point
+        in the region of the order it drew or built the point in.
         """
         import numpy as np   # imported here, off the scalar path
         tau, last = self.params.tau, len(self.regions) - 1

@@ -272,6 +272,17 @@ def test_growth_floor_at_equal_curvatures_is_flat():
     assert s.floor == 8 * 4 and isinstance(s.floor, float)
 
 
+@pytest.mark.parametrize("t0, floor", [(3, -np.inf), (5, np.inf)])
+def test_growth_floor_is_unbounded_where_the_power_overflows(t0, floor):
+    """At L/gamma = 1e3 the power r**j leaves the floats at j = 103, so over
+    401 blocks the floor is infinite with the sign of t0 - c, c = 4L/(L - gamma)."""
+    params = LandscapeParams(L=1e3, gamma=1.0, n_saddles=400)
+    recs = [EscapeRecord(i, t0 if i == 0 else 1, 0, 0, True) for i in range(401)]
+    s = ss.growth_summary(recs, params)
+    assert s.n_fit == 401
+    assert s.floor == floor and s.exceeds_floor == (floor < 0)
+
+
 def test_growth_skips_incomplete_tail(params5):
     recs = [EscapeRecord(1, 10, 5, 15, True),
             EscapeRecord(2, 30, 5, 50, True),

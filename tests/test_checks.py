@@ -221,6 +221,21 @@ def test_run_all_checks_deterministic(lc8):
     assert a == b
 
 
+class _NoClassify(Landscape):
+    """Refuses to look regions up: a check must evaluate each point in the
+    region of the order it drew or built the point in."""
+
+    def classify_many(self, xy):
+        raise AssertionError("a check classified points")
+
+
+def test_run_all_checks_classifies_no_point():
+    params = LandscapeParams(n_saddles=9)
+    reports = ss.run_all_checks(_NoClassify(params))
+    assert all(rep.passed for rep in reports)
+    assert reports == ss.run_all_checks(Landscape(params))
+
+
 # --- the checks' verdicts do not depend on the units of L and tau -----------------
 
 @pytest.mark.parametrize("flag", ["--L", "--tau"])

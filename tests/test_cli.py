@@ -149,13 +149,37 @@ def test_plotdata_missing_inputs(tmp_path, capsys):
     assert main(["plotdata", "--runs", str(tmp_path / "nope")]) == 3
 
 
-@pytest.mark.parametrize("summary", ["{}", "[1, 2]", "not json"])
+def _summary_with_seed(seed):
+    return json.dumps({"runs": [{"seed": seed, "escape_records": []}]})
+
+
+@pytest.mark.parametrize("summary", [
+    "{}", "[1, 2]", "not json",
+    *(pytest.param(_summary_with_seed(seed), id=f"seed={seed!r}")
+      for seed in ("0", 1.5, True, "a/../b")),
+])
 def test_plotdata_bad_summary_exits_three_and_names_it(tmp_path, capsys, summary):
+    """A seed names the output files, so one that is not a non-negative int
+    is refused with the summary's name before any file is written."""
     (tmp_path / "summary.json").write_text(summary)
+    (tmp_path / "run_seed0.csv").write_text(CSV_HEADER + "\n0,0.5,0.5,1.0,0,odd_block,0,\n")
     out = tmp_path / "plots"
     assert main(["plotdata", "--runs", str(tmp_path), "--out", str(out)]) == 3
     assert f"error: {tmp_path / 'summary.json'} is not a run summary" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_and_sweep_write_an_overflowing_growth_floor_as_infinity(tmp_path):
+    """At L/gamma = 1e3 over 105 saddles the recurrence floor's power leaves
+    the floats; summary.json then holds -Infinity, with the sign of t0 - c."""
+    flags = ["--L", "1e3", "--gamma", "1", "--n-saddles", "105", "--seeds", "1"]
+    assert main(["run", "--algo", "sgd", *flags, "--out", str(tmp_path / "run")]) == 0
+    text = read(tmp_path / "run" / "summary.json")
+    assert '"floor": -Infinity' in text
+    assert json.loads(text)["runs"][0]["theory"]["growth"]["floor"] == float("-inf")
+    assert main(["sweep", *flags, "--out", str(tmp_path / "sweep")]) == 0
+    rows = read(tmp_path / "sweep" / "sweep.csv").splitlines()
+    assert len(rows) == 3 and rows[2].startswith("1000,1,1,105,0,sgd,reached_minimum,")
 
 
 def test_plotdata_short_csv_row_exits_three_and_names_it(tmp_path, capsys):
