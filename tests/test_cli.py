@@ -159,8 +159,8 @@ def _summary_with_seed(seed):
       for seed in ("0", 1.5, True, "a/../b")),
 ])
 def test_plotdata_bad_summary_exits_three_and_names_it(tmp_path, capsys, summary):
-    """A seed names the output files, so one that is not a non-negative int
-    is refused with the summary's name before any file is written."""
+    """A malformed summary, a seed that is not a non-negative int among them
+    (it names the output files), is refused before any file is written."""
     (tmp_path / "summary.json").write_text(summary)
     (tmp_path / "run_seed0.csv").write_text(CSV_HEADER + "\n0,0.5,0.5,1.0,0,odd_block,0,\n")
     out = tmp_path / "plots"
