@@ -14,7 +14,7 @@ feeds it while descending, and ``replay`` feeds it the stored iterates of a
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .landscape import Landscape, LandscapeParams, Point, RegionId
 from .descent import Event, GdConfig, Iterate, NoiseConfig, Trajectory, step_settings
@@ -204,10 +204,9 @@ class TheoryReport:
 
     def to_dict(self) -> dict:
         """The checks, growth, stall and verdict; ``records`` is left out."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
-        d = {k: None if v is None else asdict(v) for k, v in d.items()}
-        d["passed"] = self.passed
-        return d
+        d = asdict(self)
+        del d["records"]
+        return {**d, "passed": self.passed}
 
 
 class StreamObserver:

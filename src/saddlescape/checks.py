@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .landscape import CHUNK, Landscape
+from .landscape import CHUNK, Landscape, check_count
 
 # The sample counts of run_all_checks and of the ``check`` command's flags.
 N_GRAD_SAMPLES = 10_000
@@ -114,8 +114,7 @@ def gradient_check(landscape: Landscape, n_samples: int, seed: int = 0) -> Check
     witnesses, largest (or NaN) first, a tie going to the later sample.
     """
     h, tol = 1e-5 * landscape.params.tau, 1e-6
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
+    check_count("n_samples", n_samples, 0)
     if n_samples == 0:
         return _report("gradient_check", 0, 0.0, tol)
     rng = np.random.default_rng(seed)
@@ -186,8 +185,7 @@ def seam_scan(landscape: Landscape, samples_per_seam: int, seed: int = 0) -> Che
     seam in seam order.  Seams are evaluated in passes of about ``CHUNK``
     points, max(1, CHUNK // samples_per_seam) seams at a time.
     """
-    if samples_per_seam < 0:
-        raise ValueError("samples_per_seam must be >= 0")
+    check_count("samples_per_seam", samples_per_seam, 0)
     if samples_per_seam == 0:
         return _report("seam_scan", 0, 0.0, 1.0)
     tol_value, tol_grad = 1e-9, 1e-5
@@ -318,8 +316,7 @@ def global_minimum_check(landscape: Landscape, n_points: int, seed: int = 0) -> 
     The points are ``sample_points``' draws, drawn, placed and evaluated
     ``CHUNK`` points at a time.
     """
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
+    check_count("n_points", n_points, 0)
     if n_points == 0:
         return _report("global_minimum", 0, 0.0, 0.0)
     center = landscape.regions[-1].center
@@ -343,8 +340,7 @@ def lipschitz_report(landscape: Landscape, n_pairs: int, seed: int = 0) -> Check
     against the documented bound ``gradient_lipschitz_bound()``.  The pairs
     are the draws of all orders, then all a offsets, then all b offsets;
     they are drawn, placed and compared ``CHUNK`` pairs at a time."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    check_count("n_pairs", n_pairs, 1)
     worst = -np.inf
     for o, pa, pb in _sample_passes(landscape, seed, n_pairs, 2):
         ga = landscape.gradient_many(pa, o)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, checks
 from .descent import GdConfig, NoiseConfig, init_sample, run, step_settings
-from .landscape import Landscape, LandscapeParams
+from .landscape import Landscape, LandscapeParams, check_count
 
 SCHEMA_VERSION = 1
 
@@ -88,9 +88,7 @@ def _check_values(args):
     or a bad descent or noise setting.  Each rule reads one option, so a
     config line is checked alone."""
     for key, least in _AT_LEAST.items():
-        value = getattr(args, key, least)
-        if value < least:
-            raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
+        check_count(f"--{key.replace('_', '-')}", getattr(args, key, least), least)
     for key in ("L", "gamma", "tau", "n_saddles"):
         for value in _as_list(getattr(args, key, None)):
             if value is not None:
@@ -181,11 +179,11 @@ def _params_grid(args) -> list[LandscapeParams]:
 
 
 @contextlib.contextmanager
-def _outdir(args):
-    """The output directory, made if missing and checked for writing.  When
-    the command fails inside the block, the directories it made are removed
-    with what they hold; a directory that existed before is left alone."""
-    out = Path(args.out or Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
+def _outdir(out: str | Path | None):
+    """The output directory ``out`` (by default a new one under out/ named by the time), made
+    if missing and checked for writing.  When the command fails inside the block, the
+    directories it made are removed with what they hold; one that existed before is left alone."""
+    out = Path(out or Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
     made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         try:
@@ -238,7 +236,7 @@ def cmd_check(args) -> int:
     with contextlib.suppress(AttributeError, OSError, TypeError):   # no mallopt without glibc
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, 32 << 20), libc.mallopt(-1, 64 << 20)  # M_MMAP_, M_TRIM_THRESHOLD
-    with _outdir(args) as out:
+    with _outdir(args.out) as out:
         landscape = Landscape(params)
         t0 = time.perf_counter()
         reports = checks.run_all_checks(
@@ -288,7 +286,7 @@ def _summarize_run(seed, algo, trajectory, observer):
         "final": {"position": list(final.position), "f": final.f_value,
                   "grad_norm": final.grad_norm,
                   "region_order": final.region.order},
-        "escape_records": [dict(vars(r)) for r in report.records],
+        "escape_records": [dataclasses.asdict(r) for r in report.records],
         "theory": report.to_dict(),
         "growth_ratio": growth.ratio if growth else None,
     }
@@ -308,7 +306,7 @@ def cmd_run(args) -> int:
     [params] = _params_grid(args)
     config, noise = _run_settings(args, [params])
     algo = args.algo
-    with _outdir(args) as out:
+    with _outdir(args.out) as out:
         landscape = Landscape(params)
         summaries = []
         for seed in range(args.seed, args.seed + args.seeds):
@@ -365,7 +363,7 @@ def cmd_sweep(args) -> int:
               for tau, params in {params.tau: params for params in grid}.items() for seed in seeds}
     tasks = [(params, algo, seed, starts[params.tau, seed], config, noise)
              for params in grid for algo in args.algo for seed in seeds]
-    with _outdir(args) as out:
+    with _outdir(args.out) as out:
         t0 = time.perf_counter()
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -406,12 +404,16 @@ def cmd_plotdata(args) -> int:
     runs = []   # (seed, blocks_seed<k>.csv rows) of each run
     try:
         for entry in json.loads(summary_path.read_text())["runs"]:
-            seed = entry["seed"]
-            if type(seed) is not int or seed < 0:   # it names the output files
-                raise ValueError(f"seed {seed!r} is not a non-negative int")
-            runs.append((seed, [
-                f"{rec['index']},{rec['t']},{rec['t_prime']},{str(rec['complete']).lower()}"
-                for rec in entry["escape_records"]]))
+            check_count("seed", entry["seed"], 0)   # it names the output files
+            rows = []
+            for rec in entry["escape_records"]:
+                for key, least in (("index", 1), ("t", 0), ("t_prime", 0)):
+                    check_count(key, rec[key], least)
+                if not isinstance(rec["complete"], bool):
+                    raise ValueError(f"complete must be a bool, got {rec['complete']!r}")
+                rows.append(f"{rec['index']},{rec['t']},{rec['t_prime']},"
+                            f"{str(rec['complete']).lower()}")
+            runs.append((entry["seed"], rows))
     except (ValueError, KeyError, TypeError) as e:
         raise IOError(f"{summary_path} is not a run summary: "
                       f"{type(e).__name__}: {e}") from e
@@ -422,13 +424,12 @@ def cmd_plotdata(args) -> int:
             f_lines.append(f"{parts[0]},{parts[3]}")
             path_lines.append(f"{parts[0]},{parts[1]},{parts[2]}")
         series.append((seed, "\n".join(f_lines) + "\n", "\n".join(path_lines) + "\n", records))
-    out = Path(args.out) if args.out else runs_dir
-    out.mkdir(parents=True, exist_ok=True)
-    for seed, fseries, path, records in series:
-        (out / f"fseries_seed{seed}.csv").write_text(fseries)
-        (out / f"path_seed{seed}.csv").write_text(path)
-        block_lines = ["block_index,iterations,buffer_iterations,complete", *records]
-        (out / f"blocks_seed{seed}.csv").write_text("\n".join(block_lines) + "\n")
+    with _outdir(args.out or runs_dir) as out:
+        for seed, fseries, path, records in series:
+            (out / f"fseries_seed{seed}.csv").write_text(fseries)
+            (out / f"path_seed{seed}.csv").write_text(path)
+            block_lines = ["block_index,iterations,buffer_iterations,complete", *records]
+            (out / f"blocks_seed{seed}.csv").write_text("\n".join(block_lines) + "\n")
     print(f"plot data for {len(runs)} runs -> {out}")
     return 0
 

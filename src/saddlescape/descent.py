@@ -14,7 +14,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
-                        RegionId)
+                        RegionId, check_count)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,14 +46,13 @@ class GdConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+        if self.eta is not None and (isinstance(self.eta, bool)
+                                     or not (math.isfinite(self.eta) and self.eta > 0)):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, 1)
         if self.stop_grad_norm is not None and not self.stop_grad_norm >= 0:
             raise ValueError(f"stop_grad_norm must be >= 0, got {self.stop_grad_norm}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        check_count("record_every", self.record_every, 1)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,7 @@ class NoiseConfig:
     def __post_init__(self):
         if not (math.isfinite(self.variance) and self.variance >= 0):
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        check_count("seed", self.seed, 0)
 
 
 def step_settings(params: LandscapeParams, config: GdConfig,
@@ -216,7 +216,7 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
 
     x1, x2 = num(start[0]), num(start[1])
     kept: list[Iterate] = []
-    t, due, event = 0, 0, None   # due: steps until t % record_every == 0; event: set on arrival
+    t, event = 0, None   # event: set on arrival
     while True:    # one pass per region visited
         a, b, c, d = reg.bounds
         rid, code, in_final = reg.rid, reg.code, reg.code == FINAL_CODE
@@ -241,11 +241,10 @@ def run(landscape: Landscape, config: GdConfig, start: Point,
                     event, terminal = Event.STALLED, Outcome.STALLED
             if observe is not None:
                 observe(t, x, val, gnorm, rid, event)
-            if event is not None or terminal is not None or not due:
+            if event is not None or terminal is not None or not t % record_every:
                 kept.append(Iterate(t, x, val, gnorm, rid, event))
             if terminal is not None:
                 return Trajectory(params, config, noise, tuple(kept), terminal)
-            due = (due or record_every) - 1
             t += 1
             x1, x2 = n1, n2
             event = None

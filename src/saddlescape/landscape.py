@@ -28,6 +28,14 @@ Point = tuple[float, float]
 CHUNK = 1 << 14
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 class OutsideDomainError(ValueError):
     """Evaluation requested at a point not covered by any region."""
 
@@ -89,13 +97,12 @@ class LandscapeParams:
     @staticmethod
     def check_field(name: str, value) -> None:
         """Raise ValueError unless ``value`` is valid for the field ``name``
-        on its own: L, gamma and tau finite and positive, n_saddles an
-        integer >= 1.  L >= gamma and the derived constants are checked on
-        the whole set."""
+        on its own: L, gamma and tau finite and positive numbers, not bools,
+        n_saddles an integer >= 1.  L >= gamma and the derived constants are
+        checked on the whole set."""
         if name == "n_saddles":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"n_saddles must be an integer >= 1, got {value!r}")
-        elif not (math.isfinite(value) and value > 0):
+            check_count(name, value, 1)
+        elif isinstance(value, bool) or not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property

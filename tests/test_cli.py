@@ -153,20 +153,46 @@ def _summary_with_seed(seed):
     return json.dumps({"runs": [{"seed": seed, "escape_records": []}]})
 
 
+def _summary_with_record(**fields):
+    record = {"index": 1, "t": 5, "t_prime": 2, "T": 7, "complete": True, **fields}
+    return json.dumps({"runs": [{"seed": 0, "escape_records": [record]}]})
+
+
 @pytest.mark.parametrize("summary", [
     "{}", "[1, 2]", "not json",
     *(pytest.param(_summary_with_seed(seed), id=f"seed={seed!r}")
       for seed in ("0", 1.5, True, "a/../b")),
+    *(pytest.param(_summary_with_record(**{key: value}), id=f"{key}={value!r}")
+      for key, value in (("index", "1\n9,9,9,true"), ("t", {"a": 1}), ("t_prime", None),
+                         ("complete", "x"))),
 ])
 def test_plotdata_bad_summary_exits_three_and_names_it(tmp_path, capsys, summary):
-    """A malformed summary, a seed that is not a non-negative int among them
-    (it names the output files), is refused before any file is written."""
+    """A malformed summary, a seed that is not a non-negative int (it names
+    the output files) or an escape record field of the wrong type among
+    them, is refused before any file is written."""
     (tmp_path / "summary.json").write_text(summary)
     (tmp_path / "run_seed0.csv").write_text(CSV_HEADER + "\n0,0.5,0.5,1.0,0,odd_block,0,\n")
     out = tmp_path / "plots"
     assert main(["plotdata", "--runs", str(tmp_path), "--out", str(out)]) == 3
     assert f"error: {tmp_path / 'summary.json'} is not a run summary" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_plotdata_removes_the_directories_it_made_when_a_write_fails(tmp_path, monkeypatch):
+    rundir = tmp_path / "runs"
+    assert main(["run", "--n-saddles", "2", "--out", str(rundir)]) == 0
+    write_text = Path.write_text
+
+    def failing(path, text):
+        if path.name.startswith("blocks_"):
+            raise OSError("no space left on device")
+        return write_text(path, text)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    assert main(["plotdata", "--runs", str(rundir), "--out", str(tmp_path / "a" / "b")]) == 3
+    assert not (tmp_path / "a").exists()
+    assert main(["plotdata", "--runs", str(rundir)]) == 3
+    assert (rundir / "summary.json").exists()   # the runs directory is left as it is
 
 
 def test_run_and_sweep_write_an_overflowing_growth_floor_as_infinity(tmp_path):
@@ -419,7 +445,7 @@ def test_bad_counts_from_config_file_exit_two(tmp_path, capsys):
     ("run", "L = nan", "L must be finite and positive, got nan"),
     ("sweep", "L = 1 nan", "L must be finite and positive, got nan"),
     ("check", "tau = 0", "tau must be finite and positive, got 0.0"),
-    ("run", "n_saddles = 0", "n_saddles must be an integer >= 1, got 0"),
+    ("run", "n_saddles = 0", "n_saddles must be >= 1, got 0"),
 ])
 def test_rejected_config_value_names_its_file_and_line(tmp_path, capsys, command, line,
                                                        message):

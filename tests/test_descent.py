@@ -440,6 +440,16 @@ def test_config_rejects_non_finite_eta(eta):
         GdConfig(eta=eta)
 
 
+def test_config_rejects_bool_eta():
+    with pytest.raises(ValueError, match="eta must be finite and positive, got True"):
+        GdConfig(eta=True)
+
+
+@pytest.mark.parametrize("eta", [Fraction(1, 4), np.float64(0.25), np.int64(1)])
+def test_config_takes_any_non_bool_positive_number_as_eta(eta):
+    assert GdConfig(eta=eta).eta == eta
+
+
 @pytest.mark.parametrize("stop", [math.nan, -1.0, -1e-300, -math.inf])
 def test_config_rejects_bad_stop_grad_norm(stop):
     with pytest.raises(ValueError, match="stop_grad_norm"):

@@ -52,6 +52,7 @@ def test_nu_matches_exact_rational_evaluation(L, gamma, tau):
     {"L": 1e300, "gamma": 1e-300},                  # lower_bound_base
     {"L": 1e-300, "gamma": 1e-300, "tau": 1e200},   # Lipschitz bound only
     {"gamma": 1.0, "tau": 8e152, "n_saddles": 1000},  # final block offset only
+    {"L": True}, {"gamma": True}, {"tau": True},    # a bool is not a length or a curvature
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ValueError):
@@ -60,6 +61,37 @@ def test_parameter_validation(kwargs):
 
 def test_numpy_integer_n_saddles_accepted():
     assert Landscape(LandscapeParams(n_saddles=np.int64(3))).regions[-1].rid.order == 6
+
+
+@pytest.mark.parametrize("L, gamma, tau", [(np.float64(2.0), np.float64(0.5), np.int64(2)),
+                                           (Fraction(3, 2), Fraction(1, 2), 1)])
+def test_numeric_non_bool_parameters_accepted(L, gamma, tau):
+    assert LandscapeParams(L=L, gamma=gamma, tau=tau, n_saddles=2).derived.L2 == 4 * L
+
+
+# Every integer setting: its name, its least value, and a call that checks it.
+INTEGER_SETTINGS = [
+    ("n_saddles", 1, lambda lc, v: LandscapeParams(n_saddles=v)),
+    ("max_iter", 1, lambda lc, v: ss.GdConfig(max_iter=v)),
+    ("record_every", 1, lambda lc, v: ss.GdConfig(record_every=v)),
+    ("seed", 0, lambda lc, v: ss.NoiseConfig(seed=v)),
+    ("n_samples", 0, lambda lc, v: ss.gradient_check(lc, v)),
+    ("samples_per_seam", 0, lambda lc, v: ss.seam_scan(lc, v)),
+    ("n_points", 0, lambda lc, v: ss.global_minimum_check(lc, v)),
+    ("n_pairs", 1, lambda lc, v: ss.lipschitz_report(lc, v)),
+]
+
+
+@pytest.mark.parametrize("name, least, call", INTEGER_SETTINGS,
+                         ids=[name for name, _, _ in INTEGER_SETTINGS])
+def test_integer_setting_rejects_bool_float_and_too_small(landscape, name, least, call):
+    """A bool, a float and an int below the least value are each a ValueError
+    naming the setting, raised where the setting is built or first read."""
+    for value in (True, 2.5, 1e4, least - 1):
+        with pytest.raises(ValueError) as e:
+            call(landscape, value)
+        assert str(e.value) == (f"{name} must be >= {least}, got {value!r}" if type(value) is int
+                                else f"{name} must be an integer, got {value!r}")
 
 
 # --- geometry --------------------------------------------------------------------
