@@ -94,8 +94,7 @@ def _check_values(args):
             if value is not None:
                 LandscapeParams.check_field(key, value)
     if hasattr(args, "noise_var"):
-        _gd_config(args)
-        NoiseConfig(variance=args.noise_var)
+        _run_settings(args, [])
 
 
 def _add_common(parser: argparse.ArgumentParser, grid: bool = False):
@@ -180,10 +179,12 @@ def _params_grid(args) -> list[LandscapeParams]:
 
 @contextlib.contextmanager
 def _outdir(out: str | Path | None):
-    """The output directory ``out`` (by default a new one under out/ named by the time), made
-    if missing and checked for writing.  When the command fails inside the block, the
-    directories it made are removed with what they hold; one that existed before is left alone."""
-    out = Path(out or Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S"))
+    """The output directory ``out`` (by default a new one under out/ named by the time, -1, -2, ...
+    appended while the name is taken), made if missing and checked for writing.  When the command
+    fails inside the block, the directories it made are removed; one that existed is left alone."""
+    stamp = Path("out") / datetime.now().strftime("%Y%m%d-%H%M%S")
+    names = (Path(f"{stamp}-{k}") if k else stamp for k in itertools.count())
+    out = Path(out or next(p for p in names if not p.exists()))
     made = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         try:
@@ -207,16 +208,12 @@ def _write_json(path: Path, landscape: Landscape, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _gd_config(args) -> GdConfig:
-    """A GdConfig from the options the subcommand has; the rest keep their defaults."""
-    return GdConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GdConfig)
-                       if getattr(args, f.name, None) is not None})
-
-
 def _run_settings(args, grid: list[LandscapeParams]) -> tuple[GdConfig, NoiseConfig]:
-    """The descent and noise settings of ``args``; raises ValueError naming --eta where a
-    plain run's buffer residence bound overflows: gd, or sgd at noise variance 0."""
-    config, noise = _gd_config(args), NoiseConfig(variance=args.noise_var)
+    """The descent and noise settings of ``args``, unset ones at their defaults; raises ValueError
+    naming --eta where a plain run's buffer residence bound overflows: gd, or sgd at variance 0."""
+    config = GdConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GdConfig)
+                         if getattr(args, f.name, None) is not None})
+    noise = NoiseConfig(variance=args.noise_var)
     for params, algo in itertools.product(grid, _as_list(args.algo)):
         eta, noisy = step_settings(params, config, noise if algo == "sgd" else None)
         try:

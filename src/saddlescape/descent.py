@@ -14,7 +14,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .landscape import (FINAL_CODE, Landscape, LandscapeParams, OutsideDomainError, Point,
-                        RegionId, check_count)
+                        RegionId, check_count, check_real)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,12 +46,11 @@ class GdConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.eta is not None and (isinstance(self.eta, bool)
-                                     or not (math.isfinite(self.eta) and self.eta > 0)):
-            raise ValueError(f"eta must be finite and positive, got {self.eta}")
+        if self.eta is not None:
+            check_real("eta", self.eta)
         check_count("max_iter", self.max_iter, 1)
-        if self.stop_grad_norm is not None and not self.stop_grad_norm >= 0:
-            raise ValueError(f"stop_grad_norm must be >= 0, got {self.stop_grad_norm}")
+        if self.stop_grad_norm is not None:
+            check_real("stop_grad_norm", self.stop_grad_norm, positive=False)
         check_count("record_every", self.record_every, 1)
 
 
@@ -61,8 +60,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.variance) and self.variance >= 0):
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        check_real("variance", self.variance, positive=False)
         check_count("seed", self.seed, 0)
 
 

@@ -36,6 +36,14 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
+def check_real(name: str, value, positive: bool = True) -> None:
+    """Raise ValueError unless ``value`` is a finite real, not a bool, above 0 (or >= 0)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 class OutsideDomainError(ValueError):
     """Evaluation requested at a point not covered by any region."""
 
@@ -85,10 +93,7 @@ class LandscapeParams:
             raise ValueError(f"construction requires L >= gamma, got L={self.L} gamma={self.gamma}")
         d = self.derived
         offset = -(self.n_saddles + 1) * d.nu   # the final block's value offset
-        try:
-            bound = _lipschitz_bound(d.L2, self.gamma, self.tau)
-        except OverflowError:   # float ** raises where * would give inf
-            bound = math.inf
+        bound = _lipschitz_bound(d.L2, self.gamma, self.tau)
         checked = (d.L2, d.nu, d.eta_default, d.lower_bound_base, offset, bound)
         if d.nu == 0 or not all(map(math.isfinite, checked)):
             raise ValueError(f"{self} gives a zero or non-finite derived constant: {d}, "
@@ -101,9 +106,8 @@ class LandscapeParams:
         n_saddles an integer >= 1.  L >= gamma and the derived constants are
         checked on the whole set."""
         if name == "n_saddles":
-            check_count(name, value, 1)
-        elif isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            return check_count(name, value, 1)
+        check_real(name, value)
 
     @property
     def n_blocks(self) -> int:
@@ -453,5 +457,5 @@ class Landscape:
 
 
 def _lipschitz_bound(L2: float, g: float, tau: float) -> float:
-    return 2 * L2 + 30 * (L2 + g) * (tau / 2) ** 2 / tau
+    return 2 * L2 + 30 * (L2 + g) * ((tau / 2) * (tau / 2)) / tau
 

@@ -17,11 +17,14 @@ the digests equal; a change that moves bits on purpose records them again,
 with ``python tests/test_bits.py``, and says why.
 """
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
+import saddlescape
 from saddlescape import Landscape, LandscapeParams, derive_constants, project_to_domain
 
 BITS = {
@@ -137,6 +140,39 @@ def _digests() -> dict[str, str]:
 
 def test_landscape_bits_match_recorded_digests():
     assert _digests() == BITS
+
+
+# The calls that go to the platform's libm pow, exp or log, whose rounding may differ between
+# platforms; a float ** goes to pow too.
+LIBM = {f"{m}{f}" for m in ("", "math.", "np.", "numpy.")
+        for f in ("pow", "power", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p")}
+
+
+def _callee(func) -> str | None:
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def _libm_sites(node, scope: str):
+    """The enclosing function (or class, or module) of each ``**`` and libm call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{scope}.{child.name}"
+                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 else scope)
+        if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Pow)
+                or isinstance(child, ast.Call) and _callee(child.func) in LIBM):
+            yield inner
+        yield from _libm_sites(child, inner)
+
+
+def test_only_the_growth_summary_calls_libm_pow_exp_or_log():
+    """README: the growth fit and recurrence floor are the only values that go through libm's
+    pow, exp or log.  Every ``**`` and every such call in the package is in growth_summary."""
+    sites = set()
+    for path in sorted(Path(saddlescape.__file__).parent.glob("*.py")):
+        sites |= set(_libm_sites(ast.parse(path.read_text()), path.stem))
+    assert sites == {"analysis.growth_summary"}
 
 
 if __name__ == "__main__":

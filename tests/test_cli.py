@@ -1,4 +1,5 @@
 import dataclasses
+import datetime
 import inspect
 import itertools
 import json
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,19 @@ def test_run_rerun_bitwise_identical(tmp_path):
     assert main(["run", "--n-saddles", "3", "--seeds", "2", "--out", str(b)]) == 0
     for name in ["run_seed0.csv", "run_seed1.csv", "summary.json"]:
         assert read(a / name) == read(b / name)
+
+
+def test_default_output_directory_is_new_within_the_same_second(tmp_path, monkeypatch):
+    """Three commands started at the same clock second, with no --out, write to
+    out/<time>, out/<time>-1 and out/<time>-2, each keeping its own summary."""
+    monkeypatch.setattr(cli, "datetime", types.SimpleNamespace(
+        now=lambda: datetime.datetime(2026, 1, 2, 3, 4, 5)))
+    monkeypatch.chdir(tmp_path)
+    for n in (2, 3, 4):
+        assert main(["run", "--n-saddles", str(n)]) == 0
+    outs = sorted((tmp_path / "out").iterdir())
+    assert [p.name for p in outs] == ["20260102-030405", "20260102-030405-1", "20260102-030405-2"]
+    assert [json.loads(read(p / "summary.json"))["params"]["n_saddles"] for p in outs] == [2, 3, 4]
 
 
 def test_run_sgd(tmp_path):
@@ -400,12 +415,12 @@ def test_check_zero_sample_counts_are_vacuous(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_bad_stop_grad_norm_exits_two(tmp_path, capsys, command, value):
     out = tmp_path / "out"
     assert main([command, "--n-saddles", "2", "--stop-grad-norm", value,
                  "--out", str(out)]) == 2
-    assert "stop_grad_norm must be >= 0" in capsys.readouterr().err
+    assert "stop_grad_norm must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -450,7 +450,7 @@ def test_config_takes_any_non_bool_positive_number_as_eta(eta):
     assert GdConfig(eta=eta).eta == eta
 
 
-@pytest.mark.parametrize("stop", [math.nan, -1.0, -1e-300, -math.inf])
+@pytest.mark.parametrize("stop", [math.nan, -1.0, -1e-300, -math.inf, math.inf])
 def test_config_rejects_bad_stop_grad_norm(stop):
     with pytest.raises(ValueError, match="stop_grad_norm"):
         GdConfig(stop_grad_norm=stop)

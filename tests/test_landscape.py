@@ -46,7 +46,7 @@ def test_nu_matches_exact_rational_evaluation(L, gamma, tau):
     {"tau": math.inf}, {"tau": math.nan}, {"n_saddles": 2.0}, {"n_saddles": True},
     # each overflows or zeroes one derived value
     {"L": 1e308},                                   # L2
-    {"tau": 1e160, "n_saddles": 2},                 # nu, and (tau/2)**2 raises
+    {"tau": 1e160, "n_saddles": 2},                 # nu and the Lipschitz bound
     {"tau": 1e-300},                                # nu == 0
     {"L": 1e-320, "gamma": 1e-320},                 # eta_default
     {"L": 1e300, "gamma": 1e-300},                  # lower_bound_base
@@ -92,6 +92,37 @@ def test_integer_setting_rejects_bool_float_and_too_small(landscape, name, least
             call(landscape, value)
         assert str(e.value) == (f"{name} must be >= {least}, got {value!r}" if type(value) is int
                                 else f"{name} must be an integer, got {value!r}")
+
+
+# Every real-valued setting: its name, whether it must be above 0 (else at least 0), and a call
+# that checks it.
+REAL_SETTINGS = [
+    ("L", True, lambda v: LandscapeParams(L=v)),
+    ("gamma", True, lambda v: LandscapeParams(gamma=v)),
+    ("tau", True, lambda v: LandscapeParams(tau=v)),
+    ("eta", True, lambda v: ss.GdConfig(eta=v)),
+    ("stop_grad_norm", False, lambda v: ss.GdConfig(stop_grad_norm=v)),
+    ("variance", False, lambda v: ss.NoiseConfig(variance=v)),
+]
+
+
+@pytest.mark.parametrize("name, positive, call", REAL_SETTINGS,
+                         ids=[name for name, _, _ in REAL_SETTINGS])
+def test_real_setting_rejects_bool_non_number_non_finite_and_out_of_range(name, positive, call):
+    """A bool, a numpy bool, a string, a non-finite number and the value just out of range are
+    each a ValueError with the one message of ``check_real``."""
+    bound = "positive" if positive else ">= 0"
+    for value in (True, np.True_, "1", math.nan, math.inf, -math.inf, 0 if positive else -1e-300):
+        with pytest.raises(ValueError) as e:
+            call(value)
+        assert str(e.value) == f"{name} must be finite and {bound}, got {value!r}"
+
+
+@pytest.mark.parametrize("name, positive, call", REAL_SETTINGS,
+                         ids=[name for name, _, _ in REAL_SETTINGS])
+def test_real_setting_takes_any_real_number_in_range(name, positive, call):
+    for value in (Fraction(1, 2), np.float64(0.5), np.int64(1), *([] if positive else [0, 0.0])):
+        assert getattr(call(value), name) == value
 
 
 # --- geometry --------------------------------------------------------------------
