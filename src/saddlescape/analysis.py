@@ -14,7 +14,7 @@ feeds it while descending, and ``replay`` feeds it the stored iterates of a
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .landscape import Landscape, LandscapeParams, Point, RegionId
 from .descent import Event, GdConfig, Iterate, NoiseConfig, Trajectory, step_settings
@@ -204,8 +204,8 @@ class TheoryReport:
 
     def to_dict(self) -> dict:
         """The checks, growth, stall and verdict; ``records`` is left out."""
-        d = asdict(self)
-        del d["records"]
+        d = {f.name: None if (v := getattr(self, f.name)) is None else asdict(v)
+             for f in fields(self) if f.name != "records"}
         return {**d, "passed": self.passed}
 
 

@@ -377,8 +377,9 @@ def cmd_sweep(args) -> int:
 
 def _trajectory_rows(csv_path: Path):
     """The fields of each data row of a ``run`` trajectory CSV, read one file
-    at a time.  A missing or undecodable file, or a row with fewer than 4
-    fields, raises IOError."""
+    at a time.  A missing or undecodable file, a row with fewer than 4 fields,
+    or one whose iter is not an integer or whose x1, x2 or f is not a number,
+    raises IOError."""
     if not csv_path.exists():
         raise IOError(f"missing trajectory file {csv_path}")
     try:
@@ -390,6 +391,11 @@ def _trajectory_rows(csv_path: Path):
         if len(parts) < 4:
             raise IOError(f"{csv_path}:{lineno}: expected at least the 4 fields "
                           f"iter,x1,x2,f, got {row!r}")
+        try:   # parsed only to check them: plotdata copies each field's text as it is
+            int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError:
+            raise IOError(f"{csv_path}:{lineno}: expected an integer iter and numbers "
+                          f"x1,x2,f, got {row!r}") from None
         yield parts
 
 

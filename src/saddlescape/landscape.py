@@ -38,8 +38,12 @@ def check_count(name: str, value, least: int) -> None:
 
 def check_real(name: str, value, positive: bool = True) -> None:
     """Raise ValueError unless ``value`` is a finite real, not a bool, above 0 (or >= 0)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not (value > 0 if positive else value >= 0)):
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:   # a real beyond the floats, such as 10**400
+        finite = False
+    if not finite or not (value > 0 if positive else value >= 0):
         bound = "positive" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 

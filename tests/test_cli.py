@@ -223,14 +223,26 @@ def test_run_and_sweep_write_an_overflowing_growth_floor_as_infinity(tmp_path):
     assert len(rows) == 3 and rows[2].startswith("1000,1,1,105,0,sgd,reached_minimum,")
 
 
-def test_plotdata_short_csv_row_exits_three_and_names_it(tmp_path, capsys):
+@pytest.mark.parametrize("row", [
+    pytest.param("7,0.5,0.5", id="short"),
+    pytest.param('1,"y",0.5,-1.0', id="quoted-x1"),
+    pytest.param("x,0.5,0.5,-1.0", id="iter-not-a-number"),
+    pytest.param("1.5,0.5,0.5,-1.0", id="iter-not-an-integer"),
+    pytest.param("1,0.5,0.5,", id="empty-f"),
+    pytest.param("1,0.5,0.5,f,0.1,odd_block,1,", id="f-not-a-number"),
+])
+def test_plotdata_bad_csv_row_exits_three_and_names_it(tmp_path, capsys, row):
+    """A row with fewer than 4 fields, an iter that is not an integer, or an
+    x1, x2 or f that is not a number is refused before any file is written."""
     assert main(["run", "--n-saddles", "2", "--out", str(tmp_path)]) == 0
     csv_path = tmp_path / "run_seed0.csv"
     lines = read(csv_path).splitlines()
-    csv_path.write_text("\n".join(lines[:2] + ["7,0.5,0.5"]) + "\n")
+    csv_path.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
     capsys.readouterr()
-    assert main(["plotdata", "--runs", str(tmp_path)]) == 3
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(tmp_path), "--out", str(out)]) == 3
     assert f"error: {csv_path}:3: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plotdata_undecodable_csv_exits_three_and_names_it(tmp_path, capsys):
@@ -731,6 +743,26 @@ def test_import_loads_neither_fractions_nor_mpmath():
                         "print(sorted({'fractions', 'mpmath'} & set(sys.modules)))")
     assert res.returncode == 0
     assert res.stdout == "[]\n"
+
+
+def test_import_and_a_build_load_only_the_landscape():
+    res = _python("-c", "import sys, saddlescape as ss\n"
+                        "ss.Landscape(ss.LandscapeParams(n_saddles=100))\n"
+                        "print(sorted({'numpy', 'saddlescape.descent', 'saddlescape.analysis',"
+                        " 'saddlescape.checks'} & set(sys.modules)))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_package_names_are_bound_when_their_submodule_loads():
+    # `import saddlescape.cli` loads descent without reading a package name; a
+    # patch of descent made after that does not become the package's name
+    res = _python("-c", "import saddlescape.cli, saddlescape as ss\n"
+                        "original, ss.descent.Iterate = ss.descent.Iterate, None\n"
+                        "from saddlescape import Iterate\n"
+                        "print(ss.Iterate is Iterate is original)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True\n"
 
 
 def test_scalar_path_loads_neither_numpy_nor_the_checks():

@@ -109,10 +109,11 @@ REAL_SETTINGS = [
 @pytest.mark.parametrize("name, positive, call", REAL_SETTINGS,
                          ids=[name for name, _, _ in REAL_SETTINGS])
 def test_real_setting_rejects_bool_non_number_non_finite_and_out_of_range(name, positive, call):
-    """A bool, a numpy bool, a string, a non-finite number and the value just out of range are
-    each a ValueError with the one message of ``check_real``."""
+    """A bool, a numpy bool, a string, a non-finite number, a real beyond the floats and the
+    value just out of range are each a ValueError with the one message of ``check_real``."""
     bound = "positive" if positive else ">= 0"
-    for value in (True, np.True_, "1", math.nan, math.inf, -math.inf, 0 if positive else -1e-300):
+    for value in (True, np.True_, "1", math.nan, math.inf, -math.inf, 10**400,
+                  Fraction(10**400, 3), 0 if positive else -1e-300):
         with pytest.raises(ValueError) as e:
             call(value)
         assert str(e.value) == f"{name} must be finite and {bound}, got {value!r}"
